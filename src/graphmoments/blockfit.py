@@ -41,6 +41,7 @@ from .graph import Graph, rho_hat
 from .hubs import DEFAULT_BUDGET
 from .moments import MomentTable, wheel_moment_estimates
 from .patterns import WheelSpec
+from .theory import block_iterates, wheel_tau
 
 SCHEMA_VERSION = "1"
 
@@ -312,35 +313,9 @@ def recover_S(pi, iterates, *, cond_max: float = 1e10) -> tuple[np.ndarray, dict
 def tau_forward(pi, S, keys) -> np.ndarray:
     """Wheel moments of a (pi, S) pair for the given WheelSpec keys."""
     pi = np.asarray(pi, dtype=float)
-    s = np.asarray(S, dtype=float)
     depth = max(max(k.ks) for k in keys)
-    m = s * pi[None, :]
-    iterates = np.empty((pi.shape[0], depth))
-    v = np.ones(pi.shape[0])
-    for j in range(depth):
-        v = m @ v
-        iterates[:, j] = v
-    out = np.empty(len(keys))
-    for i, spec in enumerate(keys):
-        prod = np.ones(pi.shape[0])
-        for k, l in zip(spec.ks, spec.ls):
-            prod = prod * iterates[:, k - 1] ** l
-        out[i] = pi @ prod
-    return out
-
-
-def _as_key(key) -> WheelSpec:
-    if isinstance(key, WheelSpec):
-        return key
-    if isinstance(key, str):
-        from .patterns import parse_pattern_name
-
-        parsed = parse_pattern_name(key)
-        if not isinstance(parsed, WheelSpec):
-            raise DomainError(f"{key!r} is not a wheel key")
-        return parsed
-    k, l = key
-    return WheelSpec.simple(int(k), int(l))
+    values = block_iterates(pi, np.asarray(S, dtype=float), depth)
+    return np.array([wheel_tau(values, pi, spec) for spec in keys])
 
 
 def _tau_dict(tau_hat, estimator: str) -> dict[WheelSpec, float]:
@@ -352,10 +327,10 @@ def _tau_dict(tau_hat, estimator: str) -> dict[WheelSpec, float]:
                 val = e.q_check if estimator == "qcheck" else e.p_check
             if val is None:
                 continue
-            spec = _as_key(e.name)
+            spec = WheelSpec.coerce(e.name)
             out[spec] = float(val)
         return out
-    return {_as_key(k): float(v) for k, v in tau_hat.items()}
+    return {WheelSpec.coerce(k): float(v) for k, v in tau_hat.items()}
 
 
 def _canonical_block_order(pi: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -423,7 +398,7 @@ def nls_refine(
     keys = sorted(taus, key=lambda s: (s.ks, s.ls))
     target = np.array([taus[k] for k in keys])
     if cfg.weights:
-        wmap = {_as_key(k): float(v) for k, v in cfg.weights.items()}
+        wmap = {WheelSpec.coerce(k): float(v) for k, v in cfg.weights.items()}
         sqrtw = np.sqrt(np.array([wmap.get(k, 1.0) for k in keys]))
     else:
         sqrtw = np.ones(len(keys))

@@ -45,14 +45,12 @@ class HubCountCache:
 
     @classmethod
     def build(cls, g: Graph, keys, budget: int | None = DEFAULT_BUDGET) -> "HubCountCache":
-        specs = tuple(
-            k if isinstance(k, WheelSpec) else WheelSpec.simple(*k) for k in keys
-        )
+        specs = tuple(WheelSpec.coerce(k) for k in keys)
         counts = {spec: wheel_counts_per_hub(g, spec, budget) for spec in specs}
         return cls(n=g.n, keys=specs, counts=counts, degrees=g.degrees.copy())
 
     def get(self, key) -> np.ndarray:
-        spec = key if isinstance(key, WheelSpec) else WheelSpec.simple(*key)
+        spec = WheelSpec.coerce(key)
         try:
             return self.counts[spec]
         except KeyError:
@@ -119,7 +117,7 @@ def bootstrap_variance(
     m defaults to ceil(n^0.7).  Deterministic given (graph, key, m, B,
     seed); replicates use independent child seeds of `seed`.
     """
-    spec = key if isinstance(key, WheelSpec) else WheelSpec.simple(*key)
+    spec = WheelSpec.coerce(key)
     n = g.n
     if m is None:
         m = math.ceil(n**0.7)
@@ -154,7 +152,8 @@ def bootstrap_variance(
             raise NormalizationError(
                 f"replicate {b} drew an isolated vertex set; increase m"
             )
-        p_hat = (n / m) * int(counts[idx].sum()) / denom
+        # one correctly rounded division of exact integers, as in full_value
+        p_hat = (n * int(counts[idx].sum())) / (m * denom)
         rho_star = dbar / (n - 1) if normalization == "rho_star" else dbar / m
         reps[b] = p_hat * rho_star**-spec.q
 

@@ -16,11 +16,10 @@ import concurrent.futures
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -42,7 +41,14 @@ from .errors import (
 )
 from .graph import Graph, lambda_hat, load_edge_list, rho_hat, write_edge_list
 from .hubs import DEFAULT_BUDGET
-from .models import BlockModel, Graphon, load_model, sample_block_model, sample_graphon
+from .models import (
+    BlockModel,
+    Graphon,
+    load_model,
+    model_from_json,
+    sample_block_model,
+    sample_graphon,
+)
 from .moments import MomentEntry, MomentTable, moment_table, wheel_moment_estimates
 from .patterns import WheelSpec, parse_pattern_name, wheel_isomorphism_count
 from .theory import tau_block, tau_graphon
@@ -200,12 +206,6 @@ def _approx_table(g: Graph, items) -> MomentTable:
                 p=spec.p,
                 q=spec.q,
                 n_isoclasses=wheel_isomorphism_count(spec),
-                induced_count=None,
-                noninduced_count=None,
-                p_hat=None,
-                q_hat=None,
-                p_check=None,
-                q_check=None,
                 tau=degree_moment_approx(profile, spec),
             )
         )
@@ -262,16 +262,7 @@ def cmd_fit(args) -> int:
     t0 = time.monotonic()
     if args.weights == "bootstrap":
         weights = _bootstrap_weights(g, cfg, args.seed, budget)
-        cfg = FitConfig(
-            K=cfg.K,
-            estimator=cfg.estimator,
-            weights=weights,
-            stage_weight_tol=cfg.stage_weight_tol,
-            multistart=cfg.multistart,
-            seed=cfg.seed,
-            budget=cfg.budget,
-            on_stage_error=cfg.on_stage_error,
-        )
+        cfg = replace(cfg, weights=weights)
     result = fit_block_model(g, cfg)
     manifest.wall_clock_s = time.monotonic() - t0
     payload = result.to_json()
@@ -327,10 +318,7 @@ def cmd_degrees(args) -> int:
 
 def _parse_key(text: str) -> WheelSpec:
     if text.startswith("wheel:"):
-        spec = parse_pattern_name(text)
-        if not isinstance(spec, WheelSpec):
-            raise InputError(f"{text!r} is not a wheel key")
-        return spec
+        return WheelSpec.coerce(text)
     try:
         k, l = (int(x) for x in text.split(","))
     except ValueError as exc:
@@ -390,11 +378,6 @@ def _metric_params(spec: str) -> tuple[str, dict]:
     return name, params
 
 
-def _canonical_truth(model: BlockModel) -> tuple[np.ndarray, np.ndarray]:
-    order = model.canonical_order()
-    return model.pi[order], model.S[np.ix_(order, order)]
-
-
 def _sweep_cell(task: dict) -> dict:
     """Evaluate one (model, n, rep) cell; returns the JSONL record."""
     record = {
@@ -411,7 +394,7 @@ def _sweep_cell(task: dict) -> dict:
         "error": None,
     }
     try:
-        model = _model_from_obj(task["model_obj"])
+        model = model_from_json(task["model_obj"])
         need_latents = any(m.startswith("coupling") for m in task["metrics"])
         if isinstance(model, Graphon):
             sample = sample_graphon(
@@ -467,22 +450,16 @@ def _sweep_cell(task: dict) -> dict:
                 metrics[f"{spec}.residual"] = res.residual
                 metrics[f"{spec}.converged"] = res.converged
                 if isinstance(model, BlockModel) and model.K == params["K"]:
-                    pi_true, s_true = _canonical_truth(model)
-                    metrics[f"{spec}.pi_error"] = float(
-                        np.max(np.abs(res.pi - pi_true))
-                    )
-                    metrics[f"{spec}.S_error"] = float(np.max(np.abs(res.S - s_true)))
+                    order = model.canonical_order()
+                    pi_err = np.max(np.abs(res.pi - model.pi[order]))
+                    metrics[f"{spec}.pi_error"] = float(pi_err)
+                    s_err = np.max(np.abs(res.S - model.S[np.ix_(order, order)]))
+                    metrics[f"{spec}.S_error"] = float(s_err)
             else:
                 raise InputError(f"unknown metric {name!r}")
     except Exception as exc:  # per-line failure; sweep continues
         record["error"] = f"{type(exc).__name__}: {exc}"
     return record
-
-
-def _model_from_obj(obj: dict):
-    if "grid" in obj:
-        return Graphon.from_json(obj)
-    return BlockModel.from_json(obj)
 
 
 def _resolve_threads(args) -> int:

@@ -6,24 +6,19 @@ set equals the pattern exactly), i.e. labeled embeddings divided by
 |Aut(R)|.  All arithmetic is exact integer arithmetic.
 
 Order-3 patterns (2-stars and triangles) take closed-form fast paths so
-they stay cheap on large sparse graphs; everything else goes through an
-injective backtracking search with an optional node budget.
+they stay cheap on large sparse graphs: triangles come from the graph's
+cached statistics layer (``Graph.stats``, a vectorised listing that never
+forms A^2).  Everything else goes through an injective backtracking search
+with an optional node budget.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .graph import Graph
-from .patterns import PatternGraph, automorphism_count
-
-
-def _scipy_adjacency(g: Graph):
-    from scipy import sparse
-
-    data = np.ones(g.indices.size, dtype=np.int64)
-    return sparse.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
+from .patterns import PatternGraph, automorphism_count, quotient_by_automorphisms
 
 
 def wedge_count(g: Graph) -> int:
@@ -33,32 +28,20 @@ def wedge_count(g: Graph) -> int:
 
 
 def triangle_count(g: Graph) -> int:
-    if g.edge_count == 0:
-        return 0
-    a = _scipy_adjacency(g)
-    # (A @ A) ∘ A sums closed 2-paths over adjacent pairs: 6 per triangle
-    t = int((a @ a).multiply(a).sum())
-    assert t % 6 == 0
-    return t // 6
+    corners = int(g.stats.triangles.sum())
+    if corners % 3:
+        raise InvariantError("per-vertex triangle counts do not sum to a multiple of 3")
+    return corners // 3
 
 
 def triangles_per_vertex(g: Graph) -> np.ndarray:
-    if g.edge_count == 0:
-        return np.zeros(g.n, dtype=np.int64)
-    a = _scipy_adjacency(g)
-    b = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
-    assert not np.any(b % 2)
-    return (b // 2).astype(np.int64)
-
-
-def _classify_p3(r: PatternGraph) -> str:
-    return "triangle" if r.q == 3 else "twostar"
+    """Triangles through each vertex, from the graph's cached listing."""
+    return g.stats.triangles.copy()
 
 
 def _count_p3(g: Graph, r: PatternGraph, induced: bool) -> int:
-    kind = _classify_p3(r)
     t = triangle_count(g)
-    if kind == "triangle":
+    if r.q == 3:
         return t
     w = wedge_count(g)
     # each triangle's three 2-subsets of edges are noninduced 2-stars but
@@ -146,33 +129,26 @@ def _embedding_count(g: Graph, r: PatternGraph, induced: bool, budget: int | Non
     return count
 
 
-def count_noninduced(g: Graph, r: PatternGraph, budget: int | None = None) -> int:
-    """Subsets of V(g) carrying every edge of r (extra edges allowed)."""
-    if r.p > g.n:
-        return 0
-    if r.p == 2:
-        return g.edge_count
-    if r.p == 3:
-        return _count_p3(g, r, induced=False)
-    emb = _embedding_count(g, r, induced=False, budget=budget)
-    a = automorphism_count(r)
-    assert emb % a == 0
-    return emb // a
-
-
-def count_induced(g: Graph, r: PatternGraph, budget: int | None = None) -> int:
-    """Subsets of V(g) whose induced edge set equals r exactly."""
+def _count(g: Graph, r: PatternGraph, induced: bool, budget: int | None) -> int:
     if r.p > g.n:
         return 0
     if r.p == 2:
         # a 2-subset induces exactly one possible nonempty edge set
         return g.edge_count
     if r.p == 3:
-        return _count_p3(g, r, induced=True)
-    emb = _embedding_count(g, r, induced=True, budget=budget)
-    a = automorphism_count(r)
-    assert emb % a == 0
-    return emb // a
+        return _count_p3(g, r, induced)
+    embeddings = _embedding_count(g, r, induced=induced, budget=budget)
+    return quotient_by_automorphisms(embeddings, automorphism_count(r))
+
+
+def count_noninduced(g: Graph, r: PatternGraph, budget: int | None = None) -> int:
+    """Subsets of V(g) carrying every edge of r (extra edges allowed)."""
+    return _count(g, r, False, budget)
+
+
+def count_induced(g: Graph, r: PatternGraph, budget: int | None = None) -> int:
+    """Subsets of V(g) whose induced edge set equals r exactly."""
+    return _count(g, r, True, budget)
 
 
 def supergraphs_on_same_vertices(r: PatternGraph) -> list[PatternGraph]:

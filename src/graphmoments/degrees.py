@@ -4,6 +4,10 @@ The order-m degree D_i^(m) is the number of loopless m-edge paths starting
 at vertex i.  Normalized by powers of the mean degree these approximate the
 operator iterates evaluated at the vertex's latent position, which is what
 the coupling diagnostics quantify.
+
+Orders 1-3 are closed forms over the graph's cached statistics layer
+(``Graph.stats``): degrees, D^(2) and triangles per vertex, with the CSR
+adjacency built once per graph; no A^2 is formed.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import triangles_per_vertex
 from .errors import BudgetExceededError, DomainError, NormalizationError
 from .graph import Graph, average_degree
 from .patterns import WheelSpec
@@ -58,17 +63,10 @@ class ThetaProfile:
 
 def _paths_order3(g: Graph) -> np.ndarray:
     """D^(3) closed form: summing d_l choices over i~j~k and excluding the
-    revisits l in {j, i} gives A^2 (d-1) - d(d-1) - 2 * triangles."""
-    from scipy import sparse
-
-    from .counting import triangles_per_vertex
-
+    revisits l in {j, i} gives A^2 (d-1) - d(d-1) - 2 * triangles, with
+    A^2 (d-1) taken as A (A (d-1)) and triangles from the statistics layer."""
     d = g.degrees.astype(np.int64)
-    a = sparse.csr_matrix(
-        (np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
-        shape=(g.n, g.n),
-    )
-    t1 = np.asarray(a @ (a @ (d - 1))).ravel()
+    t1 = g.adjacency @ (g.adjacency @ (d - 1))
     return t1 - d * (d - 1) - 2 * triangles_per_vertex(g)
 
 
@@ -105,7 +103,7 @@ def _paths_dfs(g: Graph, m: int, budget: int | None) -> np.ndarray:
 def m_degrees(g: Graph, m: int, budget: int | None = 50_000_000) -> DegreeProfile:
     """Exact D^(1..m) for every vertex.
 
-    Orders 1 and 2 use closed forms; higher orders fall back to DFS whose
+    Orders up to 3 use closed forms; higher orders fall back to DFS whose
     step count is budget-guarded (work grows like n * mean_degree^m).
     """
     if m < 1:
@@ -114,14 +112,7 @@ def m_degrees(g: Graph, m: int, budget: int | None = 50_000_000) -> DegreeProfil
     if m <= 3:
         cols = [d]
         if m >= 2:
-            from scipy import sparse
-
-            a = sparse.csr_matrix(
-                (np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
-                shape=(g.n, g.n),
-            )
-            # paths i-j-k, k != i: sum over neighbors of (deg - 1)
-            cols.append(np.asarray(a @ d).ravel() - d)
+            cols.append(g.stats.d2)
         if m == 3:
             cols.append(_paths_order3(g))
         counts = np.column_stack(cols)
@@ -194,21 +185,18 @@ def mallows2_1d(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(lens * (a[ia] - b[ib]) ** 2)))
 
 
-def _falling_factorial_column(x: np.ndarray, l: int) -> np.ndarray:
-    """(x)_l with exact integers, object dtype when int64 could overflow."""
-    x = np.asarray(x)
+def falling_factorial_column(x: np.ndarray, l: int) -> np.ndarray:
+    """(x)_l elementwise for x >= 0, exact: int64 while x.max()**l < 2^62,
+    else Python ints (object dtype)."""
+    x = np.asarray(x, dtype=np.int64)
     hi = int(x.max()) if x.size else 0
-    if l == 0:
-        return np.ones(x.shape, dtype=np.int64)
     if hi**l < 2**62:
-        out = x.astype(np.int64).copy()
-        for j in range(1, l):
+        out = np.ones(x.shape, dtype=np.int64)
+        for j in range(l):
             out *= x - j
         return out
     vals, inv = np.unique(x, return_inverse=True)
-    ff = np.array(
-        [math.prod(int(v) - j for j in range(l)) for v in vals], dtype=object
-    )
+    ff = np.array([falling_factorial(int(v), l) for v in vals], dtype=object)
     return ff[inv]
 
 
@@ -228,7 +216,7 @@ def degree_moment_approx(profile: DegreeProfile, key: WheelSpec | tuple) -> floa
     the numerator), so the estimate is biased upward with relative bias of
     order 1/mean_degree.
     """
-    spec = key if isinstance(key, WheelSpec) else WheelSpec.simple(*key)
+    spec = WheelSpec.coerce(key)
     if max(spec.ks) > profile.m:
         raise DomainError(
             f"profile holds orders up to {profile.m}, key needs {max(spec.ks)}"
@@ -236,7 +224,7 @@ def degree_moment_approx(profile: DegreeProfile, key: WheelSpec | tuple) -> floa
     if profile.mean_degree == 0:
         raise NormalizationError("degree approximation undefined on an empty graph")
     cols = [
-        _falling_factorial_column(profile.counts[:, k - 1], l)
+        falling_factorial_column(profile.counts[:, k - 1], l)
         for k, l in zip(spec.ks, spec.ls)
     ]
     bound = math.prod(max(1, int(c.max())) for c in cols) if profile.n else 0

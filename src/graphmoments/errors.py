@@ -61,5 +61,9 @@ class CountOverflowError(NumericalError):
     """A count exceeded the representable/checked integer range."""
 
 
+class InvariantError(GraphMomentsError):
+    """An internal invariant failed (a count that must divide exactly did not)."""
+
+
 class BudgetExceededError(GraphMomentsError):
     """Work estimate exceeds the configured enumeration budget."""

@@ -9,16 +9,17 @@ trip (the writer emits a ``# n=<count>`` comment header for this).
 
 from __future__ import annotations
 
-import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DomainError, GraphFormatError
+from .graphstats import GraphStats
 
 _N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
@@ -78,17 +79,23 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    @cached_property
+    def adjacency(self):
+        """Adjacency as a scipy CSR matrix of int64 ones, built once."""
+        data = np.ones(self.indices.size, dtype=np.int64)
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    @cached_property
+    def stats(self) -> GraphStats:
+        """The graph's cached statistics layer; see graphstats."""
+        return GraphStats(self)
+
     @property
     def edge_count(self) -> int:
         return int(self.indices.size) // 2
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.neighbors(i)
-        k = np.searchsorted(row, j)
-        return bool(k < row.size and row[k] == j)
 
     def edges(self) -> np.ndarray:
         """Return an (L, 2) array of edges with endpoints ascending, sorted."""

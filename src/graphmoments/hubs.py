@@ -11,8 +11,12 @@ Fast paths:
   * k = 1:               binomial(degree, l)
   * l = 1:               order-k degrees (path counts)
   * k = 2, l in {2, 3}:  closed-form independent-set counts in the
-                         conflict graph of 2-paths, fully vectorized
+                         conflict graph of 2-paths, with no Python loops
 Everything else runs an exact per-hub enumeration with a work budget.
+
+The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``) and take
+sums over A^2 in row blocks, never holding the full A^2.  Closed-form
+columns are memoised per graph.
 """
 
 from __future__ import annotations
@@ -20,54 +24,33 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
-from .errors import BudgetExceededError, DomainError
+from .counting import triangles_per_vertex
+from .degrees import falling_factorial_column, m_degrees
+from .errors import BudgetExceededError, CountOverflowError, InvariantError
 from .graph import Graph
+from .graphstats import row_sums
 from .patterns import WheelSpec, hub_multiplicity
 
 DEFAULT_BUDGET = 1_000_000
+_INT64_LIMIT = 2**62  # headroom below 2^63 for one more addition
 
 
-def _comb_column(x: np.ndarray, l: int) -> np.ndarray:
-    """binomial(x, l) elementwise, exact, object dtype if int64 is unsafe."""
-    x = np.asarray(x, dtype=np.int64)
-    hi = int(x.max()) if x.size else 0
-    if l == 0:
-        return np.ones(x.shape, dtype=np.int64)
-    if hi >= l and hi**l >= 2**62:
-        vals, inv = np.unique(x, return_inverse=True)
-        cb = np.array([math.comb(int(v), l) for v in vals], dtype=object)
-        return cb[inv]
-    out = np.maximum(x, 0).astype(np.int64)
-    acc = out.copy()
-    for j in range(1, l):
-        acc *= np.maximum(x - j, 0)
-    acc //= math.factorial(l)
-    return acc
+def _k2_dtype(d: np.ndarray, d2: np.ndarray):
+    """Integer type for the k = 2 closed forms, from max degree D and max D^(2) M.
 
-
-def _sparse_adj(g: Graph):
-    from scipy import sparse
-
-    return sparse.csr_matrix(
-        (np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
-        shape=(g.n, g.n),
-    )
-
-
-def _edge_key_table(g: Graph) -> np.ndarray:
-    """Sorted int64 keys i*n + j for every directed adjacency entry."""
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    return src * g.n + g.indices  # sorted because rows ascend and rows are sorted
-
-
-def _has_edge_bulk(keys_sorted: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    q = i.astype(np.int64) * n + j
-    pos = np.searchsorted(keys_sorted, q)
-    pos = np.minimum(pos, keys_sorted.size - 1) if keys_sorted.size else pos
-    if keys_sorted.size == 0:
-        return np.zeros(q.shape, dtype=bool)
-    return keys_sorted[pos] == q
+    Their row sums ((A^2)_ik^3, t_v^3, dc_p^2, ...) are at most 16 (M + D) D^2:
+    past 2^62, CountOverflowError.  C(m, 3) and e_conf (m - 2) are at most M^3
+    and 2 M^2 D: past 2^62 the per-hub combination uses Python ints.
+    """
+    dmax = int(d.max()) if d.size else 0
+    mmax = int(d2.max()) if d2.size else 0
+    if 16 * (mmax + dmax) * dmax**2 >= _INT64_LIMIT:
+        raise CountOverflowError(
+            f"k = 2 wheel sums could pass 2^62 (max degree {dmax}, max D2 {mmax})"
+        )
+    return object if max(mmax**3, 2 * mmax**2 * dmax) >= _INT64_LIMIT else np.int64
 
 
 def _hub_counts_k2_l2(g: Graph) -> np.ndarray:
@@ -77,137 +60,80 @@ def _hub_counts_k2_l2(g: Graph) -> np.ndarray:
     each non-hub vertex v used by t_v paths there are C(t_v, 2) clashing
     pairs, a pair sharing both vertices (a path and its reversal, one per
     edge inside the hub's neighborhood) having been double-counted once.
+    t_v splits into mid(v) = [v ~ i](d_v - 1) and end(v) = (A^2)_iv, so
+    sum_v t_v^2 needs only B and the row sums of (A^2)^2, taken in blocks.
     """
-    from .counting import triangles_per_vertex
-
-    a = _sparse_adj(g)
-    d = g.degrees.astype(np.int64)
-    m = np.asarray(a @ d).ravel() - d
-    a2 = a @ a
-    b = a2.multiply(a)  # common-neighbor counts on edges
-    # t_v per hub i splits into mid(v) = [v ~ i](d_v - 1) and
-    # end(v) = |N(v) ∩ N(i)|; sum_v C(t_v,2) = (sum t^2 - sum t)/2 with
-    # sum_v t_v = 2 m_i
-    sum_mid2 = np.asarray(a @ ((d - 1) ** 2)).ravel()
-    sum_midend = np.asarray(b @ (d - 1)).ravel()
-    sq = a2.copy()
-    sq.data = sq.data**2
-    sum_end2 = np.asarray(sq.sum(axis=1)).ravel() - d * d  # drop v = i (a2_ii = d_i)
-    sum_t2 = sum_mid2 + 2 * sum_midend + sum_end2
-    sum_comb_t = (sum_t2 - 2 * m) // 2
-    reversals = triangles_per_vertex(g)
-    conflicts = sum_comb_t - reversals
-    return _comb_column(m, 2) - conflicts
-
-
-def _path_table_k2(g: Graph):
-    """All 2-paths as parallel arrays (hub, mid, end), built per midpoint."""
-    hubs_parts, mids_parts, ends_parts = [], [], []
-    for j in range(g.n):
-        nb = g.neighbors(j)
-        dj = nb.size
-        if dj < 2:
-            continue
-        hubs = np.repeat(nb, dj)
-        ends = np.tile(nb, dj)
-        keep = hubs != ends
-        hubs_parts.append(hubs[keep])
-        ends_parts.append(ends[keep])
-        mids_parts.append(np.full(hubs_parts[-1].size, j, dtype=np.int64))
-    if not hubs_parts:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, z
-    return (
-        np.concatenate(hubs_parts),
-        np.concatenate(mids_parts),
-        np.concatenate(ends_parts),
-    )
-
-
-def _triangle_list(g: Graph) -> np.ndarray:
-    """(T, 3) array of triangles x < y < z."""
-    out = []
-    for x, y in g.edges():
-        nx = g.neighbors(x)
-        ny = g.neighbors(y)
-        common = np.intersect1d(nx, ny, assume_unique=True)
-        common = common[common > y]
-        for z in common:
-            out.append((x, y, int(z)))
-    return np.array(out, dtype=np.int64).reshape(-1, 3)
+    st = g.stats
+    d, m = st.d, st.d2
+    _k2_dtype(d, m)  # raises where a row sum could wrap; C(m, 2) picks its own dtype
+    mid = d[g.indices] - 1
+    s2 = -d * d  # drop v = i, where (A^2)_ii = d_i
+    for r0, r1, p in st.a2_blocks():
+        s2[r0:r1] += row_sums(p.indptr, p.data**2)
+    sum_t2 = row_sums(g.indptr, mid * mid + 2 * mid * st.edge_triangles) + s2
+    conflicts = (sum_t2 - 2 * m) // 2 - triangles_per_vertex(g)
+    return falling_factorial_column(m, 2) // 2 - conflicts
 
 
 def _hub_counts_k2_l3(g: Graph) -> np.ndarray:
     """Disjoint triples of 2-paths per hub via conflict-graph counting.
 
     Independent 3-sets in a graph with m nodes, E edges, degrees dc and
-    t triangles: C(m,3) - E (m-2) + sum_p C(dc_p, 2) - t.
+    t triangles: C(m,3) - E (m-2) + sum_p C(dc_p, 2) - t.  Every term is a
+    closed form over hub i (no loops over paths or triangles):
+
+    * usage t_v = mid(v) + end(v) as in (2,2); E = sum_v C(t_v, 2) minus
+      the reversal pairs, and the conflict triangles through one shared
+      vertex are sum_v C(t_v, 3), from B and the row sums of (A^2)^2, (A^2)^3;
+    * a path p = (i, j, k) has dc_p = X_ij + Y_ik with X_ij = d_j - 2 + B_ij
+      and Y_ik = (A^2)_ik - 1 + [i ~ k](d_k - 2); the cross sum
+      sum_p X_ij Y_ik = sum_{k != i} Y_ik Q_ik with Q = (A ∘ X) A, both in
+      row blocks;
+    * three pairwise-overlapping paths without a shared vertex trace a
+      triangle {a, b, c} of the graph avoiding i: 2 of them when i is
+      adjacent to exactly two of a, b, c and 8 when adjacent to all three,
+      which sums to rowsum((A (A ∘ B)) ∘ A)_i - 2 t_i + 2 K4_i.
     """
-    from .counting import triangles_per_vertex
+    st = g.stats
+    a, d, m = st.adjacency, st.d, st.d2
+    dtype = _k2_dtype(d, m)
+    t = triangles_per_vertex(g)
+    b = st.edge_triangles
+    dk = d[g.indices]
+    x = dk - 2 + b
+    ax = sparse.csr_matrix((x, g.indices, g.indptr), shape=a.shape)
+    ad = sparse.csr_matrix((dk - 2, g.indices, g.indptr), shape=a.shape)
+    s2, s3, pq, qe = (np.zeros(g.n, dtype=np.int64) for _ in range(4))
+    for r0, r1, p in st.a2_blocks():
+        q = ax[r0:r1] @ a
+        s2[r0:r1] = row_sums(p.indptr, p.data**2)
+        s3[r0:r1] = row_sums(p.indptr, p.data**3)
+        pq[r0:r1] = p.multiply(q).sum(axis=1).A1
+        qe[r0:r1] = q.multiply(ad[r0:r1]).sum(axis=1).A1
+    s2 -= d**2  # drop k = i, where (A^2)_ii = d_i
+    s3 -= d**3
+    q_ii = row_sums(g.indptr, x)
+    cross = pq - d * q_ii - (row_sums(g.indptr, x * dk) - q_ii) + qe
 
-    n = g.n
-    hubs, mids, ends = _path_table_k2(g)
-    m = np.zeros(n, dtype=np.int64)
-    if hubs.size:
-        np.add.at(m, hubs, 1)
-
-    # usage counts t_{(hub, v)} for v in {mid, end} of each path
-    keys = np.concatenate([hubs * n + mids, hubs * n + ends]) if hubs.size else np.zeros(0, np.int64)
-    ukeys, inv, t_counts = (
-        np.unique(keys, return_inverse=True, return_counts=True)
-        if keys.size
-        else (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))
+    mid = dk - 1
+    sum_t2 = row_sums(g.indptr, mid**2 + 2 * mid * b) + s2
+    sum_t3 = row_sums(g.indptr, mid**3 + 3 * mid**2 * b + 3 * mid * b**2) + s3
+    e_conf = (sum_t2 - 2 * m) // 2 - t
+    comb3_t = (sum_t3 - 3 * sum_t2 + 4 * m) // 6
+    sum_dc = row_sums(g.indptr, mid * x + b * (dk - 2)) + s2 - m
+    sum_dc2 = (
+        row_sums(g.indptr, mid * x**2 + b * (dk - 2) * (2 * b - 2 + dk - 2))
+        + 2 * cross
+        + s3 - 2 * s2 + m
     )
-    key_hub = ukeys // n
-
-    # conflict-edge count per hub: sum_v C(t_v, 2) - reversal pairs
-    comb2_t = t_counts * (t_counts - 1) // 2
-    sum_comb2 = np.zeros(n, dtype=np.int64)
-    np.add.at(sum_comb2, key_hub, comb2_t)
-    reversals = triangles_per_vertex(g)
-    e_conf = sum_comb2 - reversals
-
-    # per-path conflict degree dc = (t_mid - 1) + (t_end - 1) - [reversal exists]
-    if hubs.size:
-        t_mid = t_counts[inv[: hubs.size]]
-        t_end = t_counts[inv[hubs.size :]]
-        ekeys = _edge_key_table(g)
-        rev = _has_edge_bulk(ekeys, hubs, ends, n).astype(np.int64)
-        dc = t_mid + t_end - 2 - rev
-        comb2_dc = dc * (dc - 1) // 2
-        sum_comb2_dc = np.zeros(n, dtype=np.int64)
-        np.add.at(sum_comb2_dc, hubs, comb2_dc)
-    else:
-        sum_comb2_dc = np.zeros(n, dtype=np.int64)
-
-    # conflict triangles: triples through a shared vertex, plus 3-cycles of
-    # pairwise-overlapping paths, which trace triangles of the graph whose
-    # every edge has an endpoint adjacent to the hub
-    comb3_t = t_counts * (t_counts - 1) * (t_counts - 2) // 6
-    tri_conf = np.zeros(n, dtype=np.int64)
-    np.add.at(tri_conf, key_hub, comb3_t)
-
-    cyc = np.zeros(n, dtype=np.int64)
-    tris = _triangle_list(g)
-    for x, y, z in tris:
-        nx, ny, nz = g.neighbors(x), g.neighbors(y), g.neighbors(z)
-        cxy = np.intersect1d(nx, ny, assume_unique=True)
-        cyz = np.intersect1d(ny, nz, assume_unique=True)
-        cxz = np.intersect1d(nx, nz, assume_unique=True)
-        # hubs adjacent to exactly two of {x,y,z} contribute 2, to all
-        # three contribute 8 = 2*3 + 2
-        for pairc, other in ((cxy, z), (cyz, x), (cxz, y)):
-            sel = pairc[pairc != other]
-            np.add.at(cyc, sel, 2)
-        c3 = np.intersect1d(cxy, cyz, assume_unique=True)
-        np.add.at(cyc, c3, 2)
-    tri_conf += cyc
-
+    opposite, k4 = st.clique_terms()
+    cyc = opposite - 2 * t + 2 * k4
     return (
-        _comb_column(m, 3)
-        - e_conf * np.maximum(m - 2, 0)
-        + sum_comb2_dc
-        - tri_conf
+        falling_factorial_column(m, 3) // 6
+        - e_conf.astype(dtype) * np.maximum(m - 2, 0).astype(dtype)
+        + (sum_dc2 - sum_dc) // 2
+        - comb3_t
+        - cyc
     )
 
 
@@ -290,28 +216,36 @@ def _hub_counts_generic(g: Graph, spec: WheelSpec, budget: int | None) -> np.nda
     return counts
 
 
+def _closed_form(g: Graph, k: int, l: int) -> np.ndarray:
+    if k == 1:
+        return falling_factorial_column(g.degrees, l) // math.factorial(l)
+    if l == 1:
+        return m_degrees(g, k).counts[:, k - 1]
+    return _hub_counts_k2_l2(g) if l == 2 else _hub_counts_k2_l3(g)
+
+
 def wheel_counts_per_hub(
     g: Graph, spec: WheelSpec, budget: int | None = DEFAULT_BUDGET
 ) -> np.ndarray:
     """Exact per-hub wheel counts n_i for every vertex.
 
-    Dispatches to closed forms where available (no enumeration, so the
-    budget does not apply there); otherwise runs the budget-guarded exact
-    enumerator.  Returns int64 when safe, Python ints (object dtype) when
-    counts could overflow.
+    Dispatches to closed forms where available: (1,l), (2,1), (3,1), (2,2)
+    and (2,3).  They enumerate nothing, so the budget does not apply; each
+    is computed once per graph, memoised in ``g.stats`` and returned as a
+    copy.  Other keys run the budget-guarded exact enumerators ((k,1) for
+    k >= 4 by path DFS) and are recomputed on every call, so a smaller
+    budget still raises.  Returns int64 when safe, Python ints (object
+    dtype) when counts could overflow.
     """
     if spec.is_simple:
         k, l = spec.ks[0], spec.ls[0]
-        if k == 1:
-            return _comb_column(g.degrees, l)
+        if k == 1 or (l == 1 and k <= 3) or (k == 2 and l <= 3):
+            memo = g.stats.hub_columns
+            if spec not in memo:
+                memo[spec] = _closed_form(g, k, l)
+            return memo[spec].copy()
         if l == 1:
-            from .degrees import m_degrees
-
             return m_degrees(g, k, budget=budget).counts[:, k - 1].copy()
-        if k == 2 and l == 2:
-            return _hub_counts_k2_l2(g)
-        if k == 2 and l == 3:
-            return _hub_counts_k2_l3(g)
     return _hub_counts_generic(g, spec, budget)
 
 
@@ -320,5 +254,6 @@ def wheel_noninduced_count(g: Graph, spec: WheelSpec, budget: int | None = DEFAU
     counts = wheel_counts_per_hub(g, spec, budget)
     total = sum(int(c) for c in counts)
     mult = hub_multiplicity(spec)
-    assert total % mult == 0
+    if total % mult:
+        raise InvariantError(f"per-hub total {total} not divisible by hub multiplicity {mult}")
     return total // mult

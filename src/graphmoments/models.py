@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, InvalidModelError
+from .errors import DomainError, InvalidModelError, InvariantError
 from .graph import Graph
 
 _NORM_TOL = 1e-8
@@ -107,13 +107,6 @@ class BlockModel:
         bounds = self.canonical_intervals()
         return np.minimum(np.searchsorted(bounds, u, side="right"), self.K - 1)
 
-    def edge_probability(self, u: float, v: float) -> float:
-        """Edge probability between latent positions u and v."""
-        order = self.canonical_order()
-        a = order[self.block_of(np.asarray([u]))[0]]
-        b = order[self.block_of(np.asarray([v]))[0]]
-        return float(self.rho * self.S[a, b])
-
     def to_json(self) -> dict:
         return {
             "K": self.K,
@@ -144,8 +137,7 @@ class Graphon:
 
     grid[r, s] is the value of w on cell [r/G,(r+1)/G) x [s/G,(s+1)/G).
     Invariants: square symmetric nonnegative grid with mean 1 (within 1e-9).
-    Canonical monotonicity of the marginal is checked by marginal_monotone,
-    not enforced.
+    Canonical monotonicity of the marginal is not enforced.
     """
 
     grid: np.ndarray
@@ -170,18 +162,9 @@ class Graphon:
     def marginal(self) -> np.ndarray:
         return self.grid.mean(axis=1)
 
-    def marginal_monotone(self, tol: float = 1e-12) -> bool:
-        m = self.marginal()
-        return bool(np.all(np.diff(m) >= -tol))
-
     def cell_of(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return np.minimum((u * self.resolution).astype(np.int64), self.resolution - 1)
-
-    def edge_probability(self, u: float, v: float, rho: float) -> float:
-        a = int(self.cell_of(np.asarray([u]))[0])
-        b = int(self.cell_of(np.asarray([v]))[0])
-        return float(min(rho * self.grid[a, b], 1.0))
 
     def to_json(self) -> dict:
         return {"resolution": self.resolution, "grid": self.grid.tolist()}
@@ -209,10 +192,12 @@ class SampleOutput:
 def load_model(path) -> BlockModel | Graphon:
     """Load either model type from a JSON file, keyed on its fields."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "grid" in obj:
-        return Graphon.from_json(obj)
-    return BlockModel.from_json(obj)
+        return model_from_json(json.load(fh))
+
+
+def model_from_json(obj: dict) -> BlockModel | Graphon:
+    """Either model type from its JSON object, keyed on its fields."""
+    return Graphon.from_json(obj) if "grid" in obj else BlockModel.from_json(obj)
 
 
 def save_model(model: BlockModel | Graphon, path) -> None:
@@ -274,7 +259,8 @@ def _decode_triangular(idx: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]
         i = i - too_high.astype(np.int64) + too_low.astype(np.int64)
         i = np.clip(i, 0, g - 2)
     start = i * (two - i) // 2
-    assert np.all((idx >= start) & (idx < start + (g - 1 - i)))
+    if not np.all((idx >= start) & (idx < start + (g - 1 - i))):
+        raise InvariantError("pair index decoding did not converge")
     j = idx - start + i + 1
     return i, j
 

@@ -18,11 +18,8 @@ the hub multiplicity of single-spoke wheels.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .counting import count_induced, count_noninduced
 from .errors import BudgetExceededError, DomainError, NormalizationError
@@ -32,6 +29,7 @@ from .patterns import (
     PatternGraph,
     WheelSpec,
     count_isomorphism_classes,
+    hub_multiplicity,
     parse_pattern_name,
     wheel_isomorphism_count,
     wheel_rooted_count,
@@ -53,12 +51,12 @@ class MomentEntry:
     p: int
     q: int
     n_isoclasses: int
-    induced_count: int | None
-    noninduced_count: int | None
-    p_hat: float | None
-    q_hat: float | None
-    p_check: float | None
-    q_check: float | None
+    induced_count: int | None = None
+    noninduced_count: int | None = None
+    p_hat: float | None = None
+    q_hat: float | None = None
+    p_check: float | None = None
+    q_check: float | None = None
     tau: float | None = None
 
     def to_json(self) -> dict:
@@ -140,23 +138,11 @@ def _as_item(item) -> PatternGraph | WheelSpec:
     raise DomainError(f"unsupported pattern item {item!r}")
 
 
-def wheel_noninduced_total(g: Graph, spec: WheelSpec, budget: int | None = DEFAULT_BUDGET):
-    """(per-hub sum, rooted normalizer) for a wheel; sum/hub_multiplicity
-    is the plain noninduced copy count."""
-    counts = wheel_counts_per_hub(g, spec, budget)
-    total = sum(int(c) for c in counts)
-    return total, wheel_rooted_count(spec)
-
-
 def _q_hat_wheel(g: Graph, spec: WheelSpec, budget) -> tuple[float, int]:
-    total, rooted = wheel_noninduced_total(g, spec, budget)
-    denom = math.comb(g.n, spec.p) * rooted
-    if denom == 0:
-        return 0.0, 0
-    from .patterns import hub_multiplicity
-
-    copies = total // hub_multiplicity(spec)
-    return total / denom, copies
+    """(Q-hat, noninduced copy count) of a wheel from its per-hub counts."""
+    total = sum(int(c) for c in wheel_counts_per_hub(g, spec, budget))
+    denom = math.comb(g.n, spec.p) * wheel_rooted_count(spec)
+    return (total / denom if denom else 0.0), total // hub_multiplicity(spec)
 
 
 def moment_table(
@@ -201,11 +187,7 @@ def moment_table(
         noninduced = induced = None
         if mode in ("noninduced", "both"):
             if isinstance(item, WheelSpec):
-                total, rooted = wheel_noninduced_total(g, item, budget)
-                q_hat = total / (math.comb(g.n, p) * rooted) if g.n >= p else 0.0
-                from .patterns import hub_multiplicity
-
-                noninduced = total // hub_multiplicity(item)
+                q_hat, noninduced = _q_hat_wheel(g, item, budget)
             else:
                 noninduced = count_noninduced(g, pattern, budget)
                 q_hat = noninduced / denom if denom else 0.0
@@ -270,7 +252,7 @@ def wheel_moment_estimates(
         raise NormalizationError("moment estimates need at least one edge")
     out = {}
     for key in keys:
-        spec = key if isinstance(key, WheelSpec) else WheelSpec.simple(*key)
+        spec = WheelSpec.coerce(key)
         if estimator == "qcheck":
             q_hat, _ = _q_hat_wheel(g, spec, budget)
             out[spec] = q_hat * rho**-spec.q
@@ -289,7 +271,7 @@ def theory_table(model, keys) -> MomentTable:
 
     entries = []
     for key in keys:
-        spec = key if isinstance(key, WheelSpec) else WheelSpec.simple(*key)
+        spec = WheelSpec.coerce(key)
         if isinstance(model, BlockModel):
             tau = tau_block(model, spec)
         elif isinstance(model, Graphon):
@@ -302,12 +284,6 @@ def theory_table(model, keys) -> MomentTable:
                 p=spec.p,
                 q=spec.q,
                 n_isoclasses=wheel_isomorphism_count(spec),
-                induced_count=None,
-                noninduced_count=None,
-                p_hat=None,
-                q_hat=None,
-                p_check=None,
-                q_check=None,
                 tau=tau,
             )
         )

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, InvariantError
 
 #: Automorphism enumeration is only supported up to this pattern order.
 MAX_PATTERN_ORDER = 10
@@ -106,6 +106,19 @@ class WheelSpec:
     def simple(cls, k: int, l: int) -> "WheelSpec":
         return cls((k,), (l,))
 
+    @classmethod
+    def coerce(cls, key) -> "WheelSpec":
+        """A WheelSpec from itself, a "wheel:k=..,l=.." name or a (k, l) pair."""
+        if isinstance(key, WheelSpec):
+            return key
+        if isinstance(key, str):
+            spec = parse_pattern_name(key)
+            if not isinstance(spec, WheelSpec):
+                raise DomainError(f"{key!r} is not a wheel key")
+            return spec
+        k, l = key
+        return cls.simple(int(k), int(l))
+
     @property
     def p(self) -> int:
         return sum(k * l for k, l in zip(self.ks, self.ls)) + 1
@@ -189,14 +202,18 @@ def automorphism_count(r: PatternGraph) -> int:
     return count
 
 
+def quotient_by_automorphisms(labelings: int, automorphisms: int) -> int:
+    """labelings / |Aut|, which must be exact."""
+    if labelings % automorphisms:
+        raise InvariantError(f"|Aut| = {automorphisms} does not divide {labelings} labelings")
+    return labelings // automorphisms
+
+
 def count_isomorphism_classes(r: PatternGraph) -> int:
     """N(R) = p!/|Aut(R)|: distinct graphs on a fixed p-set isomorphic to R."""
     if r.p > MAX_PATTERN_ORDER:
         raise CapabilityError(f"pattern order {r.p} exceeds bound {MAX_PATTERN_ORDER}")
-    a = automorphism_count(r)
-    n = math.factorial(r.p)
-    assert n % a == 0
-    return n // a
+    return quotient_by_automorphisms(math.factorial(r.p), automorphism_count(r))
 
 
 def _offcenter_path(spec: WheelSpec) -> bool:
@@ -222,10 +239,7 @@ def wheel_automorphism_count(spec: WheelSpec) -> int:
 
 def wheel_isomorphism_count(spec: WheelSpec) -> int:
     """N(R) for a wheel, via the closed-form automorphism count."""
-    n = math.factorial(spec.p)
-    a = wheel_automorphism_count(spec)
-    assert n % a == 0
-    return n // a
+    return quotient_by_automorphisms(math.factorial(spec.p), wheel_automorphism_count(spec))
 
 
 def wheel_rooted_count(spec: WheelSpec) -> int:

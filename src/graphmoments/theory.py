@@ -53,15 +53,19 @@ def iterate_operator_block(
     order (moment sums are order-invariant, so no canonicalization)."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    s = _truncated_kernel(model.S, truncate_rho)
-    pi = model.pi
+    values = block_iterates(model.pi, _truncated_kernel(model.S, truncate_rho), depth)
+    return OperatorIterates(values=values, weights=model.pi, kind="block")
+
+
+def block_iterates(pi: np.ndarray, s: np.ndarray, depth: int) -> np.ndarray:
+    """Columns T^j 1, j = 1..depth, for block weights pi and kernel s."""
     m = s * pi[None, :]
     cols = []
-    v = np.ones(model.K)
+    v = np.ones(pi.shape[0])
     for _ in range(depth):
         v = m @ v
         cols.append(v)
-    return OperatorIterates(values=np.column_stack(cols), weights=pi, kind="block")
+    return np.column_stack(cols)
 
 
 def iterate_operator_graphon(
@@ -81,34 +85,28 @@ def iterate_operator_graphon(
     return OperatorIterates(values=np.column_stack(cols), weights=weights, kind="grid")
 
 
-def _tau_from_iterates(it: OperatorIterates, spec: WheelSpec) -> float:
-    prod = np.ones(it.values.shape[0])
+def wheel_tau(values: np.ndarray, weights: np.ndarray, spec: WheelSpec) -> float:
+    """sum_a weights_a prod_j values[a, k_j - 1]^l_j: a wheel moment from iterates."""
+    prod = np.ones(values.shape[0])
     for k, l in zip(spec.ks, spec.ls):
-        prod = prod * it.values[:, k - 1] ** l
-    return float(it.weights @ prod)
-
-
-def _as_spec(key) -> WheelSpec:
-    if isinstance(key, WheelSpec):
-        return key
-    k, l = key
-    return WheelSpec.simple(int(k), int(l))
+        prod = prod * values[:, k - 1] ** l
+    return float(weights @ prod)
 
 
 def tau_block(model: BlockModel, key, truncate_rho: float | None = None) -> float:
     """Population wheel moment on a block model."""
-    spec = _as_spec(key)
+    spec = WheelSpec.coerce(key)
     it = iterate_operator_block(model, max(spec.ks), truncate_rho)
-    return _tau_from_iterates(it, spec)
+    return wheel_tau(it.values, it.weights, spec)
 
 
 def tau_graphon(w: Graphon, key, truncate_rho: float | None = None) -> float:
     """Population wheel moment on a gridded graphon (exact for the grid;
     exact for an underlying block model when the grid aligns with block
     boundaries)."""
-    spec = _as_spec(key)
+    spec = WheelSpec.coerce(key)
     it = iterate_operator_graphon(w, max(spec.ks), truncate_rho)
-    return _tau_from_iterates(it, spec)
+    return wheel_tau(it.values, it.weights, spec)
 
 
 def tau_graphon_refined(
@@ -121,7 +119,7 @@ def tau_graphon_refined(
     sampled (not averaged) version of a smoother kernel.  Returns
     (value, last change).
     """
-    spec = _as_spec(key)
+    spec = WheelSpec.coerce(key)
     val = tau_graphon(w, spec)
     change = 0.0
     grid = w.grid

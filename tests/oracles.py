@@ -148,6 +148,12 @@ def oracle_mdegree(a: np.ndarray, i: int, m: int) -> int:
     return len(oracle_paths_from(a, i, m))
 
 
+def oracle_triangles_at(a: np.ndarray, i: int) -> int:
+    """Pairs of neighbours of i that are adjacent to each other."""
+    nb = [j for j in range(a.shape[0]) if a[i, j]]
+    return sum(1 for j, k in itertools.combinations(nb, 2) if a[j, k])
+
+
 def oracle_overlapping_2path_pairs(a: np.ndarray, hub: int) -> int:
     """Ordered pairs of distinct loopless 2-paths from hub that share a
     vertex other than the hub."""

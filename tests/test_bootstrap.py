@@ -35,6 +35,15 @@ def test_full_sample_m_equals_n_has_zero_variance():
     assert res.full_sample_value == pytest.approx(full)
 
 
+def test_m_equals_n_reproduces_full_sample_value_bit_for_bit():
+    # C(500, 7) 7!/3! passes 2^53, so a float-rounded normalizer would show
+    model = BlockModel(pi=np.array([1.0]), S=np.array([[1.0]]), rho=12 / 499)
+    g = sample_block_model(model, 500, seed=1).graph
+    key = WheelSpec.simple(2, 3)
+    res = bootstrap_variance(g, HubCountCache.build(g, [key]), key, m=g.n, B=2)
+    assert res.replicates.tolist() == [res.full_sample_value] * 2
+
+
 def test_seed_determinism():
     g, cache = make()
     r1 = bootstrap_variance(g, cache, KEY, B=50, seed=9)

@@ -1,0 +1,157 @@
+"""The per-graph statistics layer and the k = 2 wheel kernels built on it."""
+
+from collections import Counter
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphmoments import (
+    BlockModel,
+    BudgetExceededError,
+    CountOverflowError,
+    FitConfig,
+    Graph,
+    HubCountCache,
+    WheelSpec,
+    fit_block_model,
+    m_degrees,
+    sample_block_model,
+    wheel_counts_per_hub,
+)
+from graphmoments import graphstats, hubs
+from graphmoments.counting import triangle_count, triangles_per_vertex
+from oracles import dense_adj, oracle_hub_count, oracle_mdegree, oracle_triangles_at
+
+K22, K23 = WheelSpec.simple(2, 2), WheelSpec.simple(2, 3)
+
+
+@st.composite
+def graphs(draw):
+    """Stars, K_{a,b}, cliques with pendant paths and G(n, p), relabelled."""
+    kind = draw(st.sampled_from(["star", "bipartite", "clique_paths", "gnp"]))
+    if kind == "star":
+        n = draw(st.integers(1, 13))
+        edges = [(0, i) for i in range(1, n)]
+    elif kind == "bipartite":
+        a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        n = a + b
+        edges = [(i, a + j) for i in range(a) for j in range(b)]
+    elif kind == "clique_paths":
+        n = draw(st.integers(1, 6))
+        edges = list(combinations(range(n), 2))
+        for length in draw(st.lists(st.integers(1, 3), max_size=3)):
+            prev = draw(st.integers(0, n - 1))
+            for _ in range(length):
+                edges.append((prev, n))
+                prev, n = n, n + 1
+    else:
+        n = draw(st.integers(1, 10))
+        pairs = list(combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = [e for e, k in zip(pairs, keep) if k]
+    perm = draw(st.permutations(range(n)))
+    e = np.array([(perm[u], perm[v]) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+    return Graph.from_edges(e, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs())
+def test_triangles_and_third_degrees_match_oracles(g):
+    a = dense_adj(g)
+    tri = [oracle_triangles_at(a, i) for i in range(g.n)]
+    assert triangles_per_vertex(g).tolist() == tri
+    assert triangle_count(g) == sum(tri) // 3
+    assert m_degrees(g, 3).counts[:, 2].tolist() == [oracle_mdegree(a, i, 3) for i in range(g.n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs())
+def test_k2_wheels_match_oracle(g):
+    a = dense_adj(g)
+    for spec in (K22, K23):
+        got = wheel_counts_per_hub(g, spec)
+        assert [int(c) for c in got] == [oracle_hub_count(a, spec, i) for i in range(g.n)], spec
+
+
+def _fresh(g: Graph) -> Graph:
+    return Graph(n=g.n, indptr=g.indptr.copy(), indices=g.indices.copy())
+
+
+def _outputs(g: Graph) -> list:
+    return [
+        triangles_per_vertex(g).tolist(),
+        wheel_counts_per_hub(g, K22).tolist(),
+        wheel_counts_per_hub(g, K23).tolist(),
+        m_degrees(g, 3).counts.tolist(),
+    ]
+
+
+def test_one_row_blocks_match_a_single_block(monkeypatch):
+    rng = np.random.default_rng(3)
+    for n, p in ((60, 0.15), (40, 0.5), (80, 0.05)):
+        a = np.triu(rng.random((n, n)) < p, 1)
+        g = Graph.from_edges(np.argwhere(a), n)
+        monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 40)
+        single = _fresh(g)
+        assert len(list(single.stats.a2_blocks())) == 1
+        want = _outputs(single)
+        monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1)
+        rows = _fresh(g)
+        assert [r1 - r0 for r0, r1, _ in rows.stats.a2_blocks()] == [1] * n
+        assert _outputs(rows) == want
+
+
+def test_k2_int64_guard_decision():
+    small_d, small_d2 = np.array([3, 3, 2, 1]), np.array([4, 4, 5, 2])
+    assert hubs._k2_dtype(small_d, small_d2) is np.int64
+    assert hubs._k2_dtype(np.zeros(0, np.int64), np.zeros(0, np.int64)) is np.int64
+    # C(m, 3) passes 2^62 at m = 2^21 but not at 2^20; the row sums stay far below it
+    assert hubs._k2_dtype(np.full(5, 2000), np.full(5, 2**20)) is np.int64
+    assert hubs._k2_dtype(np.full(5, 2000), np.full(5, 2**21)) is object
+    # row sums of (A^2)^3 alone could pass 2^62
+    with pytest.raises(CountOverflowError):
+        hubs._k2_dtype(np.array([2**20, 1]), np.array([2**21, 1]))
+
+
+def test_k2_l3_python_int_path_matches_int64(monkeypatch):
+    rng = np.random.default_rng(8)
+    a = np.triu(rng.random((30, 30)) < 0.3, 1)
+    g = Graph.from_edges(np.argwhere(a), 30)
+    want = wheel_counts_per_hub(_fresh(g), K23)
+    monkeypatch.setattr(hubs, "_k2_dtype", lambda d, d2: object)
+    got = wheel_counts_per_hub(_fresh(g), K23)
+    assert got.dtype == object
+    assert [int(c) for c in got] == want.tolist()
+
+
+def test_closed_form_keys_are_counted_once_per_graph(monkeypatch):
+    calls = Counter()
+    closed_form = hubs._closed_form
+
+    def counting(g, k, l):
+        calls[(k, l)] += 1
+        return closed_form(g, k, l)
+
+    monkeypatch.setattr(hubs, "_closed_form", counting)
+    model = BlockModel(pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]), rho=0.02)
+    g = sample_block_model(model, 600, seed=4).graph
+    cfg = FitConfig(K=2, on_stage_error="fallback")
+    cache = HubCountCache.build(g, cfg.keys())
+    fit_block_model(g, cfg)
+    assert calls == Counter({(k, l): 1 for k in (1, 2) for l in (1, 2, 3)})
+    # memoised columns come back as copies
+    cache.get((2, 3))[:] = -1
+    assert wheel_counts_per_hub(g, K23).min() >= 0
+
+
+def test_budgeted_keys_are_not_memoised():
+    rng = np.random.default_rng(2)
+    g = Graph.from_edges(np.argwhere(np.triu(rng.random((12, 12)) < 0.4, 1)), 12)
+    for spec in (WheelSpec.simple(4, 1), WheelSpec.simple(3, 2)):
+        wheel_counts_per_hub(g, spec, budget=None)
+        with pytest.raises(BudgetExceededError):
+            wheel_counts_per_hub(g, spec, budget=10)
+        assert spec not in g.stats.hub_columns
