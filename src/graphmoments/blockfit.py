@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import least_squares
 
 from .degrees import degree_moment_approx, m_degrees
 from .errors import (
@@ -174,7 +172,7 @@ def atoms_from_moments(
         return np.array([m[0]]), np.array([1.0]), diag
 
     mm = np.concatenate(([1.0], m))  # mm[l] = m_l
-    h = scipy.linalg.hankel(mm[:K], mm[K - 1 : 2 * K - 1])
+    h = mm[np.add.outer(np.arange(K), np.arange(K))]  # Hankel: h[i, j] = m_{i+j}
     cond = float(np.linalg.cond(h))
     diag["hankel_cond"] = cond
     if not np.isfinite(cond) or cond > hankel_cond_max:
@@ -445,6 +443,9 @@ def nls_refine(
         jitter[: K - 1] *= 0.3
         jitter[K - 1 :] *= 0.15 * (np.abs(x0[K - 1 :]) + 0.1)
         starts.append(x0 + jitter)
+
+    # imported here so that commands which never fit skip scipy.optimize at start-up
+    from scipy.optimize import least_squares
 
     best_x, best_val, best_status = x0, residual_init, -1
     for x_start in starts:

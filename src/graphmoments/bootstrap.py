@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphstats
 from .errors import DomainError, NormalizationError
 from .graph import Graph
 from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub
@@ -94,13 +95,29 @@ class BootstrapResult:
         }
 
 
-def _partial_fisher_yates(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    arr = np.arange(n)
-    draws = rng.integers(0, n - np.arange(m), dtype=np.int64)
-    for j in range(m):
-        k = j + int(draws[j])
-        arr[j], arr[k] = arr[k], arr[j]
-    return arr[:m]
+def _subsamples(n: int, m: int, seeds):
+    """The m-vertex subsamples of successive blocks of replicates, one row each.
+
+    A replicate keeps the first m entries of 0..n-1 after a partial
+    Fisher-Yates shuffle drawn as integers(0, n - arange(m)) from its own
+    generator.  The m swaps run once per block, vectorised across its rows
+    of about n + 3m int64s, which stay under graphstats.BLOCK_BYTES.
+    """
+    rows = max(1, graphstats.BLOCK_BYTES // (8 * (n + 3 * m)))
+    span = n - np.arange(m)
+    for b0 in range(0, len(seeds), rows):
+        block = seeds[b0 : b0 + rows]
+        draws = [np.random.default_rng(s).integers(0, span, dtype=np.int64) for s in block]
+        perm = np.empty((len(block), n), dtype=np.int64)
+        perm[:] = np.arange(n)
+        flat = perm.reshape(-1)
+        # step j swaps column j with the flat position picks[j] of each row
+        picks = np.stack(draws, axis=1) + np.arange(m)[:, None] + n * np.arange(len(block))
+        for j, pick in enumerate(picks):
+            held = perm[:, j].copy()
+            perm[:, j] = flat.take(pick)
+            flat.put(pick, held)
+        yield perm[:, :m]
 
 
 def bootstrap_variance(
@@ -142,18 +159,20 @@ def bootstrap_variance(
     full_rho = full_dbar / (n - 1)
     full_value = int(counts.sum()) / denom * full_rho**-spec.q
 
-    seeds = np.random.SeedSequence(seed).spawn(B)
+    sums = [
+        pair
+        for idx in _subsamples(n, m, np.random.SeedSequence(seed).spawn(B))
+        for pair in zip(degrees[idx].sum(axis=1).tolist(), counts[idx].sum(axis=1).tolist())
+    ]
     reps = np.empty(B)
-    for b in range(B):
-        rng = np.random.default_rng(seeds[b])
-        idx = _partial_fisher_yates(n, m, rng)
-        dbar = int(degrees[idx].sum()) / m
+    for b, (dsum, csum) in enumerate(sums):
+        dbar = int(dsum) / m
         if dbar == 0:
             raise NormalizationError(
                 f"replicate {b} drew an isolated vertex set; increase m"
             )
         # one correctly rounded division of exact integers, as in full_value
-        p_hat = (n * int(counts[idx].sum())) / (m * denom)
+        p_hat = (n * int(csum)) / (m * denom)
         rho_star = dbar / (n - 1) if normalization == "rho_star" else dbar / m
         reps[b] = p_hat * rho_star**-spec.q
 

@@ -143,22 +143,15 @@ def _emit_sidecar(manifest: RunManifest, out: str) -> None:
 # subcommands
 
 
-def _load_any_model(path: str):
+def _load(loader, path: str, what: str):
     try:
-        return load_model(path)
+        return loader(path)
     except FileNotFoundError as exc:
-        raise InputError(f"model file not found: {path}") from exc
-
-
-def _load_graph(path: str) -> Graph:
-    try:
-        return load_edge_list(path)
-    except FileNotFoundError as exc:
-        raise InputError(f"graph file not found: {path}") from exc
+        raise InputError(f"{what} file not found: {path}") from exc
 
 
 def cmd_gen(args) -> int:
-    model = _load_any_model(args.model)
+    model = _load(load_model, args.model, "model")
     manifest = _manifest("gen", args, [args.model], [args.out])
     t0 = time.monotonic()
     if isinstance(model, Graphon):
@@ -188,38 +181,28 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _approx_table(g: Graph, items) -> MomentTable:
-    specs = []
-    for item in items:
-        if not isinstance(item, WheelSpec):
-            raise DomainError(
-                f"--approx=degree supports wheel keys only, got {item.name()}"
-            )
-        specs.append(item)
-    depth = max(max(s.ks) for s in specs)
-    profile = m_degrees(g, depth)
-    entries = []
+def _approx_table(g: Graph, specs) -> MomentTable:
     for spec in specs:
-        entries.append(
-            MomentEntry(
-                name=spec.name(),
-                p=spec.p,
-                q=spec.q,
-                n_isoclasses=wheel_isomorphism_count(spec),
-                tau=degree_moment_approx(profile, spec),
-            )
+        if not isinstance(spec, WheelSpec):
+            raise DomainError(f"--approx=degree supports wheel keys only, got {spec.name()}")
+    profile = m_degrees(g, max(max(s.ks) for s in specs))
+    entries = tuple(
+        MomentEntry(
+            name=spec.name(),
+            p=spec.p,
+            q=spec.q,
+            n_isoclasses=wheel_isomorphism_count(spec),
+            tau=degree_moment_approx(profile, spec),
         )
+        for spec in specs
+    )
     return MomentTable(
-        n=g.n,
-        edge_count=g.edge_count,
-        rho=rho_hat(g),
-        entries=tuple(entries),
-        kind="degree-approx",
+        n=g.n, edge_count=g.edge_count, rho=rho_hat(g), entries=entries, kind="degree-approx"
     )
 
 
 def cmd_moments(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(load_edge_list, args.graph, "graph")
     if rho_hat(g) == 0:
         raise NumericalError("graph has no edges; moments are undefined")
     items = [parse_pattern_name(name) for name in args.pattern]
@@ -247,7 +230,7 @@ def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int, budget) -> dict:
 
 
 def cmd_fit(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(load_edge_list, args.graph, "graph")
     manifest = _manifest("fit", args, [args.graph], [args.out] if args.out else [])
     budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     cfg = FitConfig(
@@ -265,6 +248,13 @@ def cmd_fit(args) -> int:
         cfg = replace(cfg, weights=weights)
     result = fit_block_model(g, cfg)
     manifest.wall_clock_s = time.monotonic() - t0
+    if result.diagnostics.get("approximation"):
+        names = ", ".join(k.name() for k in cfg.keys())
+        print(
+            f"warning: exact counting exceeded the budget; {names} fell back to the "
+            f"{result.diagnostics['approximation']} approximation",
+            file=sys.stderr,
+        )
     payload = result.to_json()
     if not args.report_stages:
         payload["diagnostics"].pop("stages", None)
@@ -280,7 +270,7 @@ def _quantile_dict(col: np.ndarray) -> dict:
 
 
 def cmd_degrees(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(load_edge_list, args.graph, "graph")
     outputs = [p for p in (args.out, args.summary) if p]
     manifest = _manifest("degrees", args, [args.graph], outputs)
     t0 = time.monotonic()
@@ -327,7 +317,7 @@ def _parse_key(text: str) -> WheelSpec:
 
 
 def cmd_bootstrap(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(load_edge_list, args.graph, "graph")
     key = _parse_key(args.key)
     manifest = _manifest("bootstrap", args, [args.graph], [args.out] if args.out else [])
     t0 = time.monotonic()
@@ -380,19 +370,9 @@ def _metric_params(spec: str) -> tuple[str, dict]:
 
 def _sweep_cell(task: dict) -> dict:
     """Evaluate one (model, n, rep) cell; returns the JSONL record."""
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest_id": task["manifest_id"],
-        "cell_id": task["cell_id"],
-        "rep": task["rep"],
-        "seed": task["seed"],
-        "model": task["model_name"],
-        "n": task["n"],
-        "lambda": task["lambda"],
-        "rho": task["rho"],
-        "metrics": {},
-        "error": None,
-    }
+    fields = ("manifest_id", "cell_id", "rep", "seed", "model", "n", "lambda", "rho")
+    record = {k: task[k] for k in fields}
+    record.update(schema_version=SCHEMA_VERSION, metrics={}, error=None)
     try:
         model = model_from_json(task["model_obj"])
         need_latents = any(m.startswith("coupling") for m in task["metrics"])
@@ -513,7 +493,13 @@ def cmd_sweep(args) -> int:
         [args.out],
     )
     manifest.parameters["config"] = config
-    mid = manifest.manifest_id
+    shared = {
+        "manifest_id": manifest.manifest_id,
+        "metrics": config["metrics"],
+        "estimator": estimator,
+        "budget": budget,
+        "fit_options": fit_options,
+    }
 
     tasks = []
     for mi, (name, obj) in enumerate(models):
@@ -525,23 +511,8 @@ def cmd_sweep(args) -> int:
                 seed = int(
                     np.random.SeedSequence([base_seed, mi, ni, rep]).generate_state(1)[0]
                 )
-                tasks.append(
-                    {
-                        "manifest_id": mid,
-                        "cell_id": cell_id,
-                        "model_name": name,
-                        "model_obj": obj,
-                        "n": int(n),
-                        "lambda": lam,
-                        "rho": rho,
-                        "rep": rep,
-                        "seed": seed,
-                        "metrics": config["metrics"],
-                        "estimator": estimator,
-                        "budget": budget,
-                        "fit_options": fit_options,
-                    }
-                )
+                tasks.append({**shared, "cell_id": cell_id, "model": name, "model_obj": obj,
+                              "n": int(n), "lambda": lam, "rho": rho, "rep": rep, "seed": seed})
 
     t0 = time.monotonic()
     threads = _resolve_threads(args)
@@ -568,12 +539,6 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker count (default: GRAPHMOMENTS_THREADS or CPU count)",
-    )
     common.add_argument(
         "--budget",
         type=int,
@@ -665,6 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="simulation sweep to JSONL")
     p.add_argument("config", help="sweep config JSON")
     p.add_argument("--out", required=True, help="output JSONL path")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker count (default: GRAPHMOMENTS_THREADS or CPU count)",
+    )
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -675,18 +646,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, NumericalError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, BudgetExceededError):
+            return 4
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

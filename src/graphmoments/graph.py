@@ -9,11 +9,13 @@ trip (the writer emits a ``# n=<count>`` comment header for this).
 
 from __future__ import annotations
 
+import io
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -21,7 +23,8 @@ from scipy import sparse
 from .errors import DomainError, GraphFormatError
 from .graphstats import GraphStats
 
-_N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+# "# n=<count>" on a line of its own; [^\S\n] is whitespace within a line
+_N_HEADER = re.compile(r"^[^\S\n]*#[^\S\n]*n[^\S\n]*=[^\S\n]*(\d+)[^\S\n]*$", re.M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,16 +67,13 @@ class Graph:
             raise GraphFormatError(f"self-loop at vertex {bad}")
         lo = np.minimum(e[:, 0], e[:, 1])
         hi = np.maximum(e[:, 0], e[:, 1])
-        # dedupe through a single scalar key; n^2 stays below 2^63 for n < 2^31
-        key = np.unique(lo * np.int64(n) + hi)
-        lo, hi = key // n, key % n
-        both = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-        order = np.lexsort((both[1], both[0]))
-        src, dst = both[0][order], both[1][order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n=n, indptr=indptr, indices=dst, labels=labels)
+        # one sort over the scalar keys of both orientations; n^2 stays below
+        # 2^63 for n < 2^31
+        nn = np.int64(n)
+        key = np.sort(np.concatenate([lo * nn + hi, hi * nn + lo]))
+        key = key[np.diff(key, prepend=-1) != 0]  # duplicates are neighbours
+        indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * nn)
+        return cls(n=n, indptr=indptr, indices=key % max(n, 1), labels=labels)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -135,12 +135,51 @@ def lambda_hat(g: Graph) -> float:
     return (g.n - 1) * rho_hat(g)
 
 
-def _lines_from(source) -> Iterable[str]:
+def _read_text(source) -> str:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-    else:
-        yield from source
+            return fh.read()
+    return "".join(line if line.endswith("\n") else line + "\n" for line in source)
+
+
+def _parse_pairs(text: str, dtype) -> np.ndarray | None:
+    """The (E, 2) token table of an edge list, or None if numpy's reader rejects it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty input, blank lines
+        try:
+            rows = np.loadtxt(io.StringIO(text), dtype=dtype, comments="#", ndmin=2)
+        except ValueError:
+            return None
+    if rows.size == 0:
+        return rows.reshape(0, 2)
+    return rows if rows.shape[1] == 2 else None
+
+
+def _raise_first_fault(text: str, integer_labels: bool, n_fixed: int | None):
+    """Re-read a rejected edge list line by line; raise its first fault."""
+    over = None
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        if len(toks) != 2:
+            raise GraphFormatError(f"line {ln}: expected two vertex ids, got {len(toks)}")
+        a, b = toks
+        if integer_labels:
+            if not all(re.fullmatch(r"[+-]?[0-9]+", t) for t in toks):  # as numpy reads ints
+                raise GraphFormatError(f"line {ln}: non-integer vertex id")
+            a, b = int(a), int(b)
+            if a < 0 or b < 0:
+                raise GraphFormatError(f"line {ln}: negative vertex id")
+            if max(a, b) >= 2**63:
+                raise GraphFormatError(f"line {ln}: vertex id {max(a, b)} exceeds int64")
+        if a == b:
+            raise GraphFormatError(f"line {ln}: self-loop at {a!r}")
+        if over is None and n_fixed is not None and max(a, b) >= n_fixed:
+            over = ln
+    if over is not None:
+        raise GraphFormatError(f"line {over}: vertex id exceeds declared n={n_fixed}")
+    raise GraphFormatError("edge list rejected by numpy's reader but by no line check")
 
 
 def load_edge_list(
@@ -158,6 +197,10 @@ def load_edge_list(
     tokens are kept as opaque labels interned in first-seen order and the
     mapping is retained on the graph.
 
+    The text is parsed by numpy's C reader, so an integer id is an optional
+    sign and ASCII digits that fit int64.  Only a rejected input is re-read
+    line by line, to name its first faulty line.
+
     Args:
         source: path, file object, or iterable of lines.
         num_vertices: explicit vertex count (integer mode only).
@@ -167,50 +210,32 @@ def load_edge_list(
         GraphFormatError: malformed line, self-loop, or out-of-range id,
             reported with its 1-based line number.
     """
-    pairs: list[tuple] = []
-    header_n: int | None = None
-    for ln, raw in enumerate(_lines_from(source), start=1):
-        m = _N_HEADER.match(raw.strip())
-        if m is not None:
-            header_n = int(m.group(1))
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if len(toks) != 2:
-            raise GraphFormatError(f"line {ln}: expected two vertex ids, got {len(toks)}")
-        a, b = toks
-        if integer_labels:
-            try:
-                a, b = int(a), int(b)
-            except ValueError:
-                raise GraphFormatError(f"line {ln}: non-integer vertex id") from None
-            if a < 0 or b < 0:
-                raise GraphFormatError(f"line {ln}: negative vertex id")
-        if a == b:
-            raise GraphFormatError(f"line {ln}: self-loop at {a!r}")
-        pairs.append((a, b))
+    text = _read_text(source)
+    headers = _N_HEADER.findall(text)
+    n_fixed = num_vertices if num_vertices is not None else (int(headers[-1]) if headers else None)
+    if not integer_labels:
+        n_fixed = None
+    e = _parse_pairs(text, np.int64 if integer_labels else str)
+    if (
+        e is None
+        or np.any(e[:, 0] == e[:, 1])
+        or (integer_labels and e.size and e.min() < 0)
+        or (n_fixed is not None and e.size and e.max() >= n_fixed)
+    ):
+        _raise_first_fault(text, integer_labels, n_fixed)
 
+    if n_fixed is not None:
+        return Graph.from_edges(e, n_fixed)
     if integer_labels:
-        n_fixed = num_vertices if num_vertices is not None else header_n
-        if n_fixed is not None:
-            if pairs and max(max(p) for p in pairs) >= n_fixed:
-                raise GraphFormatError(f"vertex id exceeds declared n={n_fixed}")
-            return Graph.from_edges(np.array(pairs, dtype=np.int64).reshape(-1, 2), n_fixed)
-        ids = sorted({v for p in pairs for v in p})
-        index = {v: i for i, v in enumerate(ids)}
-        e = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64).reshape(-1, 2)
-        labels = None if ids == list(range(len(ids))) else tuple(ids)
-        return Graph.from_edges(e, len(ids), labels=labels)
-
-    seen: dict = {}
-    for a, b in pairs:
-        for v in (a, b):
-            if v not in seen:
-                seen[v] = len(seen)
-    e = np.array([(seen[a], seen[b]) for a, b in pairs], dtype=np.int64).reshape(-1, 2)
-    return Graph.from_edges(e, len(seen), labels=tuple(seen))
+        ids, inverse = np.unique(e, return_inverse=True)
+        labels = None if ids.size == 0 or ids[-1] == ids.size - 1 else tuple(ids.tolist())
+        return Graph.from_edges(inverse.reshape(-1, 2), ids.size, labels=labels)
+    tokens, first, inverse = np.unique(e, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # first-seen order of the labels
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    e = rank[inverse].reshape(-1, 2)
+    return Graph.from_edges(e, tokens.size, labels=tuple(tokens[order].tolist()))
 
 
 def write_edge_list(g: Graph, sink, header: bool = True) -> None:
@@ -221,19 +246,12 @@ def write_edge_list(g: Graph, sink, header: bool = True) -> None:
     labels, those are emitted instead of internal ids (line order still
     follows internal ids, which is the interning order).
     """
-
-    def _dump(fh) -> None:
-        if header:
-            fh.write(f"# n={g.n}\n")
-        lab = g.labels
-        for i, j in g.edges():
-            if lab is None:
-                fh.write(f"{i} {j}\n")
-            else:
-                fh.write(f"{lab[i]} {lab[j]}\n")
-
+    src, dst = g.edges().T.tolist()  # two flat lists convert much faster than E pairs
+    if g.labels is not None:
+        src, dst = [g.labels[i] for i in src], [g.labels[j] for j in dst]
+    text = (f"# n={g.n}\n" if header else "") + "".join([f"{i} {j}\n" for i, j in zip(src, dst)])
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
-            _dump(fh)
+            fh.write(text)
     else:
-        _dump(sink)
+        sink.write(text)

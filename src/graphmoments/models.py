@@ -78,11 +78,6 @@ class BlockModel:
         """v_a = sum_b S_ab pi_b, the within-model marginal intensity."""
         return self.S @ self.pi
 
-    @property
-    def H(self) -> np.ndarray:
-        """Joint block mass H_ab = S_ab pi_a pi_b (sums to 1)."""
-        return self.S * np.outer(self.pi, self.pi)
-
     def canonical_order(self) -> np.ndarray:
         """Block permutation sorting marginal intensity ascending.
 

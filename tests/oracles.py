@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from graphmoments import Graph, PatternGraph, WheelSpec
+from graphmoments import Graph, PatternGraph, WheelSpec, wheel_rooted_count
 
 
 def dense_adj(g: Graph) -> np.ndarray:
@@ -159,6 +159,37 @@ def oracle_overlapping_2path_pairs(a: np.ndarray, hub: int) -> int:
     vertex other than the hub."""
     paths = oracle_paths_from(a, hub, 2)
     return sum(1 for p in paths for q in paths if p != q and set(p) & set(q))
+
+
+# ---------------------------------------------------------------------------
+# subsampling bootstrap: one replicate and one swap at a time
+
+
+def partial_fisher_yates(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The first m entries of 0..n-1 after m sequential Fisher-Yates swaps,
+    from one draw of integers(0, n - arange(m))."""
+    arr = np.arange(n)
+    draws = rng.integers(0, n - np.arange(m), dtype=np.int64)
+    for j in range(m):
+        k = j + int(draws[j])
+        arr[j], arr[k] = arr[k], arr[j]
+    return arr[:m]
+
+
+def oracle_bootstrap_replicates(cache, key, m: int, B: int, seed: int, normalization="rho_star"):
+    """Replicate values of bootstrap_variance, each from its own child
+    generator of `seed` and its own subsample."""
+    spec = WheelSpec.coerce(key)
+    n, counts, degrees = cache.n, cache.get(spec), cache.degrees
+    denom = math.comb(n, spec.p) * wheel_rooted_count(spec)
+    reps = []
+    for child in np.random.SeedSequence(seed).spawn(B):
+        idx = partial_fisher_yates(n, m, np.random.default_rng(child))
+        dbar = int(degrees[idx].sum()) / m
+        p_hat = (n * int(counts[idx].sum())) / (m * denom)
+        rho = dbar / (n - 1) if normalization == "rho_star" else dbar / m
+        reps.append(p_hat * rho**-spec.q)
+    return reps
 
 
 # ---------------------------------------------------------------------------

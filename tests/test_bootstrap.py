@@ -11,7 +11,8 @@ from graphmoments import (
     sample_block_model,
     wheel_moment_estimates,
 )
-from graphmoments.bootstrap import _partial_fisher_yates
+from graphmoments import graphstats
+from oracles import oracle_bootstrap_replicates, partial_fisher_yates
 
 REF = BlockModel(
     pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]), rho=0.03
@@ -103,19 +104,40 @@ def test_bad_m_and_B():
 def test_partial_fisher_yates_properties():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        idx = _partial_fisher_yates(30, 12, rng)
+        idx = partial_fisher_yates(30, 12, rng)
         assert idx.shape == (12,)
         assert len(set(idx.tolist())) == 12
         assert idx.min() >= 0 and idx.max() < 30
     # m = n is a full permutation
-    idx = _partial_fisher_yates(8, 8, rng)
+    idx = partial_fisher_yates(8, 8, rng)
     assert sorted(idx.tolist()) == list(range(8))
     # first coordinate is uniform
     hits = np.zeros(10)
     for _ in range(4000):
-        hits[_partial_fisher_yates(10, 3, rng)[0]] += 1
+        hits[partial_fisher_yates(10, 3, rng)[0]] += 1
     assert hits.min() > 4000 / 10 * 0.7
     assert hits.max() < 4000 / 10 * 1.3
+
+
+@pytest.mark.parametrize("block_bytes", [graphstats.BLOCK_BYTES, 1])
+def test_replicates_match_sequential_oracle_bit_for_bit(monkeypatch, block_bytes):
+    # BLOCK_BYTES = 1 forces one replicate per block
+    monkeypatch.setattr(graphstats, "BLOCK_BYTES", block_bytes)
+    g, cache = make(n=300, seed=6)
+    key2 = WheelSpec.simple(1, 2)
+    cases = [(KEY, 1, 5, "rho_star"), (KEY, g.n, 3, "rho_star"), (key2, 40, 37, "literal")]
+    for key, m, B, norm in cases:
+        res = bootstrap_variance(g, cache, key, m=m, B=B, seed=m + B, normalization=norm)
+        assert res.replicates.tolist() == oracle_bootstrap_replicates(cache, key, m, B, m + B, norm)
+
+
+def test_replicates_match_oracle_across_block_boundaries(monkeypatch):
+    g, cache = make(n=300, seed=6)
+    m, B = 25, 11
+    # rows of (n + 3m) int64s: blocks of 4 replicates, so B is not a multiple
+    monkeypatch.setattr(graphstats, "BLOCK_BYTES", 4 * 8 * (g.n + 3 * m) + 7)
+    res = bootstrap_variance(g, cache, KEY, m=m, B=B, seed=2)
+    assert res.replicates.tolist() == oracle_bootstrap_replicates(cache, KEY, m, B, 2)
 
 
 def test_result_json_summary():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphmoments
 from graphmoments import BlockModel, load_edge_list, save_model
 from graphmoments.cli import main
 
@@ -90,6 +95,39 @@ def test_fit_runs_and_reports(graph_path, capsys):
     # canonical order: ascending stage-1 atoms
     v1 = np.array(obj["S"]) @ np.array(obj["pi"])
     assert v1[0] <= v1[1] + 1e-9
+
+
+def test_fit_warns_on_stderr_when_counts_fall_back(graph_path, capsys):
+    argv = ["fit", graph_path, "--K", "3", "--multistart", "1", "--on-stage-error", "fallback"]
+    # keys past the closed forms, such as (3,2), are enumerated under the budget
+    assert main(argv + ["--budget", "10"]) == 0
+    captured = capsys.readouterr()
+    obj = json.loads(captured.out)
+    assert obj["diagnostics"]["approximation"] == "degree"
+    warning = captured.err.strip().splitlines()
+    assert len(warning) == 1 and warning[0].startswith("warning: ")
+    assert "wheel:k=3,l=2" in warning[0] and "degree approximation" in warning[0]
+    assert main(["fit", graph_path, "--K", "2", "--on-stage-error", "fallback"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_threads_is_a_sweep_option_only(graph_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", graph_path, "--pattern", "wheel:k=2,l=1", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_linalg():
+    # commands that never fit should not pay for these imports at start-up
+    code = (
+        "import sys, graphmoments.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
+    )
+    src = str(Path(graphmoments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_degrees_csv_and_summary(tmp_path, graph_path):
