@@ -13,7 +13,7 @@ Recovery proceeds in stages:
   4. nls_refine: trust-region least squares projecting the full moment
      vector onto the model manifold, initialized at the direct estimate.
 
-Outputs are in canonical block order (ascending v^(1)).
+Outputs are in canonical block order (ascending v^(1), ``models.canonical_order``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .errors import (
 )
 from .graph import Graph, rho_hat
 from .hubs import DEFAULT_BUDGET
-from .moments import MomentTable, wheel_moment_estimates
+from .models import canonical_order
+from .moments import wheel_moment_estimates
 from .patterns import WheelSpec
 from .theory import block_iterates, wheel_tau
 
@@ -316,26 +317,6 @@ def tau_forward(pi, S, keys) -> np.ndarray:
     return np.array([wheel_tau(values, pi, spec) for spec in keys])
 
 
-def _tau_dict(tau_hat, estimator: str) -> dict[WheelSpec, float]:
-    if isinstance(tau_hat, MomentTable):
-        out = {}
-        for e in tau_hat.entries:
-            val = e.tau
-            if val is None:
-                val = e.q_check if estimator == "qcheck" else e.p_check
-            if val is None:
-                continue
-            spec = WheelSpec.coerce(e.name)
-            out[spec] = float(val)
-        return out
-    return {WheelSpec.coerce(k): float(v) for k, v in tau_hat.items()}
-
-
-def _canonical_block_order(pi: np.ndarray, s: np.ndarray) -> np.ndarray:
-    v = s @ pi
-    return np.lexsort((pi, v))
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max()
     e = np.exp(z)
@@ -392,7 +373,7 @@ def nls_refine(
     runs started at `init` and jittered copies of it.  Never returns a
     residual above the initialization's.
     """
-    taus = _tau_dict(tau_hat, cfg.estimator)
+    taus = {WheelSpec.coerce(k): float(v) for k, v in tau_hat.items()}
     keys = sorted(taus, key=lambda s: (s.ks, s.ls))
     target = np.array([taus[k] for k in keys])
     if cfg.weights:
@@ -466,7 +447,7 @@ def nls_refine(
         converged = False
 
     pi_hat, s_hat = par.unpack(best_x)
-    order = _canonical_block_order(pi_hat, s_hat)
+    order = canonical_order(pi_hat, s_hat)
     pi_hat = pi_hat[order]
     s_hat = s_hat[np.ix_(order, order)]
 
@@ -509,21 +490,10 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
     rho = rho_hat(g)
     if rho <= 0:
         raise NormalizationError("cannot fit an empty graph (rho_hat = 0)")
-    if cfg.K == 1:
-        return FitResult(
-            K=1,
-            pi=np.array([1.0]),
-            S=np.array([[1.0]]),
-            rho=rho,
-            residual=0.0,
-            converged=True,
-            pi_direct=np.array([1.0]),
-            S_direct=np.array([[1.0]]),
-            atoms=np.ones((1, 1)),
-            residual_init=0.0,
-            tau_hat={WheelSpec.simple(1, 1): 1.0},
-            diagnostics={"approximation": None},
-        )
+    if cfg.K == 1:  # tau_(1,1) = 1 on every graph: nothing to estimate
+        one = {WheelSpec.simple(1, 1): 1.0}
+        init = (np.ones(1), np.ones((1, 1)))
+        return nls_refine(one, init, cfg, rho=rho, extra_diagnostics={"approximation": None})
 
     keys = cfg.keys()
     budget = DEFAULT_BUDGET if cfg.budget is None else cfg.budget

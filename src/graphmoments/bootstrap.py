@@ -23,8 +23,8 @@ import numpy as np
 from . import graphstats
 from .errors import DomainError, NormalizationError
 from .graph import Graph
-from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub
-from .patterns import WheelSpec, wheel_rooted_count
+from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub, wheel_total
+from .patterns import WheelSpec
 
 SCHEMA_VERSION = "1"
 
@@ -147,7 +147,7 @@ def bootstrap_variance(
 
     counts = np.asarray(cache.get(spec))
     degrees = cache.degrees
-    denom = math.comb(n, spec.p) * wheel_rooted_count(spec)
+    total, denom = wheel_total(counts, spec, n)
     if denom == 0:
         raise DomainError(f"pattern order {spec.p} exceeds graph order {n}")
 
@@ -157,7 +157,7 @@ def bootstrap_variance(
     if full_dbar == 0:
         raise NormalizationError("cannot bootstrap an empty graph")
     full_rho = full_dbar / (n - 1)
-    full_value = int(counts.sum()) / denom * full_rho**-spec.q
+    full_value = total / denom * full_rho**-spec.q
 
     sums = [
         pair

@@ -51,7 +51,7 @@ from .models import (
 )
 from .moments import MomentEntry, MomentTable, moment_table, wheel_moment_estimates
 from .patterns import WheelSpec, parse_pattern_name, wheel_isomorphism_count
-from .theory import tau_block, tau_graphon
+from .theory import tau
 
 SCHEMA_VERSION = "1"
 
@@ -150,18 +150,22 @@ def _load(loader, path: str, what: str):
         raise InputError(f"{what} file not found: {path}") from exc
 
 
+def _sample(model, rho, n: int, seed: int, latents: bool):
+    """Sample either model type at density rho (a block model's own rho when None)."""
+    if isinstance(model, Graphon):
+        if rho is None:
+            raise InputError("sampling a graphon needs --rho")
+        return sample_graphon(model, rho, n, seed, keep_latents=latents)
+    if rho is not None:
+        model = model.with_rho(rho)
+    return sample_block_model(model, n, seed, keep_latents=latents)
+
+
 def cmd_gen(args) -> int:
     model = _load(load_model, args.model, "model")
     manifest = _manifest("gen", args, [args.model], [args.out])
     t0 = time.monotonic()
-    if isinstance(model, Graphon):
-        if args.rho is None:
-            raise InputError("sampling a graphon needs --rho")
-        sample = sample_graphon(model, args.rho, args.n, args.seed, keep_latents=args.latents)
-    else:
-        if args.rho is not None:
-            model = model.with_rho(args.rho)
-        sample = sample_block_model(model, args.n, args.seed, keep_latents=args.latents)
+    sample = _sample(model, args.rho, args.n, args.seed, args.latents)
     write_edge_list(sample.graph, args.out)
     outputs = [args.out]
     if args.latents:
@@ -376,15 +380,7 @@ def _sweep_cell(task: dict) -> dict:
     try:
         model = model_from_json(task["model_obj"])
         need_latents = any(m.startswith("coupling") for m in task["metrics"])
-        if isinstance(model, Graphon):
-            sample = sample_graphon(
-                model, task["rho"], task["n"], task["seed"], keep_latents=need_latents
-            )
-        else:
-            model = model.with_rho(task["rho"])
-            sample = sample_block_model(
-                model, task["n"], task["seed"], keep_latents=need_latents
-            )
+        sample = _sample(model, task["rho"], task["n"], task["seed"], need_latents)
         g = sample.graph
         budget = task["budget"]
         estimator = task["estimator"]
@@ -403,12 +399,7 @@ def _sweep_cell(task: dict) -> dict:
                 if name == "tau_check":
                     metrics[spec] = val
                 else:
-                    tau = (
-                        tau_block(model, key)
-                        if isinstance(model, BlockModel)
-                        else tau_graphon(model, key)
-                    )
-                    metrics[spec] = val - tau
+                    metrics[spec] = val - tau(model, key)
             elif name == "approx_gap":
                 key = WheelSpec.simple(params["k"], params["l"])
                 exact = wheel_moment_estimates(g, [key], estimator=estimator, budget=budget)[key]

@@ -2,8 +2,9 @@
 
 The order-m degree D_i^(m) is the number of loopless m-edge paths starting
 at vertex i.  Normalized by powers of the mean degree these approximate the
-operator iterates evaluated at the vertex's latent position, which is what
-the coupling diagnostics quantify.
+operator iterates evaluated at the vertex's latent position (of either
+model type, through ``theory.iterate_operator`` and ``model.locate``),
+which is what the coupling diagnostics quantify.
 
 Orders 1-3 are closed forms over the graph's cached statistics layer
 (``Graph.stats``): degrees, D^(2) and triangles per vertex, with the CSR
@@ -21,6 +22,7 @@ from .counting import triangles_per_vertex
 from .errors import BudgetExceededError, DomainError, NormalizationError
 from .graph import Graph, average_degree
 from .patterns import WheelSpec
+from .theory import iterate_operator
 
 
 @dataclass(frozen=True)
@@ -121,35 +123,17 @@ def m_degrees(g: Graph, m: int, budget: int | None = 50_000_000) -> DegreeProfil
     return DegreeProfile(counts=counts, mean_degree=average_degree(g))
 
 
-def _block_positions(xi: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    return np.minimum(np.searchsorted(bounds, xi, side="right"), bounds.size - 1)
-
-
 def theta_profile(model, xi: np.ndarray, m: int) -> ThetaProfile:
     """Operator iterates (T1, T^2 1, ..., T^m 1) at each latent position.
 
-    Accepts a BlockModel or Graphon; for the canonical parameterization the
-    first coordinate is monotone nondecreasing in xi.
+    Accepts a BlockModel or Graphon: each position reads the iterate row of
+    its kernel row (``model.locate``).  For the canonical parameterization
+    of a block model the first coordinate is monotone nondecreasing in xi.
     """
-    from .models import BlockModel, Graphon
-    from .theory import iterate_operator_block, iterate_operator_graphon
-
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0) or np.any(xi > 1):
         raise DomainError("latent positions must lie in [0, 1]")
-    if isinstance(model, BlockModel):
-        it = iterate_operator_block(model, m)
-        order = model.canonical_order()
-        bounds = np.cumsum(model.pi[order])
-        pos = _block_positions(xi, bounds)
-        # iterate rows are in the model's own block order; latent intervals
-        # follow the canonical order, so map positions back through it
-        return ThetaProfile(values=it.values[order[pos]])
-    if isinstance(model, Graphon):
-        it = iterate_operator_graphon(model, m)
-        cells = np.minimum((xi * model.resolution).astype(np.int64), model.resolution - 1)
-        return ThetaProfile(values=it.values[cells])
-    raise DomainError(f"unsupported model type {type(model).__name__}")
+    return ThetaProfile(values=iterate_operator(model, m).values[model.locate(xi)])
 
 
 def joint_coupling_error(profile: DegreeProfile, theta: ThetaProfile) -> float:

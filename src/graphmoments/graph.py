@@ -4,7 +4,8 @@ Graphs are undirected, unweighted, with no self-loops and no parallel
 edges.  Adjacency is CSR-style: a flat ``indices`` array of neighbors with
 ``indptr`` offsets, each neighbor list sorted ascending.  The vertex count
 ``n`` is stored explicitly so isolated vertices survive a write/read round
-trip (the writer emits a ``# n=<count>`` comment header for this).
+trip (the writer emits a ``# n=<count>`` comment header for an unlabelled
+graph).
 """
 
 from __future__ import annotations
@@ -238,18 +239,21 @@ def load_edge_list(
     return Graph.from_edges(e, tokens.size, labels=tuple(tokens[order].tolist()))
 
 
-def write_edge_list(g: Graph, sink, header: bool = True) -> None:
+def write_edge_list(g: Graph, sink) -> None:
     """Write one edge per line, endpoints ascending, lines sorted.
 
-    Emits a ``# n=<count>`` header so isolated vertices round-trip; the
-    header is a plain comment to other tools.  When the graph carries
-    labels, those are emitted instead of internal ids (line order still
-    follows internal ids, which is the interning order).
+    An unlabelled graph gets a ``# n=<count>`` header so isolated vertices
+    round-trip; the header is a plain comment to other tools.  A labelled
+    graph writes its labels instead of internal ids (line order still
+    follows internal ids, which is the interning order) and no header,
+    since its labels are not ids below the vertex count.
     """
     src, dst = g.edges().T.tolist()  # two flat lists convert much faster than E pairs
+    header = f"# n={g.n}\n"
     if g.labels is not None:
         src, dst = [g.labels[i] for i in src], [g.labels[j] for j in dst]
-    text = (f"# n={g.n}\n" if header else "") + "".join([f"{i} {j}\n" for i, j in zip(src, dst)])
+        header = ""
+    text = header + "".join([f"{i} {j}\n" for i, j in zip(src, dst)])
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -31,7 +31,7 @@ from .degrees import falling_factorial_column, m_degrees
 from .errors import BudgetExceededError, CountOverflowError, InvariantError
 from .graph import Graph
 from .graphstats import row_sums
-from .patterns import WheelSpec, hub_multiplicity
+from .patterns import WheelSpec, hub_multiplicity, wheel_rooted_count
 
 DEFAULT_BUDGET = 1_000_000
 _INT64_LIMIT = 2**62  # headroom below 2^63 for one more addition
@@ -249,11 +249,21 @@ def wheel_counts_per_hub(
     return _hub_counts_generic(g, spec, budget)
 
 
-def wheel_noninduced_count(g: Graph, spec: WheelSpec, budget: int | None = DEFAULT_BUDGET) -> int:
-    """Noninduced copy count of the wheel, from per-hub counts."""
-    counts = wheel_counts_per_hub(g, spec, budget)
+def wheel_total(counts, spec: WheelSpec, n: int) -> tuple[int, int]:
+    """(Per-hub total, C(n, p) p!/prod(ls!)): numerator and denominator of Q-hat.
+
+    The total of per-hub counts on an n-vertex graph is exact (Python
+    ints) and is hub_multiplicity(spec) times the noninduced copy count;
+    the denominator is the hub-rooted labelings of every p-vertex set.
+    """
     total = sum(int(c) for c in counts)
     mult = hub_multiplicity(spec)
     if total % mult:
         raise InvariantError(f"per-hub total {total} not divisible by hub multiplicity {mult}")
-    return total // mult
+    return total, math.comb(n, spec.p) * wheel_rooted_count(spec)
+
+
+def wheel_noninduced_count(g: Graph, spec: WheelSpec, budget: int | None = DEFAULT_BUDGET) -> int:
+    """Noninduced copy count of the wheel, from per-hub counts."""
+    total, _ = wheel_total(wheel_counts_per_hub(g, spec, budget), spec, g.n)
+    return total // hub_multiplicity(spec)

@@ -7,8 +7,13 @@ constant case: normalized affinity S with sum_ab pi_a pi_b S_ab = 1 and
 edge probability rho * S between blocks.
 
 Canonical parameterization orders blocks by ascending marginal intensity
-v_a = sum_b S_ab pi_b, so the graphon marginal u -> integral w(u, .) is
-nondecreasing; latent intervals are the cumulative pi in that order.
+v_a = sum_b S_ab pi_b (``canonical_order``), so the graphon marginal
+u -> integral w(u, .) is nondecreasing; latent intervals are the
+cumulative pi in that order.
+
+Both model types expose one view, which ``theory`` and ``degrees`` read:
+``weights`` (row masses pi, or 1/G per grid cell), ``kernel`` (S, or the
+grid) and ``locate(xi)``, the kernel row of each latent position.
 
 All randomness flows through numpy's PCG64 generator seeded by an explicit
 integer, so identical seeds reproduce graphs exactly.
@@ -27,6 +32,19 @@ from .graph import Graph
 
 _NORM_TOL = 1e-8
 _GRID_TOL = 1e-9
+
+
+def canonical_order(pi: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Block permutation sorting marginal intensity v = S pi ascending.
+
+    Ties break by pi then by a sorted row fingerprint, keeping the order
+    invariant under block relabeling.
+    """
+    v = S @ pi
+    fingerprints = [tuple(np.sort(row)) for row in S]
+    return np.array(
+        sorted(range(pi.size), key=lambda a: (v[a], pi[a], fingerprints[a])), dtype=np.int64
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,22 +92,20 @@ class BlockModel:
         return self.pi.size
 
     @property
-    def marginal(self) -> np.ndarray:
-        """v_a = sum_b S_ab pi_b, the within-model marginal intensity."""
-        return self.S @ self.pi
+    def weights(self) -> np.ndarray:
+        return self.pi
+
+    @property
+    def kernel(self) -> np.ndarray:
+        return self.S
+
+    def locate(self, xi: np.ndarray) -> np.ndarray:
+        """Kernel row (block in the model's own order) of each latent position."""
+        return self.canonical_order()[self.block_of(xi)]
 
     def canonical_order(self) -> np.ndarray:
-        """Block permutation sorting marginal intensity ascending.
-
-        Ties break by pi then by a sorted row fingerprint, keeping the
-        order invariant under block relabeling.
-        """
-        v = self.marginal
-        fingerprints = [tuple(np.sort(row)) for row in self.S]
-        return np.array(
-            sorted(range(self.K), key=lambda a: (v[a], self.pi[a], fingerprints[a])),
-            dtype=np.int64,
-        )
+        """Block permutation into canonical order; see canonical_order."""
+        return canonical_order(self.pi, self.S)
 
     def canonical_intervals(self) -> np.ndarray:
         """Upper endpoints of the latent intervals, in canonical block order."""
@@ -154,12 +170,19 @@ class Graphon:
     def resolution(self) -> int:
         return self.grid.shape[0]
 
-    def marginal(self) -> np.ndarray:
-        return self.grid.mean(axis=1)
+    @property
+    def weights(self) -> np.ndarray:
+        """Uniform cell masses 1/G."""
+        return np.full(self.resolution, 1.0 / self.resolution)
 
-    def cell_of(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.minimum((u * self.resolution).astype(np.int64), self.resolution - 1)
+    @property
+    def kernel(self) -> np.ndarray:
+        return self.grid
+
+    def locate(self, xi: np.ndarray) -> np.ndarray:
+        """Grid cell (kernel row) of each latent position."""
+        xi = np.asarray(xi, dtype=float)
+        return np.minimum((xi * self.resolution).astype(np.int64), self.resolution - 1)
 
     def to_json(self) -> dict:
         return {"resolution": self.resolution, "grid": self.grid.tolist()}
@@ -210,8 +233,7 @@ def blockmodel_to_graphon(model: BlockModel, resolution: int) -> Graphon:
         raise DomainError(f"resolution {resolution} < K={model.K}")
     order = model.canonical_order()
     s_can = model.S[np.ix_(order, order)]
-    bounds = np.concatenate([[0.0], np.cumsum(model.pi[order])])
-    bounds[-1] = 1.0
+    bounds = np.concatenate([[0.0], model.canonical_intervals()])
     # overlap[r, a] = fraction of cell r covered by canonical block a
     edges = np.arange(resolution + 1) / resolution
     overlap = np.zeros((resolution, model.K))
@@ -336,7 +358,7 @@ def sample_graphon(
         raise DomainError(f"rho={rho} outside (0, 1]")
     rng = _generator(seed)
     xi = rng.random(n)
-    cells = w.cell_of(xi)
+    cells = w.locate(xi)
     occupied = np.unique(cells)
     groups = [np.flatnonzero(cells == c).astype(np.int64) for c in occupied]
     prob = np.minimum(rho * w.grid[np.ix_(occupied, occupied)], 1.0)

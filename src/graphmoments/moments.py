@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .counting import count_induced, count_noninduced
 from .errors import BudgetExceededError, DomainError, NormalizationError
 from .graph import Graph, rho_hat
-from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub
+from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub, wheel_total
 from .patterns import (
     PatternGraph,
     WheelSpec,
@@ -32,9 +32,9 @@ from .patterns import (
     hub_multiplicity,
     parse_pattern_name,
     wheel_isomorphism_count,
-    wheel_rooted_count,
     wheel_to_pattern,
 )
+from .theory import tau
 
 SCHEMA_VERSION = "1"
 
@@ -138,13 +138,6 @@ def _as_item(item) -> PatternGraph | WheelSpec:
     raise DomainError(f"unsupported pattern item {item!r}")
 
 
-def _q_hat_wheel(g: Graph, spec: WheelSpec, budget) -> tuple[float, int]:
-    """(Q-hat, noninduced copy count) of a wheel from its per-hub counts."""
-    total = sum(int(c) for c in wheel_counts_per_hub(g, spec, budget))
-    denom = math.comb(g.n, spec.p) * wheel_rooted_count(spec)
-    return (total / denom if denom else 0.0), total // hub_multiplicity(spec)
-
-
 def moment_table(
     g: Graph,
     patterns,
@@ -187,7 +180,9 @@ def moment_table(
         noninduced = induced = None
         if mode in ("noninduced", "both"):
             if isinstance(item, WheelSpec):
-                q_hat, noninduced = _q_hat_wheel(g, item, budget)
+                total, rooted = wheel_total(wheel_counts_per_hub(g, item, budget), item, g.n)
+                q_hat = total / rooted if rooted else 0.0
+                noninduced = total // hub_multiplicity(item)
             else:
                 noninduced = count_noninduced(g, pattern, budget)
                 q_hat = noninduced / denom if denom else 0.0
@@ -254,8 +249,8 @@ def wheel_moment_estimates(
     for key in keys:
         spec = WheelSpec.coerce(key)
         if estimator == "qcheck":
-            q_hat, _ = _q_hat_wheel(g, spec, budget)
-            out[spec] = q_hat * rho**-spec.q
+            total, denom = wheel_total(wheel_counts_per_hub(g, spec, budget), spec, g.n)
+            out[spec] = (total / denom if denom else 0.0) * rho**-spec.q
         else:
             pattern = wheel_to_pattern(spec)
             n_iso = wheel_isomorphism_count(spec)
@@ -266,25 +261,16 @@ def wheel_moment_estimates(
 
 def theory_table(model, keys) -> MomentTable:
     """Population tau values in the same table shape (kind="theory")."""
-    from .models import BlockModel, Graphon
-    from .theory import tau_block, tau_graphon
-
     entries = []
     for key in keys:
         spec = WheelSpec.coerce(key)
-        if isinstance(model, BlockModel):
-            tau = tau_block(model, spec)
-        elif isinstance(model, Graphon):
-            tau = tau_graphon(model, spec)
-        else:
-            raise DomainError(f"unsupported model type {type(model).__name__}")
         entries.append(
             MomentEntry(
                 name=spec.name(),
                 p=spec.p,
                 q=spec.q,
                 n_isoclasses=wheel_isomorphism_count(spec),
-                tau=tau,
+                tau=tau(model, spec),
             )
         )
     return MomentTable(n=0, edge_count=0, rho=0.0, entries=tuple(entries), kind="theory")

@@ -7,9 +7,11 @@ v^(0) = 1.  The normalized wheel moment for spokes (ks, ls) is
 
     tau = E prod_j [T^{k_j} 1 (xi)]^{l_j},
 
-an average of products of iterate coordinates under pi (blocks) or the
-uniform cell measure (gridded graphons).  Acyclic-pattern moments depend
-on the kernel only through these quantities.
+an average of products of iterate coordinates under the kernel's row
+masses: pi for a block model, 1/G per cell for a gridded graphon (its
+step-function case).  Both expose that view (``weights``, ``kernel``), so
+one set of functions serves both.  Acyclic-pattern moments depend on the
+kernel only through these quantities.
 """
 
 from __future__ import annotations
@@ -25,36 +27,31 @@ from .patterns import WheelSpec
 
 @dataclass(frozen=True)
 class OperatorIterates:
-    """Iterate table: values[x, j-1] = [T^j 1] on block/cell x, in the
-    model's own block order; weights the corresponding probability masses."""
+    """Iterate table: values[x, j-1] = [T^j 1] on kernel row x, in the
+    model's own row order; weights the corresponding probability masses."""
 
     values: np.ndarray
     weights: np.ndarray
-    kind: str
-
-    @property
-    def depth(self) -> int:
-        return self.values.shape[1]
 
 
-def _truncated_kernel(mat: np.ndarray, truncate_rho: float | None) -> np.ndarray:
-    """Optionally apply the finite-density truncation w -> min(w, 1/rho)."""
-    if truncate_rho is None:
-        return mat
-    if not (0 < truncate_rho <= 1):
-        raise DomainError(f"truncation density {truncate_rho} outside (0, 1]")
-    return np.minimum(mat, 1.0 / truncate_rho)
+def iterate_operator(model, depth: int, truncate_rho: float | None = None) -> OperatorIterates:
+    """Row coordinates of T^j 1 for j = 1..depth on a BlockModel or Graphon.
 
-
-def iterate_operator_block(
-    model: BlockModel, depth: int, truncate_rho: float | None = None
-) -> OperatorIterates:
-    """Block coordinates of T^j 1 for j = 1..depth, in the model's block
-    order (moment sums are order-invariant, so no canonicalization)."""
+    With truncate_rho the kernel is first truncated to min(w, 1/rho), the
+    finite-density version of the operator.  Moment sums are row-order
+    invariant, so blocks keep the model's own order.
+    """
+    if not isinstance(model, (BlockModel, Graphon)):
+        raise DomainError(f"unsupported model type {type(model).__name__}")
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    values = block_iterates(model.pi, _truncated_kernel(model.S, truncate_rho), depth)
-    return OperatorIterates(values=values, weights=model.pi, kind="block")
+    kernel = model.kernel
+    if truncate_rho is not None:
+        if not (0 < truncate_rho <= 1):
+            raise DomainError(f"truncation density {truncate_rho} outside (0, 1]")
+        kernel = np.minimum(kernel, 1.0 / truncate_rho)
+    weights = model.weights
+    return OperatorIterates(values=block_iterates(weights, kernel, depth), weights=weights)
 
 
 def block_iterates(pi: np.ndarray, s: np.ndarray, depth: int) -> np.ndarray:
@@ -68,23 +65,6 @@ def block_iterates(pi: np.ndarray, s: np.ndarray, depth: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def iterate_operator_graphon(
-    w: Graphon, depth: int, truncate_rho: float | None = None
-) -> OperatorIterates:
-    """Cell coordinates of T^j 1 on the grid (uniform cell masses)."""
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    grid = _truncated_kernel(w.grid, truncate_rho)
-    g = w.resolution
-    cols = []
-    v = np.ones(g)
-    for _ in range(depth):
-        v = grid @ v / g
-        cols.append(v)
-    weights = np.full(g, 1.0 / g)
-    return OperatorIterates(values=np.column_stack(cols), weights=weights, kind="grid")
-
-
 def wheel_tau(values: np.ndarray, weights: np.ndarray, spec: WheelSpec) -> float:
     """sum_a weights_a prod_j values[a, k_j - 1]^l_j: a wheel moment from iterates."""
     prod = np.ones(values.shape[0])
@@ -93,19 +73,12 @@ def wheel_tau(values: np.ndarray, weights: np.ndarray, spec: WheelSpec) -> float
     return float(weights @ prod)
 
 
-def tau_block(model: BlockModel, key, truncate_rho: float | None = None) -> float:
-    """Population wheel moment on a block model."""
+def tau(model, key, truncate_rho: float | None = None) -> float:
+    """Population wheel moment on a BlockModel or Graphon (exact for a
+    grid; exact for an underlying block model when the grid aligns with
+    block boundaries)."""
     spec = WheelSpec.coerce(key)
-    it = iterate_operator_block(model, max(spec.ks), truncate_rho)
-    return wheel_tau(it.values, it.weights, spec)
-
-
-def tau_graphon(w: Graphon, key, truncate_rho: float | None = None) -> float:
-    """Population wheel moment on a gridded graphon (exact for the grid;
-    exact for an underlying block model when the grid aligns with block
-    boundaries)."""
-    spec = WheelSpec.coerce(key)
-    it = iterate_operator_graphon(w, max(spec.ks), truncate_rho)
+    it = iterate_operator(model, max(spec.ks), truncate_rho)
     return wheel_tau(it.values, it.weights, spec)
 
 
@@ -120,12 +93,12 @@ def tau_graphon_refined(
     (value, last change).
     """
     spec = WheelSpec.coerce(key)
-    val = tau_graphon(w, spec)
+    val = tau(w, spec)
     change = 0.0
     grid = w.grid
     for _ in range(max_doublings):
         grid = np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1)
-        nxt = tau_graphon(Graphon(grid=grid), spec)
+        nxt = tau(Graphon(grid=grid), spec)
         change = abs(nxt - val)
         val = nxt
         if change <= tol:
@@ -133,13 +106,7 @@ def tau_graphon_refined(
     return val, change
 
 
-def tau_triangle_block(model: BlockModel) -> float:
-    """Normalized triangle moment: trace of (S diag(pi))^3."""
-    m = model.S * model.pi[None, :]
-    return float(np.trace(m @ m @ m))
-
-
-def tau_triangle_graphon(w: Graphon) -> float:
-    g = w.resolution
-    m = w.grid / g
+def tau_triangle(model) -> float:
+    """Normalized triangle moment: trace of (kernel diag(weights))^3."""
+    m = model.kernel * model.weights[None, :]
     return float(np.trace(m @ m @ m))

@@ -53,7 +53,7 @@ from graphmoments import (  # noqa: E402
     rho_hat,
     sample_block_model,
     supergraphs_on_same_vertices,
-    tau_block,
+    tau,
     theta_profile,
     wheel_counts_per_hub,
     wheel_isomorphism_count,
@@ -196,7 +196,7 @@ def test_criterion_04_population_round_trip():
             stages = []
             for k in range(1, K + 1):
                 mom = np.array(
-                    [tau_block(m, WheelSpec.simple(k, l)) for l in range(1, 2 * K)]
+                    [tau(m, WheelSpec.simple(k, l)) for l in range(1, 2 * K)]
                 )
                 atoms, weights, _ = atoms_from_moments(mom, K)
                 stages.append((atoms, weights))

@@ -13,14 +13,15 @@ from graphmoments import (
     align_stages,
     atoms_from_moments,
     fit_block_model,
-    iterate_operator_block,
+    iterate_operator,
     nls_refine,
     power_moments,
     recover_S,
     sample_block_model,
-    tau_block,
+    tau,
     tau_forward,
 )
+from graphmoments.models import canonical_order
 
 REF = BlockModel(
     pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]), rho=0.01
@@ -95,7 +96,7 @@ def test_atoms_weight_clipping_flagged():
 
 
 def test_align_stages_reference():
-    it = iterate_operator_block(REF, 3)
+    it = iterate_operator(REF, 3)
     stages = []
     for j in range(3):
         vals = it.values[:, j]
@@ -120,7 +121,7 @@ def test_align_stages_mismatched_weights_raise():
 
 
 def test_recover_S_reference():
-    it = iterate_operator_block(REF, 2)
+    it = iterate_operator(REF, 2)
     s, diag = recover_S(REF.pi, it.values)
     assert np.allclose(s, REF.S, atol=1e-10)
 
@@ -130,7 +131,7 @@ def test_recover_S_random_models():
     for K in (2, 3):
         for _ in range(10):
             model = random_model(K, rng)
-            it = iterate_operator_block(model, K)
+            it = iterate_operator(model, K)
             s, _ = recover_S(model.pi, it.values)
             assert np.allclose(s, model.S, atol=1e-8), K
 
@@ -158,7 +159,7 @@ def test_tau_forward_matches_tau_block():
     keys = [WheelSpec.simple(k, l) for k in (1, 2, 3) for l in (1, 2)]
     fwd = tau_forward(model.pi, model.S, keys)
     for i, key in enumerate(keys):
-        assert fwd[i] == pytest.approx(tau_block(model, key), rel=1e-12)
+        assert fwd[i] == pytest.approx(tau(model, key), rel=1e-12)
 
 
 def test_nls_never_worse_than_truth_init():
@@ -171,6 +172,20 @@ def test_nls_never_worse_than_truth_init():
     pc, sc = canonical(model)
     assert np.allclose(res.pi, pc, atol=1e-8)
     assert np.allclose(res.S, sc, atol=1e-7)
+
+
+def test_fits_and_models_share_one_canonical_order():
+    rng = np.random.default_rng(12)
+    cfg = FitConfig(K=3, seed=0, multistart=1)
+    for _ in range(20):
+        base = random_model(3, rng)
+        perm = rng.permutation(3)
+        model = BlockModel(pi=base.pi[perm], S=base.S[np.ix_(perm, perm)], rho=base.rho)
+        # the truth order a sweep compares fits against is the same function
+        assert model.canonical_order().tolist() == canonical_order(model.pi, model.S).tolist()
+        tau_hat = dict(zip(cfg.keys(), tau_forward(model.pi, model.S, cfg.keys())))
+        res = nls_refine(tau_hat, (model.pi, model.S), cfg)
+        assert canonical_order(res.pi, res.S).tolist() == [0, 1, 2]
 
 
 def test_nls_flags_nonconvergence_budget():
@@ -195,7 +210,7 @@ def test_population_pipeline_round_trip():
     for K in (2, 3):
         for _ in range(60 if K == 2 else 40):
             model = random_model(K, rng)
-            v_all = iterate_operator_block(model, K).values
+            v_all = iterate_operator(model, K).values
             # stage separations must be resolvable in float arithmetic
             if any(np.min(np.diff(np.sort(v_all[:, j]))) < 0.04 for j in range(K)):
                 continue

@@ -8,7 +8,7 @@ from graphmoments import (
     WheelSpec,
     degree_moment_approx,
     falling_factorial,
-    iterate_operator_block,
+    iterate_operator,
     joint_coupling_error,
     m_degrees,
     mallows2_1d,
@@ -113,7 +113,7 @@ def test_theta_profile_matches_sampled_blocks():
     )
     out = sample_block_model(model, 400, seed=3, keep_latents=True)
     theta = theta_profile(model, out.xi, 2)
-    it = iterate_operator_block(model, 2)
+    it = iterate_operator(model, 2)
     order = model.canonical_order()
     bounds = np.cumsum(model.pi[order])
     for i in range(0, 400, 37):

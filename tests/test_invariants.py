@@ -14,3 +14,16 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_exports_are_exactly_the_imported_names():
+    init = Path(graphmoments.__file__)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert [name for name in graphmoments.__all__ if not hasattr(graphmoments, name)] == []
+    assert len(set(graphmoments.__all__)) == len(graphmoments.__all__)
+    assert set(graphmoments.__all__) == imported

@@ -15,8 +15,7 @@ from graphmoments import (
     sample_block_model,
     sample_graphon,
     save_model,
-    tau_block,
-    tau_graphon,
+    tau,
 )
 
 REF = BlockModel(
@@ -101,7 +100,7 @@ def test_graphon_sampling_matches_equivalent_blockmodel():
     w = blockmodel_to_graphon(REF, resolution=64)
     # same tau for low moments
     for key in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        assert tau_graphon(w, key) == pytest.approx(tau_block(REF, key), rel=1e-9)
+        assert tau(w, key) == pytest.approx(tau(REF, key), rel=1e-9)
     out = sample_graphon(w, 0.01, 600, seed=9)
     assert rho_hat(out.graph) == pytest.approx(0.01, rel=0.25)
 

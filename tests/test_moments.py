@@ -7,6 +7,7 @@ import pytest
 from graphmoments import (
     BlockModel,
     BudgetExceededError,
+    InvariantError,
     MomentTable,
     NormalizationError,
     PatternGraph,
@@ -18,9 +19,11 @@ from graphmoments import (
     theory_table,
     wheel_isomorphism_count,
     wheel_moment_estimates,
+    wheel_noninduced_count,
     wheel_rooted_count,
     wheel_to_pattern,
 )
+from graphmoments import hubs, moments
 from oracles import (
     TupleHistogram,
     connected_pattern_classes,
@@ -177,3 +180,25 @@ def test_rooted_count_is_the_per_hub_normalizer():
     assert wheel_rooted_count(spec) == 6
     assert wheel_isomorphism_count(spec) == 3
     assert hub_multiplicity(spec) == 2
+
+
+def test_per_hub_total_must_divide_by_hub_multiplicity(monkeypatch):
+    # (2,1) counts each 2-path from both ends, so its per-hub total is even;
+    # every path from per-hub counts to copies or moments checks that
+    _, g = small_graph()
+    key = WheelSpec.simple(2, 1)
+    assert hub_multiplicity(key) == 2
+
+    def odd_total(graph, spec, budget=None):
+        counts = np.zeros(graph.n, dtype=np.int64)
+        counts[0] = 1
+        return counts
+
+    for mod in (hubs, moments):  # every module that binds the kernel
+        monkeypatch.setattr(mod, "wheel_counts_per_hub", odd_total)
+    with pytest.raises(InvariantError):
+        moment_table(g, [key], mode="noninduced")
+    with pytest.raises(InvariantError):
+        wheel_moment_estimates(g, [key])
+    with pytest.raises(InvariantError):
+        wheel_noninduced_count(g, key)
