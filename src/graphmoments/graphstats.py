@@ -2,17 +2,23 @@
 
 ``Graph.stats`` is built once per graph and keeps only O(n + E) arrays:
 degrees d, D^(2) = A d - d, per-edge triangle counts B = A^2 ∘ A aligned
-with the CSR entries, triangles per vertex, and the memoised per-hub
-columns of closed-form wheel keys (filled by ``hubs``).
+with the CSR entries, triangles per vertex, the k = 2 sums over A^2 and the
+memoised per-hub columns of closed-form wheel keys (filled by ``hubs``).
 
-Triangles come from a listing (Latapy, TCS 2008; Chiba & Nishizeki, SIAM
+The k = 2 sums come from one pass over the row blocks A[r0:r1] @ A
+(``a2_sums``), which also reads B if nothing has cached it yet.  Otherwise
+B comes from a triangle listing (Latapy, TCS 2008; Chiba & Nishizeki, SIAM
 J. Comput. 1985): edges point to the endpoint of higher (degree, id) rank,
 so each triangle is one wedge of forward edges at its lowest vertex,
-closed by ``searchsorted`` in the sorted CSR keys i*n + j.  Extending a
-triangle by the forward neighbours of its top vertex lists each K4 once.
-Sums over A^2 take one row block A[r0:r1] @ A at a time.  Wedges, K4
-candidates and A^2 rows come in chunks whose temporaries stay under
-BLOCK_BYTES (a chunk holds at least one item), so no kernel holds A^2.
+closed by ``searchsorted`` in the sorted CSR keys i*n + j.  Triangle
+counts and D^(3) run it only when no k = 2 wheel came first.  Extending a
+triangle by the forward neighbours of its top vertex lists each K4 once,
+which only (2,3) needs.
+
+BLOCK_BYTES caps the temporaries of each chunk of wedges, K4 candidates or
+A^2 rows (with any dense row buffer), sized by measured bytes per item; a
+chunk holds at least one item, and no kernel holds A^2.  The cap does not
+cover the O(n + E) arrays a kernel keeps, returns or builds once.
 """
 
 from __future__ import annotations
@@ -21,16 +27,36 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import CountOverflowError, InvariantError
 
-BLOCK_BYTES = 1 << 25  # temporaries one chunk of a kernel may hold
-_ITEM_BYTES = 64  # temporaries per wedge, K4 candidate or A^2 entry
+BLOCK_BYTES = 1 << 25  # bytes of temporaries one chunk of a kernel may hold
+# bytes of temporaries per item, measured with tracemalloc
+_WEDGE_BYTES = 96  # a wedge being closed, or a triangle being extended
+_K4_BYTES = 112  # a K4 candidate
+_A2_BYTES = 32  # an entry of A^2 in ``a2_sums``
+_INT64_LIMIT = 2**62  # headroom below 2^63 for one more addition
 
 
-def _chunks(weights: np.ndarray):
-    """Consecutive (lo, hi) item ranges, each of total weight at most
-    BLOCK_BYTES / _ITEM_BYTES unless a single item is heavier."""
-    cap = max(1, BLOCK_BYTES // _ITEM_BYTES)
+def _k2_dtype(d: np.ndarray, d2: np.ndarray):
+    """Integer type for the k = 2 closed forms, from max degree D and max D^(2) M.
+
+    Their row sums ((A^2)_ik^3, t_v^3, dc_p^2, ...) are at most 16 (M + D) D^2:
+    past 2^62, CountOverflowError.  C(m, 3) and e_conf (m - 2) are at most M^3
+    and 2 M^2 D: past 2^62 the per-hub combination uses Python ints.
+    """
+    dmax = int(d.max()) if d.size else 0
+    mmax = int(d2.max()) if d2.size else 0
+    if 16 * (mmax + dmax) * dmax**2 >= _INT64_LIMIT:
+        raise CountOverflowError(
+            f"k = 2 wheel sums could pass 2^62 (max degree {dmax}, max D2 {mmax})"
+        )
+    return object if max(mmax**3, 2 * mmax**2 * dmax) >= _INT64_LIMIT else np.int64
+
+
+def _chunks(weights: np.ndarray, cap: int | None = None):
+    """Consecutive (lo, hi) item ranges, each of total weight (bytes) at most
+    cap, BLOCK_BYTES by default, unless a single item is heavier."""
+    cap = max(1, BLOCK_BYTES if cap is None else cap)
     ends = np.cumsum(weights)
     lo = 0
     while lo < ends.size:
@@ -52,8 +78,9 @@ def row_sums(indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(item repeated counts[item] times, 0..counts[item]-1 within each)."""
     item = np.repeat(np.arange(counts.size), counts)
-    start = np.cumsum(counts) - counts
-    return item, np.arange(item.size) - start[item]
+    off = np.arange(item.size)
+    off -= (np.cumsum(counts) - counts)[item]
+    return item, off
 
 
 class GraphStats:
@@ -79,9 +106,12 @@ class GraphStats:
 
     def _find(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """CSR position of each entry (i, j), or -1 where i and j are not adjacent."""
-        q = i * self.n + j
-        pos = np.minimum(np.searchsorted(self._keys, q), self._keys.size - 1)
-        return np.where(self._keys[pos] == q, pos, -1)
+        q = i * self.n
+        q += j
+        pos = np.searchsorted(self._keys, q)
+        np.minimum(pos, self._keys.size - 1, out=pos)
+        pos[self._keys[pos] != q] = -1
+        return pos
 
     @cached_property
     def _forward(self) -> tuple[np.ndarray, np.ndarray]:
@@ -90,32 +120,46 @@ class GraphStats:
         rank[np.lexsort((np.arange(self.n), self.d))] = np.arange(self.n)
         return rank, np.flatnonzero(rank[self.src] < rank[self.indices])
 
-    def _triangles(self):
-        """Yield, one chunk of wedges at a time, the CSR positions (uv, uw, vw)
-        of the edges of triangles {u, v, w}, u the lowest-ranked vertex."""
+    def _triangles(self, cap: int):
+        """Yield, one chunk of at most cap bytes of wedges at a time, the CSR
+        positions (uv, uw, vw) of the edges of triangles {u, v, w}, u the
+        lowest-ranked vertex."""
         _, fwd = self._forward
         fsrc = self.src[fwd]
         later = np.searchsorted(fsrc, fsrc, side="right") - np.arange(fwd.size) - 1
-        for lo, hi in _chunks(later):
-            item, off = _expand(later[lo:hi])
-            uv = fwd[lo + item]
-            uw = fwd[lo + item + 1 + off]
-            vw = self._find(self.indices[uv], self.indices[uw])
-            hit = vw >= 0
-            yield uv[hit], uw[hit], vw[hit]
+        for lo, hi in _chunks(later * _WEDGE_BYTES, cap):
+            yield self._close(fwd, lo, later[lo:hi])
+
+    def _close(self, fwd: np.ndarray, lo: int, later: np.ndarray):
+        """Pair forward entry lo + r with each of the later[r] forward entries
+        after it in its row; return (uv, uw, vw) of the pairs that close."""
+        # in place where possible: a wedge's temporaries are _WEDGE_BYTES
+        item, off = _expand(later)
+        item += lo
+        uv = fwd[item]
+        off += item
+        off += 1
+        uw = fwd[off]
+        del item, off
+        vw = self._find(self.indices[uv], self.indices[uw])
+        hit = vw >= 0
+        return uv[hit], uw[hit], vw[hit]
 
     @cached_property
     def edge_triangles(self) -> np.ndarray:
-        """B: triangles through each CSR entry's edge, (A^2)_ij for i ~ j."""
+        """B: triangles through each CSR entry's edge, (A^2)_ij for i ~ j.
+
+        Listed here unless ``a2_sums`` has cached it first."""
         # each triangle marks one direction of each of its edges; add the other
         half = np.zeros(self.indices.size, dtype=np.int64)
-        for tri in self._triangles():
+        for tri in self._triangles(BLOCK_BYTES):
             for e in tri:
                 np.add.at(half, e, 1)
         other = np.empty_like(half)
         # sorting entries by column lists their reverses in CSR order
         other[np.argsort(self.indices, kind="stable")] = half
-        return half + other
+        half += other
+        return half
 
     @cached_property
     def triangles(self) -> np.ndarray:
@@ -132,7 +176,8 @@ class GraphStats:
         fptr = np.searchsorted(self.src[fwd], np.arange(self.n + 1))
         opposite = np.zeros(self.n, dtype=np.int64)
         k4 = np.zeros(self.n, dtype=np.int64)
-        for uv, uw, vw in self._triangles():
+        half = BLOCK_BYTES // 2  # one for a chunk's triangles, one for their K4 candidates
+        for uv, uw, vw in self._triangles(half):
             u, v, w = self.src[uv], self.indices[uv], self.indices[uw]
             for x, e in ((u, vw), (v, uw), (w, uv)):
                 np.add.at(opposite, x, 2 * b[e])
@@ -140,7 +185,7 @@ class GraphStats:
             top_w = rank[w] > rank[v]
             top, mid = np.where(top_w, w, v), np.where(top_w, v, w)
             cand = fptr[top + 1] - fptr[top]
-            for lo, hi in _chunks(cand):
+            for lo, hi in _chunks(cand * _K4_BYTES, half):
                 item, off = _expand(cand[lo:hi])
                 item += lo
                 x = self.indices[fwd[fptr[top[item]] + off]]
@@ -149,8 +194,45 @@ class GraphStats:
                     np.add.at(k4, y[hit], 1)
         return opposite, k4
 
-    def a2_blocks(self):
-        """Yield (r0, r1, A[r0:r1] @ A) over consecutive row blocks of A^2."""
+    def a2_blocks(self, entry_bytes: int, row_bytes: int = 0):
+        """Yield (r0, r1, A[r0:r1] @ A) over consecutive row blocks of A^2,
+        sized for entry_bytes per entry plus row_bytes per row."""
         a = self.adjacency
-        for lo, hi in _chunks(self.d2 + self.d):  # 2-walks bound each row's entries
+        # 2-walks, at most n, bound each row's entries
+        for lo, hi in _chunks(np.minimum(self.d2 + self.d, self.n) * entry_bytes + row_bytes):
             yield lo, hi, a[lo:hi] @ a
+
+    @cached_property
+    def a2_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s2, s3): per vertex i, the sums over k != i of (A^2)_ik^2 and (A^2)_ik^3.
+
+        One pass over the row blocks of A^2, after the k = 2 int64 guard.
+        If B is not cached yet, the pass reads it as well and caches it as
+        ``edge_triangles``: through a dense buffer of each block's rows when
+        the 2-walk bound fills at least half of A^2, else through the
+        block's elementwise product with A.
+        """
+        _k2_dtype(self.d, self.d2)  # raises before the first block if a sum could wrap
+        n, d = self.n, self.d
+        s2, s3 = -d * d, -(d**3)  # drop k = i, where (A^2)_ii = d_i
+        b = None if "edge_triangles" in self.__dict__ else np.zeros(self.indices.size, np.int64)
+        # a buffered row costs n cells; the product costs about two cells per entry
+        dense = b is not None and 2 * int(np.minimum(self.d2 + d, n).sum()) >= n * n
+        for lo, hi, p in self.a2_blocks(_A2_BYTES, 8 * n if dense else 0):
+            power = p.data * p.data
+            s2[lo:hi] += row_sums(p.indptr, power)
+            power *= p.data
+            s3[lo:hi] += row_sums(p.indptr, power)
+            del power
+            if b is None:
+                continue
+            e0, e1 = self.indptr[lo], self.indptr[hi]
+            if dense:
+                b[e0:e1] = p.toarray()[self.src[e0:e1] - lo, self.indices[e0:e1]]
+            else:
+                on_edges = p.multiply(self.adjacency[lo:hi])  # B where it is positive
+                rows = np.repeat(np.arange(lo, hi), np.diff(on_edges.indptr))
+                b[self._find(rows, on_edges.indices)] = on_edges.data
+        if b is not None:
+            self.__dict__["edge_triangles"] = b
+        return s2, s3

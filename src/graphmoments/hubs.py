@@ -14,9 +14,11 @@ Fast paths:
                          conflict graph of 2-paths, with no Python loops
 Everything else runs an exact per-hub enumeration with a work budget.
 
-The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``) and take
-sums over A^2 in row blocks, never holding the full A^2.  Closed-form
-columns are memoised per graph.
+The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``): the sums
+of (A^2)_ik^2 and (A^2)_ik^3 come from its one memoised pass over the row
+blocks of A^2, which also yields B unless a triangle count listed it first.
+(2,3) adds one blocked product (A∘X)·A and the K4 listing.  No kernel holds
+the full A^2.  Closed-form columns are memoised per graph.
 """
 
 from __future__ import annotations
@@ -28,29 +30,13 @@ from scipy import sparse
 
 from .counting import triangles_per_vertex
 from .degrees import falling_factorial_column, m_degrees
-from .errors import BudgetExceededError, CountOverflowError, InvariantError
+from .errors import BudgetExceededError, InvariantError
 from .graph import Graph
-from .graphstats import row_sums
+from .graphstats import _k2_dtype, row_sums
 from .patterns import WheelSpec, hub_multiplicity, wheel_rooted_count
 
 DEFAULT_BUDGET = 1_000_000
-_INT64_LIMIT = 2**62  # headroom below 2^63 for one more addition
-
-
-def _k2_dtype(d: np.ndarray, d2: np.ndarray):
-    """Integer type for the k = 2 closed forms, from max degree D and max D^(2) M.
-
-    Their row sums ((A^2)_ik^3, t_v^3, dc_p^2, ...) are at most 16 (M + D) D^2:
-    past 2^62, CountOverflowError.  C(m, 3) and e_conf (m - 2) are at most M^3
-    and 2 M^2 D: past 2^62 the per-hub combination uses Python ints.
-    """
-    dmax = int(d.max()) if d.size else 0
-    mmax = int(d2.max()) if d2.size else 0
-    if 16 * (mmax + dmax) * dmax**2 >= _INT64_LIMIT:
-        raise CountOverflowError(
-            f"k = 2 wheel sums could pass 2^62 (max degree {dmax}, max D2 {mmax})"
-        )
-    return object if max(mmax**3, 2 * mmax**2 * dmax) >= _INT64_LIMIT else np.int64
+_PQ_BYTES = 80  # temporaries per A^2 entry in the (2,3) block loop, measured with tracemalloc
 
 
 def _hub_counts_k2_l2(g: Graph) -> np.ndarray:
@@ -61,15 +47,13 @@ def _hub_counts_k2_l2(g: Graph) -> np.ndarray:
     pairs, a pair sharing both vertices (a path and its reversal, one per
     edge inside the hub's neighborhood) having been double-counted once.
     t_v splits into mid(v) = [v ~ i](d_v - 1) and end(v) = (A^2)_iv, so
-    sum_v t_v^2 needs only B and the row sums of (A^2)^2, taken in blocks.
+    sum_v t_v^2 needs only B and the row sums of (A^2)^2, both from the
+    statistics layer's pass over A^2.
     """
     st = g.stats
     d, m = st.d, st.d2
-    _k2_dtype(d, m)  # raises where a row sum could wrap; C(m, 2) picks its own dtype
+    s2, _ = st.a2_sums  # guarded against wrapping; C(m, 2) picks its own dtype
     mid = d[g.indices] - 1
-    s2 = -d * d  # drop v = i, where (A^2)_ii = d_i
-    for r0, r1, p in st.a2_blocks():
-        s2[r0:r1] += row_sums(p.indptr, p.data**2)
     sum_t2 = row_sums(g.indptr, mid * mid + 2 * mid * st.edge_triangles) + s2
     conflicts = (sum_t2 - 2 * m) // 2 - triangles_per_vertex(g)
     return falling_factorial_column(m, 2) // 2 - conflicts
@@ -84,7 +68,8 @@ def _hub_counts_k2_l3(g: Graph) -> np.ndarray:
 
     * usage t_v = mid(v) + end(v) as in (2,2); E = sum_v C(t_v, 2) minus
       the reversal pairs, and the conflict triangles through one shared
-      vertex are sum_v C(t_v, 3), from B and the row sums of (A^2)^2, (A^2)^3;
+      vertex are sum_v C(t_v, 3), from B and the pass's row sums of
+      (A^2)^2 and (A^2)^3;
     * a path p = (i, j, k) has dc_p = X_ij + Y_ik with X_ij = d_j - 2 + B_ij
       and Y_ik = (A^2)_ik - 1 + [i ~ k](d_k - 2); the cross sum
       sum_p X_ij Y_ik = sum_{k != i} Y_ik Q_ik with Q = (A ∘ X) A, both in
@@ -97,21 +82,18 @@ def _hub_counts_k2_l3(g: Graph) -> np.ndarray:
     st = g.stats
     a, d, m = st.adjacency, st.d, st.d2
     dtype = _k2_dtype(d, m)
+    s2, s3 = st.a2_sums
     t = triangles_per_vertex(g)
     b = st.edge_triangles
     dk = d[g.indices]
     x = dk - 2 + b
     ax = sparse.csr_matrix((x, g.indices, g.indptr), shape=a.shape)
     ad = sparse.csr_matrix((dk - 2, g.indices, g.indptr), shape=a.shape)
-    s2, s3, pq, qe = (np.zeros(g.n, dtype=np.int64) for _ in range(4))
-    for r0, r1, p in st.a2_blocks():
+    pq, qe = np.zeros(g.n, dtype=np.int64), np.zeros(g.n, dtype=np.int64)
+    for r0, r1, p in st.a2_blocks(_PQ_BYTES):
         q = ax[r0:r1] @ a
-        s2[r0:r1] = row_sums(p.indptr, p.data**2)
-        s3[r0:r1] = row_sums(p.indptr, p.data**3)
         pq[r0:r1] = p.multiply(q).sum(axis=1).A1
         qe[r0:r1] = q.multiply(ad[r0:r1]).sum(axis=1).A1
-    s2 -= d**2  # drop k = i, where (A^2)_ii = d_i
-    s3 -= d**3
     q_ii = row_sums(g.indptr, x)
     cross = pq - d * q_ii - (row_sums(g.indptr, x * dk) - q_ii) + qe
 

@@ -1,5 +1,7 @@
 """The per-graph statistics layer and the k = 2 wheel kernels built on it."""
 
+import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -80,8 +82,15 @@ def _fresh(g: Graph) -> Graph:
     return Graph(n=g.n, indptr=g.indptr.copy(), indices=g.indices.copy())
 
 
-def _outputs(g: Graph) -> list:
+def _outputs(g: Graph, first: str) -> list:
+    """B, triangles, the (2,2) and (2,3) columns and D^(3), asking for (2,2)
+    first (B from the A^2 pass) or the triangle count first (B from the listing)."""
+    if first == "k22":
+        wheel_counts_per_hub(g, K22)
+    else:
+        triangle_count(g)
     return [
+        g.stats.edge_triangles.tolist(),
         triangles_per_vertex(g).tolist(),
         wheel_counts_per_hub(g, K22).tolist(),
         wheel_counts_per_hub(g, K23).tolist(),
@@ -89,19 +98,125 @@ def _outputs(g: Graph) -> list:
     ]
 
 
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.sampled_from([None, 1]))
+def test_b_from_the_a2_pass_matches_the_listing(g, block_bytes):
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes is not None:
+            mp.setattr(graphstats, "BLOCK_BYTES", block_bytes)
+        assert _outputs(_fresh(g), "k22") == _outputs(_fresh(g), "triangles")
+
+
 def test_one_row_blocks_match_a_single_block(monkeypatch):
     rng = np.random.default_rng(3)
+    # the first two read B through the dense row buffer, the last through A's product
     for n, p in ((60, 0.15), (40, 0.5), (80, 0.05)):
         a = np.triu(rng.random((n, n)) < p, 1)
         g = Graph.from_edges(np.argwhere(a), n)
         monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 40)
         single = _fresh(g)
-        assert len(list(single.stats.a2_blocks())) == 1
-        want = _outputs(single)
+        assert len(list(single.stats.a2_blocks(1))) == 1
+        want = _outputs(single, "k22")
+        assert _outputs(_fresh(g), "triangles") == want
         monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1)
         rows = _fresh(g)
-        assert [r1 - r0 for r0, r1, _ in rows.stats.a2_blocks()] == [1] * n
-        assert _outputs(rows) == want
+        assert [r1 - r0 for r0, r1, _ in rows.stats.a2_blocks(1)] == [1] * n
+        for first in ("k22", "triangles"):
+            assert _outputs(_fresh(g), first) == want
+
+
+def test_k22_first_forms_each_a2_block_once_and_lists_no_triangles(monkeypatch):
+    calls = Counter()
+    blocks = []
+    a2_blocks, listing = graphstats.GraphStats.a2_blocks, graphstats.GraphStats._triangles
+
+    def counting_blocks(self, *args):
+        for r0, r1, p in a2_blocks(self, *args):
+            blocks.append((r0, r1))
+            yield r0, r1, p
+
+    def counting_listing(self, *args):
+        calls["_triangles"] += 1
+        return listing(self, *args)
+
+    monkeypatch.setattr(graphstats.GraphStats, "a2_blocks", counting_blocks)
+    monkeypatch.setattr(graphstats.GraphStats, "_triangles", counting_listing)
+    monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 18)
+    rng = np.random.default_rng(12)
+    for n, p in ((300, 0.3), (2000, 0.003)):  # dense row buffer, product with A
+        g = Graph.from_edges(np.argwhere(np.triu(rng.random((n, n)) < p, 1)), n)
+        blocks.clear()
+        wheel_counts_per_hub(g, K22)
+        triangle_count(g)
+        m_degrees(g, 3)
+        assert calls["_triangles"] == 0
+        assert len(blocks) > 1
+        assert [r0 for r0, _ in blocks] == [0] + [r1 for _, r1 in blocks[:-1]]
+        assert blocks[-1][1] == n
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced bytes allocated during fn() above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _warm(g: Graph) -> Graph:
+    """A fresh copy with the O(n + E) arrays every kernel shares already built."""
+    h = _fresh(g)
+    h.stats.d2, h.stats._keys, h.stats._forward
+    return h
+
+
+@pytest.mark.parametrize(
+    "block_bytes, shapes",
+    [
+        # G(1500, 0.06) reads B through the dense row buffer, G(20000, 0.0005) through A's product
+        (graphstats.BLOCK_BYTES, [(1500, 0.06), (20000, 0.0005)]),
+        (1 << 20, [(400, 0.25), (100, 1.0), (3000, 0.002)]),
+    ],
+)
+def test_kernels_keep_their_temporaries_under_block_bytes(monkeypatch, block_bytes, shapes):
+    monkeypatch.setattr(graphstats, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(21)
+    for n, p in shapes:
+        a = np.triu(rng.random((n, n)) < p, 1)
+        g = Graph.from_edges(np.argwhere(a), n)
+        linear = 8 * (g.n + g.indices.size)  # one int64 array per vertex and per CSR entry
+
+        listed = _warm(g)
+        peaks = {"listing": (_traced_peak(lambda: listed.stats.edge_triangles), 4)}
+        peaks["K4"] = (_traced_peak(listed.stats.clique_terms), 4)
+        passed = _warm(g)
+        peaks["pass"] = (_traced_peak(lambda: passed.stats.a2_sums), 4)
+        passed.stats.triangles
+        # (2,3) also builds X, A∘X, A∘(d - 2) and its per-entry sums
+        peaks["(2,3)"] = (_traced_peak(lambda: wheel_counts_per_hub(passed, K23)), 10)
+        for kernel, (peak, outputs) in peaks.items():
+            assert peak - outputs * linear <= block_bytes, (n, p, kernel, peak)
+
+
+def test_k2_guard_raises_before_any_a2_block(monkeypatch):
+    def no_blocks(self, *args):
+        raise AssertionError("an A^2 row block was formed")
+
+    monkeypatch.setattr(graphstats.GraphStats, "a2_blocks", no_blocks)
+    leaves = 2**19 + 1
+    star = Graph.from_edges(np.column_stack([np.zeros(leaves, np.int64), np.arange(1, leaves + 1)]),
+                            leaves + 1)
+    for spec in (K22, K23):
+        t0 = time.perf_counter()
+        with pytest.raises(CountOverflowError):
+            wheel_counts_per_hub(star, spec)
+        assert time.perf_counter() - t0 < 1.0
+    # one leaf fewer sits just under the bound, where A^2 has 2.7e11 entries
+    d = np.r_[2**19, np.ones(2**19, np.int64)]
+    assert hubs._k2_dtype(d, np.r_[0, np.full(2**19, 2**19 - 1)]) is np.int64
 
 
 def test_k2_int64_guard_decision():
