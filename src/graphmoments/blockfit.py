@@ -14,6 +14,13 @@ Recovery proceeds in stages:
      vector onto the model manifold, initialized at the direct estimate.
 
 Outputs are in canonical block order (ascending v^(1), ``models.canonical_order``).
+
+The thresholds belong to the method, not to a run, so they are module
+constants: _HANKEL_COND_MAX and _VANDER_COND_MAX bound the condition numbers
+of stage 1's linear systems and _WEIGHT_FLOOR the recovered weights, _TIE_EPS
+is the weight mismatch within which stage 2 treats two block assignments as
+tied, _IDENTIFIABILITY_COND_MAX bounds the iterate matrix of stage 3, and
+_NLS_MAX_NFEV and _NLS_TOL stop each least-squares run of stage 4.
 """
 
 from __future__ import annotations
@@ -44,6 +51,14 @@ from .theory import block_iterates, wheel_tau
 
 SCHEMA_VERSION = "1"
 
+_HANKEL_COND_MAX = 1e12
+_VANDER_COND_MAX = 1e10
+_WEIGHT_FLOOR = 1e-8
+_TIE_EPS = 1e-3
+_IDENTIFIABILITY_COND_MAX = 1e10
+_NLS_MAX_NFEV = 400
+_NLS_TOL = 1e-14  # xtol, ftol and gtol: runs stop at _NLS_MAX_NFEV or at machine precision
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -54,24 +69,19 @@ class FitConfig:
     the k=1 row feeds the first-stage moment problem).
 
     weights, when given, maps keys (WheelSpec, (k,l) tuple, or name) to
-    residual weights w_kl, e.g. 1/sigma^2 from the bootstrap.
+    residual weights w_kl, e.g. 1/sigma^2 from the bootstrap.  budget is
+    the enumeration budget of the exact counts; None means no budget.  The
+    stage and solver thresholds are module constants (see the module
+    docstring), not fields.
     """
 
     K: int
     estimator: str = "qcheck"
     weights: dict | None = None
     stage_weight_tol: float = 1e-2
-    hankel_cond_max: float = 1e12
-    vander_cond_max: float = 1e10
-    identifiability_cond_max: float = 1e10
-    weight_floor: float = 1e-8
     multistart: int = 4
-    max_iter: int = 400
-    xtol: float = 1e-14
-    ftol: float = 1e-14
-    gtol: float = 1e-14
     seed: int = 0
-    budget: int | None = None
+    budget: int | None = DEFAULT_BUDGET
     on_stage_error: str = "raise"
 
     def __post_init__(self):
@@ -148,14 +158,7 @@ def power_moments(atoms, weights, count: int) -> np.ndarray:
     return np.array([float(w @ a**l) for l in range(1, count + 1)])
 
 
-def atoms_from_moments(
-    moments,
-    K: int,
-    *,
-    hankel_cond_max: float = 1e12,
-    vander_cond_max: float = 1e10,
-    weight_floor: float = 1e-8,
-) -> tuple[np.ndarray, np.ndarray, dict]:
+def atoms_from_moments(moments, K: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Solve the K-atom moment problem given m_1..m_{2K-1} (m_0 = 1).
 
     Returns (atoms ascending, weights, diagnostics).  The Hankel system
@@ -176,9 +179,9 @@ def atoms_from_moments(
     h = mm[np.add.outer(np.arange(K), np.arange(K))]  # Hankel: h[i, j] = m_{i+j}
     cond = float(np.linalg.cond(h))
     diag["hankel_cond"] = cond
-    if not np.isfinite(cond) or cond > hankel_cond_max:
+    if not np.isfinite(cond) or cond > _HANKEL_COND_MAX:
         raise HankelIllPosedError(
-            f"Hankel condition number {cond:.3g} exceeds {hankel_cond_max:.3g} "
+            f"Hankel condition number {cond:.3g} exceeds {_HANKEL_COND_MAX:.3g} "
             "(near-coincident atoms or fewer than K distinct values)"
         )
     coeffs = np.linalg.solve(h, -mm[K : 2 * K])
@@ -197,24 +200,20 @@ def atoms_from_moments(
     vander = np.vander(atoms, N=K, increasing=True).T  # row l = atoms**l
     vcond = float(np.linalg.cond(vander))
     diag["vander_cond"] = vcond
-    if not np.isfinite(vcond) or vcond > vander_cond_max:
+    if not np.isfinite(vcond) or vcond > _VANDER_COND_MAX:
         raise AtomSeparationError(
-            f"Vandermonde condition number {vcond:.3g} exceeds {vander_cond_max:.3g}"
+            f"Vandermonde condition number {vcond:.3g} exceeds {_VANDER_COND_MAX:.3g}"
         )
     weights = np.linalg.solve(vander, mm[:K])
-    if np.any(weights < weight_floor) or np.any(weights > 1.0):
-        weights = np.clip(weights, weight_floor, 1.0)
+    if np.any(weights < _WEIGHT_FLOOR) or np.any(weights > 1.0):
+        weights = np.clip(weights, _WEIGHT_FLOOR, 1.0)
         weights = weights / weights.sum()
         diag["weights_clipped"] = True
     return atoms, weights, diag
 
 
 def align_stages(
-    stages,
-    pi=None,
-    *,
-    weight_tol: float = 1e-2,
-    tie_eps: float = 1e-3,
+    stages, pi=None, *, weight_tol: float = FitConfig.stage_weight_tol
 ) -> tuple[np.ndarray, dict]:
     """Assign per-stage atoms to blocks.
 
@@ -252,7 +251,7 @@ def align_stages(
             mismatch = float(np.max(np.abs(w[list(perm)] - pi)))
             scored.append((mismatch, perm))
         best_mismatch = min(s for s, _ in scored)
-        candidates = [perm for s, perm in scored if s <= best_mismatch + tie_eps]
+        candidates = [perm for s, perm in scored if s <= best_mismatch + _TIE_EPS]
         if len(candidates) > 1:
             diag["ambiguous_stages"].append(j)
 
@@ -279,7 +278,7 @@ def align_stages(
     return iterates, diag
 
 
-def recover_S(pi, iterates, *, cond_max: float = 1e10) -> tuple[np.ndarray, dict]:
+def recover_S(pi, iterates) -> tuple[np.ndarray, dict]:
     """S from aligned iterates: M = V2 V1^{-1}, S = M diag(pi)^{-1}, symmetrized.
 
     V1 = [1, v^(1), .., v^(K-1)], V2 = [v^(1), .., v^(K)]; a near-singular
@@ -296,9 +295,9 @@ def recover_S(pi, iterates, *, cond_max: float = 1e10) -> tuple[np.ndarray, dict
     v1 = np.column_stack([np.ones(K), iterates[:, : K - 1]])
     v2 = iterates[:, :K]
     cond = float(np.linalg.cond(v1))
-    if not np.isfinite(cond) or cond > cond_max:
+    if not np.isfinite(cond) or cond > _IDENTIFIABILITY_COND_MAX:
         raise IdentifiabilityError(
-            f"iterate matrix condition number {cond:.3g} exceeds {cond_max:.3g}; "
+            f"iterate matrix condition number {cond:.3g} exceeds {_IDENTIFIABILITY_COND_MAX:.3g}; "
             "the constant vector is (numerically) an eigenvector of the kernel, "
             "so the moment sequence cannot separate the blocks"
         )
@@ -371,7 +370,9 @@ def nls_refine(
     constraint set via an unconstrained reparameterization and a
     trust-region least-squares solver, taking the best of cfg.multistart
     runs started at `init` and jittered copies of it.  Never returns a
-    residual above the initialization's.
+    residual above the initialization's; converged is whether the solver
+    run that produced the returned point stopped on a tolerance rather than
+    on the evaluation cap.
     """
     taus = {WheelSpec.coerce(k): float(v) for k, v in tau_hat.items()}
     keys = sorted(taus, key=lambda s: (s.ks, s.ls))
@@ -428,23 +429,25 @@ def nls_refine(
     # imported here so that commands which never fit skip scipy.optimize at start-up
     from scipy.optimize import least_squares
 
-    best_x, best_val, best_status = x0, residual_init, -1
-    for x_start in starts:
-        sol = least_squares(
+    sols = [
+        least_squares(
             resid,
             x_start,
             method="trf",
-            xtol=cfg.xtol,
-            ftol=cfg.ftol,
-            gtol=cfg.gtol,
-            max_nfev=cfg.max_iter,
+            xtol=_NLS_TOL,
+            ftol=_NLS_TOL,
+            gtol=_NLS_TOL,
+            max_nfev=_NLS_MAX_NFEV,
         )
+        for x_start in starts
+    ]
+    # x0 stays the best point, with its own run's status, unless a start improves on it
+    best_x, best_val, best_status = x0, residual_init, sols[0].status
+    for sol in sols:
         val = sq(sol.x)
         if val < best_val:
             best_x, best_val, best_status = sol.x, val, sol.status
-    converged = best_status > 0 or best_val <= residual_init
-    if best_status == 0:
-        converged = False
+    converged = best_status > 0
 
     pi_hat, s_hat = par.unpack(best_x)
     order = canonical_order(pi_hat, s_hat)
@@ -496,10 +499,9 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
         return nls_refine(one, init, cfg, rho=rho, extra_diagnostics={"approximation": None})
 
     keys = cfg.keys()
-    budget = DEFAULT_BUDGET if cfg.budget is None else cfg.budget
     diagnostics: dict = {"approximation": None}
     try:
-        taus = wheel_moment_estimates(g, keys, estimator=cfg.estimator, budget=budget)
+        taus = wheel_moment_estimates(g, keys, estimator=cfg.estimator, budget=cfg.budget)
     except BudgetExceededError:
         profile = m_degrees(g, cfg.K)
         taus = {k: degree_moment_approx(profile, k) for k in keys}
@@ -511,22 +513,14 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
         stages = []
         for k in range(1, cfg.K + 1):
             mom = [taus[WheelSpec.simple(k, l)] for l in range(1, 2 * cfg.K)]
-            atoms, wts, sdiag = atoms_from_moments(
-                mom,
-                cfg.K,
-                hankel_cond_max=cfg.hankel_cond_max,
-                vander_cond_max=cfg.vander_cond_max,
-                weight_floor=cfg.weight_floor,
-            )
+            atoms, wts, sdiag = atoms_from_moments(mom, cfg.K)
             stages.append((atoms, wts))
             stage_diags.append(sdiag)
         pi0 = stages[0][1]
         atoms_matrix, align_diag = align_stages(
             stages, pi0, weight_tol=cfg.stage_weight_tol
         )
-        s0, rec_diag = recover_S(
-            pi0, atoms_matrix, cond_max=cfg.identifiability_cond_max
-        )
+        s0, rec_diag = recover_S(pi0, atoms_matrix)
         scale = float(pi0 @ s0 @ pi0)
         if scale <= 0:
             raise IdentifiabilityError(f"direct estimate has normalization {scale:.3g}")

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -143,6 +143,11 @@ def _emit_sidecar(manifest: RunManifest, out: str) -> None:
 # subcommands
 
 
+def _budget(args) -> int | None:
+    """The enumeration budget of a counting command: --budget, else DEFAULT_BUDGET."""
+    return DEFAULT_BUDGET if args.budget is None else args.budget
+
+
 def _load(loader, path: str, what: str):
     try:
         return loader(path)
@@ -218,14 +223,14 @@ def cmd_moments(args) -> int:
         table = _approx_table(g, items)
     else:
         mode = "both" if args.estimator == "pcheck" else "noninduced"
-        table = moment_table(g, items, mode=mode, budget=args.budget)
+        table = moment_table(g, items, mode=mode, budget=_budget(args))
     manifest.wall_clock_s = time.monotonic() - t0
     _emit_json(table.to_json(), manifest, args.out)
     return 0
 
 
-def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int, budget) -> dict:
-    cache = HubCountCache.build(g, cfg.keys(), budget)
+def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int) -> dict:
+    cache = HubCountCache.build(g, cfg.keys(), cfg.budget)
     weights = {}
     for i, key in enumerate(cfg.keys()):
         res = bootstrap_variance(g, cache, key, seed=seed + i)
@@ -236,19 +241,18 @@ def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int, budget) -> dict:
 def cmd_fit(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
     manifest = _manifest("fit", args, [args.graph], [args.out] if args.out else [])
-    budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     cfg = FitConfig(
         K=args.K,
         estimator=args.estimator,
         stage_weight_tol=args.stage_tol,
         multistart=args.multistart,
         seed=args.seed,
-        budget=budget,
+        budget=_budget(args),
         on_stage_error=args.on_stage_error,
     )
     t0 = time.monotonic()
     if args.weights == "bootstrap":
-        weights = _bootstrap_weights(g, cfg, args.seed, budget)
+        weights = _bootstrap_weights(g, cfg, args.seed)
         cfg = replace(cfg, weights=weights)
     result = fit_block_model(g, cfg)
     manifest.wall_clock_s = time.monotonic() - t0
@@ -278,8 +282,10 @@ def cmd_degrees(args) -> int:
     outputs = [p for p in (args.out, args.summary) if p]
     manifest = _manifest("degrees", args, [args.graph], outputs)
     t0 = time.monotonic()
-    budget = args.budget if args.budget is not None else 50_000_000
-    profile = m_degrees(g, args.m, budget=budget)
+    if args.budget is None:
+        profile = m_degrees(g, args.m)
+    else:
+        profile = m_degrees(g, args.m, budget=args.budget)
     manifest.wall_clock_s = time.monotonic() - t0
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -325,8 +331,7 @@ def cmd_bootstrap(args) -> int:
     key = _parse_key(args.key)
     manifest = _manifest("bootstrap", args, [args.graph], [args.out] if args.out else [])
     t0 = time.monotonic()
-    budget = args.budget if args.budget is not None else DEFAULT_BUDGET
-    cache = HubCountCache.build(g, [key], budget)
+    cache = HubCountCache.build(g, [key], _budget(args))
     result = bootstrap_variance(
         g,
         cache,
@@ -433,16 +438,10 @@ def _sweep_cell(task: dict) -> dict:
     return record
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GRAPHMOMENTS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InputError(f"bad GRAPHMOMENTS_THREADS value {env!r}") from exc
-    return os.cpu_count() or 1
+# the FitConfig fields a sweep's "fit" section may set; the sweep sets the others itself
+_SWEEP_FIT_KEYS = tuple(
+    f.name for f in fields(FitConfig) if f.name not in ("K", "estimator", "budget")
+)
 
 
 def cmd_sweep(args) -> int:
@@ -461,6 +460,12 @@ def cmd_sweep(args) -> int:
     estimator = config.get("estimator", "qcheck")
     budget = args.budget if args.budget is not None else config.get("budget", DEFAULT_BUDGET)
     fit_options = config.get("fit", {})
+    unknown = sorted(set(fit_options) - set(_SWEEP_FIT_KEYS))
+    if unknown:
+        raise InputError(
+            f"sweep config 'fit' has unknown keys {unknown}; "
+            f"accepted keys: {', '.join(_SWEEP_FIT_KEYS)}"
+        )
     rule = config.get("lambda")
 
     models = []
@@ -506,7 +511,7 @@ def cmd_sweep(args) -> int:
                               "n": int(n), "lambda": lam, "rho": rho, "rep": rep, "seed": seed})
 
     t0 = time.monotonic()
-    threads = _resolve_threads(args)
+    threads = max(1, args.threads)
     if threads > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(_sweep_cell, tasks, chunksize=1))
@@ -578,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common], help="fit a K-block model")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--K", type=int, required=True, help="block count")
-    p.add_argument("--estimator", choices=("qcheck", "pcheck"), default="qcheck")
+    p.add_argument("--estimator", choices=("qcheck", "pcheck"), default=FitConfig.estimator)
     p.add_argument(
         "--weights",
         choices=("bootstrap",),
@@ -586,12 +591,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="bootstrap: weighted least squares with 1/sigma^2 from subsampling",
     )
     p.add_argument("--report-stages", action="store_true", help="keep stage diagnostics in output")
-    p.add_argument("--multistart", type=int, default=4)
-    p.add_argument("--stage-tol", type=float, default=1e-2, help="stage weight tolerance")
+    p.add_argument("--multistart", type=int, default=FitConfig.multistart)
+    p.add_argument(
+        "--stage-tol",
+        type=float,
+        default=FitConfig.stage_weight_tol,
+        help="stage weight tolerance",
+    )
     p.add_argument(
         "--on-stage-error",
         choices=("raise", "fallback"),
-        default="raise",
+        default=FitConfig.on_stage_error,
         help="fallback: refine from a neutral start when stage recovery fails",
     )
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
@@ -624,8 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker count (default: GRAPHMOMENTS_THREADS or CPU count)",
+        default=os.cpu_count() or 1,
+        help="worker count (default: CPU count)",
     )
     p.set_defaults(func=cmd_sweep)
 

@@ -82,30 +82,6 @@ def tau(model, key, truncate_rho: float | None = None) -> float:
     return wheel_tau(it.values, it.weights, spec)
 
 
-def tau_graphon_refined(
-    w: Graphon, key, tol: float = 1e-10, max_doublings: int = 6
-) -> tuple[float, float]:
-    """Wheel moment with grid-doubling refinement.
-
-    Doubling a piecewise-constant grid leaves the value unchanged, so the
-    reported change estimates discretization error only when the grid is a
-    sampled (not averaged) version of a smoother kernel.  Returns
-    (value, last change).
-    """
-    spec = WheelSpec.coerce(key)
-    val = tau(w, spec)
-    change = 0.0
-    grid = w.grid
-    for _ in range(max_doublings):
-        grid = np.repeat(np.repeat(grid, 2, axis=0), 2, axis=1)
-        nxt = tau(Graphon(grid=grid), spec)
-        change = abs(nxt - val)
-        val = nxt
-        if change <= tol:
-            break
-    return val, change
-
-
 def tau_triangle(model) -> float:
     """Normalized triangle moment: trace of (kernel diag(weights))^3."""
     m = model.kernel * model.weights[None, :]

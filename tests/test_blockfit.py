@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from graphmoments import (
     WheelSpec,
     align_stages,
     atoms_from_moments,
+    blockfit,
     fit_block_model,
     iterate_operator,
     nls_refine,
@@ -21,6 +25,7 @@ from graphmoments import (
     tau,
     tau_forward,
 )
+from graphmoments.hubs import DEFAULT_BUDGET
 from graphmoments.models import canonical_order
 
 REF = BlockModel(
@@ -188,14 +193,19 @@ def test_fits_and_models_share_one_canonical_order():
         assert canonical_order(res.pi, res.S).tolist() == [0, 1, 2]
 
 
-def test_nls_flags_nonconvergence_budget():
+def test_nls_flags_nonconvergence_budget(monkeypatch):
+    # one evaluation cannot improve on x0, so the fit keeps x0 and the
+    # status of x0's own run, which stopped on the evaluation cap
+    monkeypatch.setattr(blockfit, "_NLS_MAX_NFEV", 1)
     rng = np.random.default_rng(4)
     model = random_model(2, rng)
-    cfg = FitConfig(K=2, seed=0, max_iter=1, multistart=1)
+    cfg = FitConfig(K=2, seed=0, multistart=1)
     tau_hat = dict(zip(cfg.keys(), tau_forward(model.pi, model.S, cfg.keys())))
     noisy = {k: v * (1 + 0.3) for k, v in tau_hat.items()}
     res = nls_refine(noisy, (np.array([0.6, 0.4]), np.ones((2, 2))), cfg)
-    assert isinstance(res.converged, bool)
+    assert res.converged is False
+    assert res.diagnostics["nls_status"] == 0
+    assert res.residual == res.residual_init
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +290,15 @@ def test_fit_config_validation():
     keys = FitConfig(K=2).keys()
     assert len(keys) == 2 * 3
     assert WheelSpec.simple(2, 3) in keys
+
+
+def test_fit_settings_are_the_ones_callers_set():
+    # stage and solver thresholds are module constants, not settings
+    assert [f.name for f in dataclasses.fields(FitConfig)] == [
+        "K", "estimator", "weights", "stage_weight_tol", "multistart", "seed", "budget",
+        "on_stage_error",
+    ]
+    assert FitConfig(K=2).budget == DEFAULT_BUDGET
+    assert list(inspect.signature(atoms_from_moments).parameters) == ["moments", "K"]
+    assert list(inspect.signature(recover_S).parameters) == ["pi", "iterates"]
+    assert list(inspect.signature(align_stages).parameters) == ["stages", "pi", "weight_tol"]

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import graphmoments
-from graphmoments import BlockModel, load_edge_list, save_model
+from graphmoments import (
+    BlockModel,
+    FitConfig,
+    fit_block_model,
+    load_edge_list,
+    sample_block_model,
+    save_model,
+)
 from graphmoments.cli import main
 
 REF = BlockModel(
@@ -184,6 +191,50 @@ def test_budget_exceeded_exit_code(graph_path, capsys):
     )
     assert rc == 4
     assert "qcheck" in capsys.readouterr().err
+
+
+def test_moments_without_budget_stops_at_the_default_budget(graph_path, monkeypatch, capsys):
+    monkeypatch.setattr(graphmoments.cli, "DEFAULT_BUDGET", 10)
+    assert main(["moments", graph_path, "--pattern", "edges:0-1,1-2,2-3,3-0"]) == 4
+    assert "exceeded" in capsys.readouterr().err
+
+
+def test_sweep_fit_section_takes_fit_config_fields_only(tmp_path, model_path, capsys):
+    cfg = {
+        "models": [{"name": "ref", "path": model_path}],
+        "n": [200],
+        "replicates": 2,
+        "lambda": {"kind": "fixed", "value": 8.0},
+        "metrics": ["fit:K=2"],
+        "fit": {"on_stage_error": "fallback", "multistart": 2},
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out1 = tmp_path / "s1.jsonl"
+    out2 = tmp_path / "s2.jsonl"
+    assert main(["sweep", str(cfg_path), "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["sweep", str(cfg_path), "--out", str(out2), "--threads", "2"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    # each record is the library fit of its cell's graph under the section's settings
+    fit_cfg = FitConfig(K=2, on_stage_error="fallback", multistart=2)
+    for rec in map(json.loads, out1.read_text().splitlines()):
+        assert rec["error"] is None
+        g = sample_block_model(REF.with_rho(rec["rho"]), rec["n"], rec["seed"]).graph
+        res = fit_block_model(g, fit_cfg)
+        assert rec["metrics"]["fit:K=2.residual"] == res.residual
+        assert rec["metrics"]["fit:K=2.converged"] == res.converged
+
+    # a removed threshold, or any other key outside the settable fields, is an
+    # input error before any cell runs
+    cfg["fit"] = {"xtol": 1e-10}
+    cfg_path.write_text(json.dumps(cfg))
+    out3 = tmp_path / "s3.jsonl"
+    capsys.readouterr()
+    assert main(["sweep", str(cfg_path), "--out", str(out3), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "xtol" in err
+    assert "weights, stage_weight_tol, multistart, seed, on_stage_error" in err
+    assert not out3.exists()
 
 
 def test_sweep_byte_identity_and_error_capture(tmp_path, model_path):

@@ -27,3 +27,27 @@ def test_exports_are_exactly_the_imported_names():
     assert [name for name in graphmoments.__all__ if not hasattr(graphmoments, name)] == []
     assert len(set(graphmoments.__all__)) == len(graphmoments.__all__)
     assert set(graphmoments.__all__) == imported
+
+
+def test_package_reads_no_environment_variable():
+    # every setting is an argument or a CLI flag; none has a second,
+    # environment-variable route
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    root = Path(graphmoments.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in reads
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in reads for alias in node.names)
+        )
+    ]
+    assert found == []

@@ -11,7 +11,6 @@ from graphmoments import (
     tau,
     theory_table,
     theta_profile,
-    tau_graphon_refined,
     tau_triangle,
     wheel_to_pattern,
 )
@@ -155,14 +154,6 @@ def test_truncation_caps_kernel():
     # vanishing density: the cap 1/rho exceeds max(S), truncation inactive
     same = tau(model, (2, 2), truncate_rho=1e-6)
     assert same == pytest.approx(plain)
-
-
-def test_refined_grid_is_stable_for_block_grids():
-    # doubling a piecewise-constant grid cannot change the moment
-    w = blockmodel_to_graphon(REF, resolution=8)
-    val, change = tau_graphon_refined(w, (2, 2))
-    assert val == pytest.approx(tau(REF, (2, 2)), rel=1e-12)
-    assert change <= 1e-10
 
 
 def test_depth_validation():
