@@ -466,6 +466,8 @@ def cmd_sweep(args) -> int:
             f"sweep config 'fit' has unknown keys {unknown}; "
             f"accepted keys: {', '.join(_SWEEP_FIT_KEYS)}"
         )
+    # a bad value in the section fails here, not in every cell
+    FitConfig(K=1, estimator=estimator, budget=budget, **fit_options)
     rule = config.get("lambda")
 
     models = []

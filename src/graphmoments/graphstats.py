@@ -6,14 +6,17 @@ with the CSR entries, triangles per vertex, the k = 2 sums over A^2 and the
 memoised per-hub columns of closed-form wheel keys (filled by ``hubs``).
 
 The k = 2 sums come from one pass over the row blocks A[r0:r1] @ A
-(``a2_sums``), which also reads B if nothing has cached it yet.  Otherwise
-B comes from a triangle listing (Latapy, TCS 2008; Chiba & Nishizeki, SIAM
-J. Comput. 1985): edges point to the endpoint of higher (degree, id) rank,
-so each triangle is one wedge of forward edges at its lowest vertex,
-closed by ``searchsorted`` in the sorted CSR keys i*n + j.  Triangle
-counts and D^(3) run it only when no k = 2 wheel came first.  Extending a
-triangle by the forward neighbours of its top vertex lists each K4 once,
-which only (2,3) needs.
+(``a2_sums``), which also reads B if nothing has cached it yet.  Asked for
+(2,3)'s cross sum (``a2_cross``), the same pass multiplies each block's
+rows of A ∘ X by A as well, X_ij = d_j - 2 + B_ij needing B only on the
+block's own rows.  Otherwise B comes from a triangle listing (Latapy, TCS
+2008; Chiba & Nishizeki, SIAM J. Comput. 1985): edges point to the
+endpoint of higher (degree, id) rank, so each triangle is one wedge of
+forward edges at its lowest vertex, closed by ``searchsorted`` in the
+sorted CSR keys i*n + j.  Triangle counts and D^(3) run it only when no
+k = 2 wheel came first.  (2,3)'s clique terms list again, but pair only
+triangle edges (B >= 1) and extend a triangle to K4s only along edges in
+two triangles or more.
 
 BLOCK_BYTES caps the temporaries of each chunk of wedges, K4 candidates or
 A^2 rows (with any dense row buffer), sized by measured bytes per item; a
@@ -26,6 +29,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CountOverflowError, InvariantError
 
@@ -33,7 +37,7 @@ BLOCK_BYTES = 1 << 25  # bytes of temporaries one chunk of a kernel may hold
 # bytes of temporaries per item, measured with tracemalloc
 _WEDGE_BYTES = 96  # a wedge being closed, or a triangle being extended
 _K4_BYTES = 112  # a K4 candidate
-_A2_BYTES = 32  # an entry of A^2 in ``a2_sums``
+_A2_BYTES = 32  # an entry of A^2 in the pass, with its entry of (A ∘ X) A if asked
 _INT64_LIMIT = 2**62  # headroom below 2^63 for one more addition
 
 
@@ -120,11 +124,11 @@ class GraphStats:
         rank[np.lexsort((np.arange(self.n), self.d))] = np.arange(self.n)
         return rank, np.flatnonzero(rank[self.src] < rank[self.indices])
 
-    def _triangles(self, cap: int):
+    def _triangles(self, fwd: np.ndarray, cap: int):
         """Yield, one chunk of at most cap bytes of wedges at a time, the CSR
-        positions (uv, uw, vw) of the edges of triangles {u, v, w}, u the
+        positions (uv, uw, vw) of the edges of triangles {u, v, w} whose
+        edges uv and uw are among the forward entries fwd, u the
         lowest-ranked vertex."""
-        _, fwd = self._forward
         fsrc = self.src[fwd]
         later = np.searchsorted(fsrc, fsrc, side="right") - np.arange(fwd.size) - 1
         for lo, hi in _chunks(later * _WEDGE_BYTES, cap):
@@ -152,7 +156,7 @@ class GraphStats:
         Listed here unless ``a2_sums`` has cached it first."""
         # each triangle marks one direction of each of its edges; add the other
         half = np.zeros(self.indices.size, dtype=np.int64)
-        for tri in self._triangles(BLOCK_BYTES):
+        for tri in self._triangles(self._forward[1], BLOCK_BYTES):
             for e in tri:
                 np.add.at(half, e, 1)
         other = np.empty_like(half)
@@ -169,30 +173,39 @@ class GraphStats:
             raise InvariantError("per-edge triangle counts have an odd row sum")
         return twice // 2
 
-    def clique_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per vertex i: (sum over ordered triangles (i, a, b) of B_ab, K4s through i)."""
-        b = self.edge_triangles
+    def clique_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per vertex i, over the ordered triangles (i, a, k): the sum of
+        B_ak, the K4s through i and the sum of (d_a - 2 + B_ia)(d_k - 2).
+
+        Wedges pair only triangle edges (B >= 1); a triangle whose edges all
+        have B >= 2, as K4 edges do, is extended by its top vertex's forward
+        neighbours along such edges only.
+        """
+        b, c = self.edge_triangles, self.d - 2
         rank, fwd = self._forward
-        fptr = np.searchsorted(self.src[fwd], np.arange(self.n + 1))
-        opposite = np.zeros(self.n, dtype=np.int64)
-        k4 = np.zeros(self.n, dtype=np.int64)
+        ext = fwd[b[fwd] >= 2]
+        eptr = np.searchsorted(self.src[ext], np.arange(self.n + 1))
+        opposite, k4, qe = (np.zeros(self.n, dtype=np.int64) for _ in range(3))
         half = BLOCK_BYTES // 2  # one for a chunk's triangles, one for their K4 candidates
-        for uv, uw, vw in self._triangles(half):
+        for uv, uw, vw in self._triangles(fwd[b[fwd] > 0], half):
             u, v, w = self.src[uv], self.indices[uv], self.indices[uw]
-            for x, e in ((u, vw), (v, uw), (w, uv)):
-                np.add.at(opposite, x, 2 * b[e])
-            # extend each triangle by the forward neighbours x of its top vertex
+            for x, a, k, xa, xk, ak in ((u, v, w, uv, uw, vw), (v, u, w, uv, vw, uw),
+                                        (w, u, v, uw, vw, uv)):
+                np.add.at(opposite, x, 2 * b[ak])
+                np.add.at(qe, x, (c[a] + b[xa]) * c[k] + (c[k] + b[xk]) * c[a])
+            keep = (b[uv] >= 2) & (b[uw] >= 2) & (b[vw] >= 2)
+            u, v, w = u[keep], v[keep], w[keep]
             top_w = rank[w] > rank[v]
             top, mid = np.where(top_w, w, v), np.where(top_w, v, w)
-            cand = fptr[top + 1] - fptr[top]
+            cand = eptr[top + 1] - eptr[top]
             for lo, hi in _chunks(cand * _K4_BYTES, half):
                 item, off = _expand(cand[lo:hi])
                 item += lo
-                x = self.indices[fwd[fptr[top[item]] + off]]
+                x = self.indices[ext[eptr[top[item]] + off]]
                 hit = (self._find(u[item], x) >= 0) & (self._find(mid[item], x) >= 0)
                 for y in (u[item], mid[item], top[item], x):
                     np.add.at(k4, y[hit], 1)
-        return opposite, k4
+        return opposite, k4, qe
 
     def a2_blocks(self, entry_bytes: int, row_bytes: int = 0):
         """Yield (r0, r1, A[r0:r1] @ A) over consecutive row blocks of A^2,
@@ -204,18 +217,33 @@ class GraphStats:
 
     @cached_property
     def a2_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s2, s3): per vertex i, the sums over k != i of (A^2)_ik^2 and (A^2)_ik^3.
+        """(s2, s3): per vertex i, the sums over k != i of (A^2)_ik^2 and (A^2)_ik^3."""
+        return self._a2_pass(cross=False)
 
-        One pass over the row blocks of A^2, after the k = 2 int64 guard.
+    @cached_property
+    def a2_cross(self) -> np.ndarray:
+        """pq: per vertex i, the sum over k of (A^2)_ik Q_ik, with Q = (A ∘ X) A
+        and X_ij = d_j - 2 + B_ij; its pass also caches ``a2_sums`` and B."""
+        return self._a2_pass(cross=True)
+
+    def _a2_pass(self, cross: bool):
+        """(s2, s3), or pq if cross, from one pass over the row blocks of A^2
+        after the k = 2 int64 guard.
+
         If B is not cached yet, the pass reads it as well and caches it as
         ``edge_triangles``: through a dense buffer of each block's rows when
         the 2-walk bound fills at least half of A^2, else through the
-        block's elementwise product with A.
+        block's elementwise product with A.  For pq, the block's rows of
+        A ∘ X times A pack (A^2)_ik into the low bits of each entry, below
+        2^shift as (A^2)_ik <= max degree, and Q_ik above them; no entry is
+        dropped, as it is zero only where (A^2)_ik is.
         """
         _k2_dtype(self.d, self.d2)  # raises before the first block if a sum could wrap
-        n, d = self.n, self.d
+        n, d, a = self.n, self.d, self.adjacency
         s2, s3 = -d * d, -(d**3)  # drop k = i, where (A^2)_ii = d_i
+        pq, shift = np.zeros(n, dtype=np.int64), int(d.max(initial=0)).bit_length()
         b = None if "edge_triangles" in self.__dict__ else np.zeros(self.indices.size, np.int64)
+        known = self.edge_triangles if b is None else b
         # a buffered row costs n cells; the product costs about two cells per entry
         dense = b is not None and 2 * int(np.minimum(self.d2 + d, n).sum()) >= n * n
         for lo, hi, p in self.a2_blocks(_A2_BYTES, 8 * n if dense else 0):
@@ -224,15 +252,28 @@ class GraphStats:
             power *= p.data
             s3[lo:hi] += row_sums(p.indptr, power)
             del power
-            if b is None:
-                continue
             e0, e1 = self.indptr[lo], self.indptr[hi]
-            if dense:
+            if b is not None and dense:
                 b[e0:e1] = p.toarray()[self.src[e0:e1] - lo, self.indices[e0:e1]]
-            else:
-                on_edges = p.multiply(self.adjacency[lo:hi])  # B where it is positive
+            elif b is not None:
+                on_edges = p.multiply(a[lo:hi])  # B where it is positive
                 rows = np.repeat(np.arange(lo, hi), np.diff(on_edges.indptr))
                 b[self._find(rows, on_edges.indices)] = on_edges.data
+            if not cross:
+                continue
+            del p  # hold one product at a time
+            x = (d[self.indices[e0:e1]] - 2 + known[e0:e1]) << shift
+            x += 1
+            q = sparse.csr_matrix((x, self.indices[e0:e1], self.indptr[lo : hi + 1] - e0),
+                                  shape=(hi - lo, n)) @ a
+            walks = q.data & ((1 << shift) - 1)
+            q.data >>= shift
+            walks *= q.data
+            pq[lo:hi] = row_sums(q.indptr, walks)
+            del x, q, walks
         if b is not None:
             self.__dict__["edge_triangles"] = b
-        return s2, s3
+        if not cross:
+            return s2, s3
+        self.__dict__["a2_sums"] = (s2, s3)
+        return pq

@@ -17,8 +17,11 @@ Everything else runs an exact per-hub enumeration with a work budget.
 The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``): the sums
 of (A^2)_ik^2 and (A^2)_ik^3 come from its one memoised pass over the row
 blocks of A^2, which also yields B unless a triangle count listed it first.
-(2,3) adds one blocked product (A∘X)·A and the K4 listing.  No kernel holds
-the full A^2.  Closed-form columns are memoised per graph.
+(2,3) asks that pass for its cross sum too, from a product (A∘X)·A taken
+block by block, and lists the triangles and K4s over triangle edges only.
+``wheel_counts`` counts (2,3) first, so a key set holding (2,2) and (2,3)
+forms each row block of A^2 once.  No kernel holds the full A^2.
+Closed-form columns are memoised per graph.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
 
 from .counting import triangles_per_vertex
 from .degrees import falling_factorial_column, m_degrees
@@ -36,7 +38,7 @@ from .graphstats import _k2_dtype, row_sums
 from .patterns import WheelSpec, hub_multiplicity, wheel_rooted_count
 
 DEFAULT_BUDGET = 1_000_000
-_PQ_BYTES = 80  # temporaries per A^2 entry in the (2,3) block loop, measured with tracemalloc
+_K23 = WheelSpec.simple(2, 3)
 
 
 def _hub_counts_k2_l2(g: Graph) -> np.ndarray:
@@ -72,28 +74,25 @@ def _hub_counts_k2_l3(g: Graph) -> np.ndarray:
       (A^2)^2 and (A^2)^3;
     * a path p = (i, j, k) has dc_p = X_ij + Y_ik with X_ij = d_j - 2 + B_ij
       and Y_ik = (A^2)_ik - 1 + [i ~ k](d_k - 2); the cross sum
-      sum_p X_ij Y_ik = sum_{k != i} Y_ik Q_ik with Q = (A ∘ X) A, both in
-      row blocks;
+      sum_p X_ij Y_ik = sum_{k != i} Y_ik Q_ik with Q = (A ∘ X) A takes
+      sum_k (A^2)_ik Q_ik from the pass over A^2 and its [i ~ k] part
+      from the triangles through i;
     * three pairwise-overlapping paths without a shared vertex trace a
       triangle {a, b, c} of the graph avoiding i: 2 of them when i is
       adjacent to exactly two of a, b, c and 8 when adjacent to all three,
-      which sums to rowsum((A (A ∘ B)) ∘ A)_i - 2 t_i + 2 K4_i.
+      which sums to rowsum((A (A ∘ B)) ∘ A)_i - 2 t_i + 2 K4_i, read off
+      the triangles and K4s through i.
     """
     st = g.stats
-    a, d, m = st.adjacency, st.d, st.d2
+    d, m = st.d, st.d2
     dtype = _k2_dtype(d, m)
+    pq = st.a2_cross  # its pass also caches s2, s3 and B
     s2, s3 = st.a2_sums
     t = triangles_per_vertex(g)
     b = st.edge_triangles
     dk = d[g.indices]
     x = dk - 2 + b
-    ax = sparse.csr_matrix((x, g.indices, g.indptr), shape=a.shape)
-    ad = sparse.csr_matrix((dk - 2, g.indices, g.indptr), shape=a.shape)
-    pq, qe = np.zeros(g.n, dtype=np.int64), np.zeros(g.n, dtype=np.int64)
-    for r0, r1, p in st.a2_blocks(_PQ_BYTES):
-        q = ax[r0:r1] @ a
-        pq[r0:r1] = p.multiply(q).sum(axis=1).A1
-        qe[r0:r1] = q.multiply(ad[r0:r1]).sum(axis=1).A1
+    opposite, k4, qe = st.clique_terms()
     q_ii = row_sums(g.indptr, x)
     cross = pq - d * q_ii - (row_sums(g.indptr, x * dk) - q_ii) + qe
 
@@ -108,7 +107,6 @@ def _hub_counts_k2_l3(g: Graph) -> np.ndarray:
         + 2 * cross
         + s3 - 2 * s2 + m
     )
-    opposite, k4 = st.clique_terms()
     cyc = opposite - 2 * t + 2 * k4
     return (
         falling_factorial_column(m, 3) // 6
@@ -231,14 +229,31 @@ def wheel_counts_per_hub(
     return _hub_counts_generic(g, spec, budget)
 
 
+def wheel_counts(g: Graph, specs, budget: int | None = DEFAULT_BUDGET) -> dict:
+    """Per-hub counts of each spec, keyed in the order given.
+
+    (2,3) is counted first: its pass over A^2 also caches the sums and B
+    that (2,2) reads, so a key set holding both forms each row block of A^2
+    once.
+    """
+    specs = list(specs)
+    k23_first = sorted(specs, key=lambda spec: spec != _K23)
+    counts = {spec: wheel_counts_per_hub(g, spec, budget) for spec in k23_first}
+    return {spec: counts[spec] for spec in specs}
+
+
 def wheel_total(counts, spec: WheelSpec, n: int) -> tuple[int, int]:
     """(Per-hub total, C(n, p) p!/prod(ls!)): numerator and denominator of Q-hat.
 
-    The total of per-hub counts on an n-vertex graph is exact (Python
-    ints) and is hub_multiplicity(spec) times the noninduced copy count;
-    the denominator is the hub-rooted labelings of every p-vertex set.
+    The total of per-hub counts on an n-vertex graph is exact (an int64
+    sum when n max|c| < 2^63, else Python ints) and is
+    hub_multiplicity(spec) times the noninduced copy count; the
+    denominator is the hub-rooted labelings of every p-vertex set.
     """
-    total = sum(int(c) for c in counts)
+    counts = np.asarray(counts)
+    fits = counts.dtype.kind == "i" and counts.size * max(
+        int(counts.max(initial=0)), -int(counts.min(initial=0))) < 2**63
+    total = int(counts.sum(dtype=np.int64)) if fits else sum(int(c) for c in counts)
     mult = hub_multiplicity(spec)
     if total % mult:
         raise InvariantError(f"per-hub total {total} not divisible by hub multiplicity {mult}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .counting import count_induced, count_noninduced
 from .errors import BudgetExceededError, DomainError, NormalizationError
 from .graph import Graph, rho_hat
-from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub, wheel_total
+from .hubs import DEFAULT_BUDGET, wheel_counts, wheel_total
 from .patterns import (
     PatternGraph,
     WheelSpec,
@@ -161,34 +161,33 @@ def moment_table(
     if mode not in ("induced", "noninduced", "both"):
         raise DomainError(f"bad mode {mode!r}")
     rho = rho_hat(g)
+    items = [_as_item(raw) for raw in patterns]
+    wheels = [item for item in items if isinstance(item, WheelSpec)]
+    counts = wheel_counts(g, wheels, budget) if mode != "induced" else {}
+
+    def checked(value, q):  # the density-free moment, when there is a density
+        return value * rho**-q if value is not None and rho > 0 else None
+
     entries = []
-    for raw in patterns:
-        item = _as_item(raw)
+    for item in items:
+        name, p, q = item.name(), item.p, item.q
         if isinstance(item, WheelSpec):
-            name = item.name()
-            p, q = item.p, item.q
             n_iso = wheel_isomorphism_count(item)
             pattern = wheel_to_pattern(item) if p <= 10 else None
         else:
-            name = item.name()
-            p, q = item.p, item.q
-            n_iso = count_isomorphism_classes(item)
-            pattern = item
-
+            n_iso, pattern = count_isomorphism_classes(item), item
         denom = math.comb(g.n, p) * n_iso
 
-        noninduced = induced = None
-        if mode in ("noninduced", "both"):
+        noninduced = induced = q_hat = p_hat = None
+        if mode != "induced":
             if isinstance(item, WheelSpec):
-                total, rooted = wheel_total(wheel_counts_per_hub(g, item, budget), item, g.n)
+                total, rooted = wheel_total(counts[item], item, g.n)
                 q_hat = total / rooted if rooted else 0.0
                 noninduced = total // hub_multiplicity(item)
             else:
                 noninduced = count_noninduced(g, pattern, budget)
                 q_hat = noninduced / denom if denom else 0.0
-        else:
-            q_hat = None
-        if mode in ("induced", "both"):
+        if mode != "noninduced":
             if pattern is None:
                 raise BudgetExceededError(
                     f"induced counting unavailable for {name} (order {p} > 10); "
@@ -202,15 +201,6 @@ def moment_table(
                     "the noninduced estimator (qcheck) is far cheaper for wheels"
                 ) from exc
             p_hat = induced / denom if denom else 0.0
-        else:
-            p_hat = None
-
-        p_check = q_check = None
-        if rho > 0:
-            if p_hat is not None:
-                p_check = p_hat * rho**-q
-            if q_hat is not None:
-                q_check = q_hat * rho**-q
         entries.append(
             MomentEntry(
                 name=name,
@@ -221,8 +211,8 @@ def moment_table(
                 noninduced_count=noninduced,
                 p_hat=p_hat,
                 q_hat=q_hat,
-                p_check=p_check,
-                q_check=q_check,
+                p_check=checked(p_hat, q),
+                q_check=checked(q_hat, q),
             )
         )
     return MomentTable(n=g.n, edge_count=g.edge_count, rho=rho, entries=tuple(entries))
@@ -245,11 +235,12 @@ def wheel_moment_estimates(
     rho = rho_hat(g)
     if rho == 0:
         raise NormalizationError("moment estimates need at least one edge")
+    specs = [WheelSpec.coerce(key) for key in keys]
+    counts = wheel_counts(g, specs, budget) if estimator == "qcheck" else {}
     out = {}
-    for key in keys:
-        spec = WheelSpec.coerce(key)
+    for spec in specs:
         if estimator == "qcheck":
-            total, denom = wheel_total(wheel_counts_per_hub(g, spec, budget), spec, g.n)
+            total, denom = wheel_total(counts[spec], spec, g.n)
             out[spec] = (total / denom if denom else 0.0) * rho**-spec.q
         else:
             pattern = wheel_to_pattern(spec)

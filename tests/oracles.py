@@ -161,6 +161,27 @@ def oracle_overlapping_2path_pairs(a: np.ndarray, hub: int) -> int:
     return sum(1 for p in paths for q in paths if p != q and set(p) & set(q))
 
 
+def oracle_clique_terms(a: np.ndarray, i: int) -> tuple[int, int, int]:
+    """At vertex i, over ordered triangles (i, x, y): the sum of the common
+    neighbours of x and y, the K4s through i, and the sum of
+    (d_x - 2 + common neighbours of i and x)(d_y - 2)."""
+    n = a.shape[0]
+    deg = [int(a[v].sum()) for v in range(n)]
+
+    def common(u: int, v: int) -> int:
+        return sum(1 for w in range(n) if a[u, w] and a[v, w])
+
+    others = [v for v in range(n) if v != i]
+    opposite = qe = 0
+    for x, y in itertools.permutations(others, 2):
+        if a[i, x] and a[i, y] and a[x, y]:
+            opposite += common(x, y)
+            qe += (deg[x] - 2 + common(i, x)) * (deg[y] - 2)
+    k4 = sum(1 for t in itertools.combinations(others, 3)
+             if all(a[u, v] for u, v in itertools.combinations((i,) + t, 2)))
+    return opposite, k4, qe
+
+
 # ---------------------------------------------------------------------------
 # subsampling bootstrap: one replicate and one swap at a time
 

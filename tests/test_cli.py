@@ -237,6 +237,23 @@ def test_sweep_fit_section_takes_fit_config_fields_only(tmp_path, model_path, ca
     assert not out3.exists()
 
 
+def test_sweep_rejects_a_bad_fit_value_before_any_cell(tmp_path, model_path, capsys):
+    cfg = {
+        "models": [{"name": "ref", "path": model_path}],
+        "n": [200],
+        "replicates": 1,
+        "lambda": {"kind": "fixed", "value": 8.0},
+        "metrics": ["fit:K=2"],
+        "fit": {"multistart": 0},
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "s.jsonl"
+    assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
+    assert "multistart must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_byte_identity_and_error_capture(tmp_path, model_path):
     cfg = {
         "models": [{"name": "ref", "path": model_path}],

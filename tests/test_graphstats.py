@@ -25,15 +25,22 @@ from graphmoments import (
 )
 from graphmoments import graphstats, hubs
 from graphmoments.counting import triangle_count, triangles_per_vertex
-from oracles import dense_adj, oracle_hub_count, oracle_mdegree, oracle_triangles_at
+from oracles import (
+    dense_adj,
+    oracle_clique_terms,
+    oracle_hub_count,
+    oracle_mdegree,
+    oracle_triangles_at,
+)
 
 K22, K23 = WheelSpec.simple(2, 2), WheelSpec.simple(2, 3)
 
 
 @st.composite
-def graphs(draw):
-    """Stars, K_{a,b}, cliques with pendant paths and G(n, p), relabelled."""
-    kind = draw(st.sampled_from(["star", "bipartite", "clique_paths", "gnp"]))
+def graphs(draw, kinds=("star", "bipartite", "clique_paths", "gnp"), clique=(1, 6)):
+    """Stars, K_{a,b}, cliques of clique[0]..clique[1] vertices with pendant
+    paths and G(n, p), relabelled."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "star":
         n = draw(st.integers(1, 13))
         edges = [(0, i) for i in range(1, n)]
@@ -42,7 +49,7 @@ def graphs(draw):
         n = a + b
         edges = [(i, a + j) for i in range(a) for j in range(b)]
     elif kind == "clique_paths":
-        n = draw(st.integers(1, 6))
+        n = draw(st.integers(*clique))
         edges = list(combinations(range(n), 2))
         for length in draw(st.lists(st.integers(1, 3), max_size=3)):
             prev = draw(st.integers(0, n - 1))
@@ -76,6 +83,18 @@ def test_k2_wheels_match_oracle(g):
     for spec in (K22, K23):
         got = wheel_counts_per_hub(g, spec)
         assert [int(c) for c in got] == [oracle_hub_count(a, spec, i) for i in range(g.n)], spec
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(graphs(), graphs(["clique_paths"], (5, 7))), st.booleans())
+def test_clique_terms_match_oracle(g, b_cached):
+    # K5-K7 with pendant paths give many K4s next to edges in no triangle,
+    # which the listing must skip; G(n, p) adds edges in exactly one triangle
+    a = dense_adj(g)
+    if b_cached:
+        g.stats.a2_sums  # the pass caches B, so the listing pairs only triangle edges
+    got = zip(*(column.tolist() for column in g.stats.clique_terms()))
+    assert list(got) == [oracle_clique_terms(a, i) for i in range(g.n)]
 
 
 def _fresh(g: Graph) -> Graph:
@@ -125,9 +144,11 @@ def test_one_row_blocks_match_a_single_block(monkeypatch):
             assert _outputs(_fresh(g), first) == want
 
 
-def test_k22_first_forms_each_a2_block_once_and_lists_no_triangles(monkeypatch):
-    calls = Counter()
-    blocks = []
+def _record_a2_blocks_and_listings(monkeypatch) -> tuple[list, list]:
+    """Record the row range of every A^2 block formed and, for every wedge
+    listing, whether it paired only triangle edges (B cached and positive).
+    Blocks are capped at 256 KiB, so every graph below takes several."""
+    blocks, listings = [], []
     a2_blocks, listing = graphstats.GraphStats.a2_blocks, graphstats.GraphStats._triangles
 
     def counting_blocks(self, *args):
@@ -135,13 +156,25 @@ def test_k22_first_forms_each_a2_block_once_and_lists_no_triangles(monkeypatch):
             blocks.append((r0, r1))
             yield r0, r1, p
 
-    def counting_listing(self, *args):
-        calls["_triangles"] += 1
-        return listing(self, *args)
+    def counting_listing(self, fwd, cap):
+        b = self.__dict__.get("edge_triangles")
+        listings.append(b is not None and bool(np.all(b[fwd] > 0)))
+        return listing(self, fwd, cap)
 
     monkeypatch.setattr(graphstats.GraphStats, "a2_blocks", counting_blocks)
     monkeypatch.setattr(graphstats.GraphStats, "_triangles", counting_listing)
     monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 18)
+    return blocks, listings
+
+
+def _each_row_once(blocks: list, n: int) -> bool:
+    """Whether more than one block was formed and their row ranges tile 0..n once."""
+    starts = [r0 for r0, _ in blocks]
+    return len(blocks) > 1 and starts == [0] + [r1 for _, r1 in blocks[:-1]] and blocks[-1][1] == n
+
+
+def test_k22_first_forms_each_a2_block_once_and_lists_no_triangles(monkeypatch):
+    blocks, listings = _record_a2_blocks_and_listings(monkeypatch)
     rng = np.random.default_rng(12)
     for n, p in ((300, 0.3), (2000, 0.003)):  # dense row buffer, product with A
         g = Graph.from_edges(np.argwhere(np.triu(rng.random((n, n)) < p, 1)), n)
@@ -149,10 +182,30 @@ def test_k22_first_forms_each_a2_block_once_and_lists_no_triangles(monkeypatch):
         wheel_counts_per_hub(g, K22)
         triangle_count(g)
         m_degrees(g, 3)
-        assert calls["_triangles"] == 0
-        assert len(blocks) > 1
-        assert [r0 for r0, _ in blocks] == [0] + [r1 for _, r1 in blocks[:-1]]
-        assert blocks[-1][1] == n
+        assert listings == []
+        assert _each_row_once(blocks, n)
+
+
+def test_k2_fit_forms_each_a2_block_once_and_lists_only_triangle_edges(monkeypatch):
+    blocks, listings = _record_a2_blocks_and_listings(monkeypatch)
+    cfg = FitConfig(K=2, on_stage_error="fallback")
+    runs = {
+        "fit": lambda h: fit_block_model(h, cfg),
+        "cache": lambda h: HubCountCache.build(h, cfg.keys()),
+        # fit --weights bootstrap: the cache, then the fit on the same graph
+        "cache, fit": lambda h: (HubCountCache.build(h, cfg.keys()), fit_block_model(h, cfg)),
+    }
+    for n, lam in ((300, 90.0), (2000, 6.0)):  # dense row buffer, product with A
+        model = BlockModel(pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                           rho=lam / (n - 1))
+        g = sample_block_model(model, n, seed=5).graph
+        for name, run in runs.items():
+            blocks.clear()
+            listings.clear()
+            run(_fresh(g))
+            assert _each_row_once(blocks, n), (n, name)
+            # (2,3)'s clique terms list once, over triangle edges only
+            assert listings == [True], (n, name)
 
 
 def _traced_peak(fn) -> int:
@@ -195,8 +248,11 @@ def test_kernels_keep_their_temporaries_under_block_bytes(monkeypatch, block_byt
         passed = _warm(g)
         peaks["pass"] = (_traced_peak(lambda: passed.stats.a2_sums), 4)
         passed.stats.triangles
-        # (2,3) also builds X, A∘X, A∘(d - 2) and its per-entry sums
+        # after (2,2), (2,3) passes over A^2 again with B cached, and builds X and its per-entry sums
         peaks["(2,3)"] = (_traced_peak(lambda: wheel_counts_per_hub(passed, K23)), 10)
+        crossed = _warm(g)
+        # (2,3) first reads B in its own pass, through the dense row buffer or A's product
+        peaks["(2,3) first"] = (_traced_peak(lambda: wheel_counts_per_hub(crossed, K23)), 10)
         for kernel, (peak, outputs) in peaks.items():
             assert peak - outputs * linear <= block_bytes, (n, p, kernel, peak)
 

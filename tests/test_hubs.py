@@ -5,6 +5,7 @@ import pytest
 
 from graphmoments import (
     BudgetExceededError,
+    InvariantError,
     WheelSpec,
     count_noninduced,
     hub_multiplicity,
@@ -12,6 +13,7 @@ from graphmoments import (
     wheel_noninduced_count,
     wheel_to_pattern,
 )
+from graphmoments import hubs
 from oracles import graph_from_dense, oracle_hub_count, random_dense
 
 SPECS = [
@@ -104,3 +106,17 @@ def test_object_dtype_on_huge_counts():
     assert expect > 2**63
     assert int(counts[0]) == expect
     assert counts.dtype == object
+
+
+def test_wheel_total_sums_in_int64_only_where_it_cannot_wrap():
+    spec = WheelSpec.simple(1, 2)
+    assert hub_multiplicity(spec) == 1
+    counts = np.random.default_rng(4).integers(0, 10**6, size=500)
+    want = sum(int(c) for c in counts)
+    assert hubs.wheel_total(counts, spec, 500) == hubs.wheel_total(counts.astype(object), spec, 500)
+    assert hubs.wheel_total(counts, spec, 500)[0] == want
+    # 4 hubs near 2^62: an int64 sum would wrap, so the total is taken in Python ints
+    near = np.full(4, 2**62 - 1, dtype=np.int64)
+    assert hubs.wheel_total(near, spec, 4)[0] == 4 * (2**62 - 1)
+    with pytest.raises(InvariantError):
+        hubs.wheel_total(np.array([1, 2, 4]), WheelSpec.simple(1, 1), 3)
