@@ -10,8 +10,9 @@ Recovery proceeds in stages:
   2. align_stages: assign atoms across stages to consistent blocks,
   3. recover_S: M = V2 V1^{-1} with V1 = [1, v^(1), .., v^(K-1)],
      V2 = [v^(1), .., v^(K)], then S = M diag(pi)^{-1} symmetrized,
-  4. nls_refine: trust-region least squares projecting the full moment
-     vector onto the model manifold, initialized at the direct estimate.
+  4. nls_refine: Levenberg-Marquardt least squares (MINPACK) with the
+     closed-form Jacobian of tau, projecting the full moment vector onto
+     the model manifold, initialized at the direct estimate.
 
 Outputs are in canonical block order (ascending v^(1), ``models.canonical_order``).
 
@@ -43,11 +44,11 @@ from .errors import (
     StageInconsistencyError,
 )
 from .graph import Graph, rho_hat
-from .hubs import DEFAULT_BUDGET
+from .hubs import DEFAULT_BUDGET, has_closed_form
 from .models import canonical_order
 from .moments import wheel_moment_estimates
 from .patterns import WheelSpec
-from .theory import block_iterates, wheel_tau
+from .theory import block_iterates, wheel_exponents, wheel_moments
 
 SCHEMA_VERSION = "1"
 
@@ -69,7 +70,7 @@ class FitConfig:
     the k=1 row feeds the first-stage moment problem).
 
     weights, when given, maps keys (WheelSpec, (k,l) tuple, or name) to
-    residual weights w_kl, e.g. 1/sigma^2 from the bootstrap.  budget is
+    residual weights w_kl > 0, e.g. 1/sigma^2 from the bootstrap.  budget is
     the enumeration budget of the exact counts; None means no budget.  The
     stage and solver thresholds are module constants (see the module
     docstring), not fields.
@@ -93,6 +94,9 @@ class FitConfig:
             raise DomainError(f"bad on_stage_error {self.on_stage_error!r}")
         if self.multistart < 1:
             raise DomainError("multistart must be >= 1")
+        for key, w in (self.weights or {}).items():
+            if not (math.isfinite(float(w)) and float(w) > 0):
+                raise DomainError(f"weight {w!r} of {key!r} must be positive and finite")
 
     def keys(self) -> list[WheelSpec]:
         return [
@@ -309,17 +313,11 @@ def recover_S(pi, iterates) -> tuple[np.ndarray, dict]:
 
 
 def tau_forward(pi, S, keys) -> np.ndarray:
-    """Wheel moments of a (pi, S) pair for the given WheelSpec keys."""
+    """Wheel moments of a (pi, S) pair for the given WheelSpec keys: the
+    tau-only path of the map ``nls_refine`` differentiates."""
     pi = np.asarray(pi, dtype=float)
-    depth = max(max(k.ks) for k in keys)
-    values = block_iterates(pi, np.asarray(S, dtype=float), depth)
-    return np.array([wheel_tau(values, pi, spec) for spec in keys])
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+    exps = wheel_exponents(keys)
+    return wheel_moments(block_iterates(pi, np.asarray(S, dtype=float), exps.shape[1]), pi, exps)
 
 
 class _Parameterization:
@@ -343,16 +341,28 @@ class _Parameterization:
         u = np.sqrt(s0[self.iu])
         return np.concatenate([t, u])
 
-    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        K = self.K
-        pi = _softmax(np.concatenate([x[: K - 1], [0.0]]))
-        s = np.zeros((K, K))
-        s[self.iu] = x[K - 1 :] ** 2
-        s = s + np.triu(s, 1).T
-        scale = float(pi @ s @ pi)
+    def unpack(self, x: np.ndarray):
+        """(pi, S, dpi, dS) at x: the model and its derivatives along each
+        coordinate, shapes (P, K) and (P, K, K).  S is NaN when pi' U^2 pi
+        vanishes."""
+        K, (rows, cols) = self.K, self.iu
+        t, u = x[: K - 1], x[K - 1 :]
+        logits = np.append(t, 0.0)
+        e = np.exp(logits - logits.max())
+        pi = e / e.sum()
+        dpi = np.zeros((self.nparams, K))
+        dpi[: K - 1] = pi * (np.eye(K)[: K - 1] - pi[: K - 1, None])
+        w = np.zeros((K, K))
+        w[rows, cols] = w[cols, rows] = u * u
+        dw = np.zeros((self.nparams, K, K))
+        coords = np.arange(K - 1, self.nparams)
+        dw[coords, rows, cols] = dw[coords, cols, rows] = 2.0 * u
+        scale = float(pi @ w @ pi)
         if scale <= 0:
-            return pi, np.full((K, K), np.nan)
-        return pi, s / scale
+            return pi, np.full((K, K), np.nan), dpi, dw
+        dscale = 2.0 * dpi @ (w @ pi) + (dw @ pi) @ pi
+        s = w / scale
+        return pi, s, dpi, dw / scale - s * (dscale / scale)[:, None, None]
 
 
 def nls_refine(
@@ -367,15 +377,23 @@ def nls_refine(
     """Project the estimated moments onto the block-model manifold.
 
     Minimizes sum_keys w_kl (tau_hat_kl - tau_kl(pi, S))^2 over the
-    constraint set via an unconstrained reparameterization and a
-    trust-region least-squares solver, taking the best of cfg.multistart
-    runs started at `init` and jittered copies of it.  Never returns a
-    residual above the initialization's; converged is whether the solver
-    run that produced the returned point stopped on a tolerance rather than
-    on the evaluation cap.
+    constraint set via an unconstrained reparameterization, with MINPACK's
+    Levenberg-Marquardt solver fed the closed-form Jacobian of tau in those
+    coordinates, taking the best of cfg.multistart runs started at `init`
+    and jittered copies of it.  Needs at least as many keys as coordinates,
+    K - 1 + K(K+1)/2.  Never returns a residual above the initialization's;
+    converged is whether the solver run that produced the returned point
+    stopped on a tolerance rather than on the evaluation cap.
     """
     taus = {WheelSpec.coerce(k): float(v) for k, v in tau_hat.items()}
     keys = sorted(taus, key=lambda s: (s.ks, s.ls))
+    K = cfg.K
+    par = _Parameterization(K)
+    if len(keys) < par.nparams:
+        raise DomainError(
+            f"{len(keys)} moment keys cannot determine the {par.nparams} "
+            f"coordinates of a K={K} fit"
+        )
     target = np.array([taus[k] for k in keys])
     if cfg.weights:
         wmap = {WheelSpec.coerce(k): float(v) for k, v in cfg.weights.items()}
@@ -383,7 +401,6 @@ def nls_refine(
     else:
         sqrtw = np.ones(len(keys))
 
-    K = cfg.K
     pi0, s0 = init
     pi0 = np.asarray(pi0, dtype=float)
     s0 = np.asarray(s0, dtype=float)
@@ -404,17 +421,33 @@ def nls_refine(
             diagnostics=dict(extra_diagnostics or {}),
         )
 
-    par = _Parameterization(K)
     x0 = par.pack(pi0, s0)
+    exps = wheel_exponents(keys)
+    gauge = float(x0[K - 1 :] @ x0[K - 1 :])
+    last: dict = {}
 
-    def resid(x):
-        pi, s = par.unpack(x)
-        if not np.all(np.isfinite(s)):
-            return np.full(len(keys), 1e6)
-        return sqrtw * (tau_forward(pi, s, keys) - target)
+    def forward(x):
+        """Residuals and their Jacobian at x, memoised on the last x so the
+        solver's fun and jac calls share one evaluation.  A last row pins
+        the scale gauge (u -> c u leaves S unchanged) at |u|^2 = |u0|^2.  It
+        is orthogonal to every moment row, so it moves no fit, and it keeps
+        the Jacobian full rank: with the gauge free, MINPACK (scipy 1.17)
+        took different steps on identical inputs from one run to the next."""
+        key = np.asarray(x, dtype=float).tobytes()
+        if last.get("key") != key:
+            pi, s, dpi, ds = par.unpack(x)
+            u = x[K - 1 :]
+            r, jac = np.full(len(keys) + 1, 1e6), np.zeros((len(keys) + 1, par.nparams))
+            if np.all(np.isfinite(s)):
+                values, dvalues = block_iterates(pi, s, exps.shape[1], (dpi, ds))
+                tau, dtau = wheel_moments(values, pi, exps, (dpi, dvalues))
+                r[:-1], jac[:-1] = sqrtw * (tau - target), sqrtw[:, None] * dtau
+            r[-1], jac[-1, K - 1 :] = u @ u - gauge, 2.0 * u
+            last.update(key=key, r=r, J=jac)
+        return last["r"], last["J"]
 
     def sq(x):
-        r = resid(x)
+        r = forward(x)[0][:-1]
         return float(r @ r)
 
     residual_init = sq(x0)
@@ -431,9 +464,10 @@ def nls_refine(
 
     sols = [
         least_squares(
-            resid,
+            lambda x: forward(x)[0],
             x_start,
-            method="trf",
+            jac=lambda x: forward(x)[1],
+            method="lm",
             xtol=_NLS_TOL,
             ftol=_NLS_TOL,
             gtol=_NLS_TOL,
@@ -449,7 +483,7 @@ def nls_refine(
             best_x, best_val, best_status = sol.x, val, sol.status
     converged = best_status > 0
 
-    pi_hat, s_hat = par.unpack(best_x)
+    pi_hat, s_hat, _, _ = par.unpack(best_x)
     order = canonical_order(pi_hat, s_hat)
     pi_hat = pi_hat[order]
     s_hat = s_hat[np.ix_(order, order)]
@@ -457,6 +491,8 @@ def nls_refine(
     diagnostics = dict(extra_diagnostics or {})
     diagnostics["nls_status"] = int(best_status)
     diagnostics["multistart"] = cfg.multistart
+    diagnostics["nls_nfev"] = [int(sol.nfev) for sol in sols]
+    diagnostics["nls_njev"] = [int(sol.njev) for sol in sols]
     return FitResult(
         K=K,
         pi=pi_hat,
@@ -483,9 +519,10 @@ def _fallback_init(K: int) -> tuple[np.ndarray, np.ndarray]:
 def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
     """Full pipeline: wheel moments -> stage recovery -> NLS projection.
 
-    Wheel moments use cfg.estimator; if exact counting exceeds the budget
-    the falling-factorial degree approximation is substituted and flagged
-    in diagnostics["approximation"].  Stage errors (ill-posed Hankel,
+    Wheel moments use cfg.estimator.  Each key whose exact count exceeds
+    the budget takes the falling-factorial degree approximation instead;
+    diagnostics["approximated_keys"] names those keys and
+    diagnostics["approximation"] is then "degree".  Stage errors (ill-posed Hankel,
     misaligned weights, unidentifiable iterates) propagate unless
     cfg.on_stage_error == "fallback", which starts the least-squares
     refinement from a neutral point instead.
@@ -496,16 +533,29 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
     if cfg.K == 1:  # tau_(1,1) = 1 on every graph: nothing to estimate
         one = {WheelSpec.simple(1, 1): 1.0}
         init = (np.ones(1), np.ones((1, 1)))
-        return nls_refine(one, init, cfg, rho=rho, extra_diagnostics={"approximation": None})
+        diagnostics = {"approximation": None, "approximated_keys": []}
+        return nls_refine(one, init, cfg, rho=rho, extra_diagnostics=diagnostics)
 
     keys = cfg.keys()
-    diagnostics: dict = {"approximation": None}
-    try:
-        taus = wheel_moment_estimates(g, keys, estimator=cfg.estimator, budget=cfg.budget)
-    except BudgetExceededError:
+    # closed forms never exceed a budget: count them in one call, so (2,3)'s
+    # pass over A^2 also serves (2,2); each enumerated key may fall back alone
+    closed = [k for k in keys if cfg.estimator == "qcheck" and has_closed_form(k)]
+    found = wheel_moment_estimates(g, closed, budget=cfg.budget) if closed else {}
+    approximated = []
+    for key in keys:
+        if key not in found:
+            try:
+                found.update(wheel_moment_estimates(g, [key], cfg.estimator, cfg.budget))
+            except BudgetExceededError:
+                approximated.append(key)
+    if approximated:
         profile = m_degrees(g, cfg.K)
-        taus = {k: degree_moment_approx(profile, k) for k in keys}
-        diagnostics["approximation"] = "degree"
+        found.update({k: degree_moment_approx(profile, k) for k in approximated})
+    taus = {k: found[k] for k in keys}
+    diagnostics: dict = {
+        "approximation": "degree" if approximated else None,
+        "approximated_keys": [k.name() for k in approximated],
+    }
 
     stage_diags = []
     atoms_matrix = None

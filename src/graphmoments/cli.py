@@ -256,8 +256,8 @@ def cmd_fit(args) -> int:
         cfg = replace(cfg, weights=weights)
     result = fit_block_model(g, cfg)
     manifest.wall_clock_s = time.monotonic() - t0
-    if result.diagnostics.get("approximation"):
-        names = ", ".join(k.name() for k in cfg.keys())
+    if result.diagnostics.get("approximated_keys"):
+        names = ", ".join(result.diagnostics["approximated_keys"])
         print(
             f"warning: exact counting exceeded the budget; {names} fell back to the "
             f"{result.diagnostics['approximation']} approximation",

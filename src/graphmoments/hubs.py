@@ -204,28 +204,33 @@ def _closed_form(g: Graph, k: int, l: int) -> np.ndarray:
     return _hub_counts_k2_l2(g) if l == 2 else _hub_counts_k2_l3(g)
 
 
+def has_closed_form(spec: WheelSpec) -> bool:
+    """Whether spec's per-hub counts come from a closed form: (1,l), (2,1),
+    (3,1), (2,2) or (2,3).  These enumerate nothing, so no budget applies."""
+    k, l = spec.ks[0], spec.ls[0]
+    return spec.is_simple and (k == 1 or (l == 1 and k <= 3) or (k == 2 and l <= 3))
+
+
 def wheel_counts_per_hub(
     g: Graph, spec: WheelSpec, budget: int | None = DEFAULT_BUDGET
 ) -> np.ndarray:
     """Exact per-hub wheel counts n_i for every vertex.
 
-    Dispatches to closed forms where available: (1,l), (2,1), (3,1), (2,2)
-    and (2,3).  They enumerate nothing, so the budget does not apply; each
+    Dispatches to closed forms where available (``has_closed_form``); each
     is computed once per graph, memoised in ``g.stats`` and returned as a
     copy.  Other keys run the budget-guarded exact enumerators ((k,1) for
     k >= 4 by path DFS) and are recomputed on every call, so a smaller
     budget still raises.  Returns int64 when safe, Python ints (object
     dtype) when counts could overflow.
     """
-    if spec.is_simple:
-        k, l = spec.ks[0], spec.ls[0]
-        if k == 1 or (l == 1 and k <= 3) or (k == 2 and l <= 3):
-            memo = g.stats.hub_columns
-            if spec not in memo:
-                memo[spec] = _closed_form(g, k, l)
-            return memo[spec].copy()
-        if l == 1:
-            return m_degrees(g, k, budget=budget).counts[:, k - 1].copy()
+    k, l = spec.ks[0], spec.ls[0]
+    if has_closed_form(spec):
+        memo = g.stats.hub_columns
+        if spec not in memo:
+            memo[spec] = _closed_form(g, k, l)
+        return memo[spec].copy()
+    if spec.is_simple and l == 1:
+        return m_degrees(g, k, budget=budget).counts[:, k - 1].copy()
     return _hub_counts_generic(g, spec, budget)
 
 

@@ -16,6 +16,7 @@ kernel only through these quantities.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,23 +55,64 @@ def iterate_operator(model, depth: int, truncate_rho: float | None = None) -> Op
     return OperatorIterates(values=block_iterates(weights, kernel, depth), weights=weights)
 
 
-def block_iterates(pi: np.ndarray, s: np.ndarray, depth: int) -> np.ndarray:
-    """Columns T^j 1, j = 1..depth, for block weights pi and kernel s."""
+def block_iterates(pi: np.ndarray, s: np.ndarray, depth: int, tangents=None):
+    """Columns T^j 1, j = 1..depth, for block weights pi and kernel s.
+
+    With tangents = (dpi, ds), P directions of shapes (P, K) and (P, K, K),
+    also returns the columns' derivatives along each, shape (P, K, depth),
+    by differentiating v^(j) = s (pi ∘ v^(j-1)) forward.
+    """
     m = s * pi[None, :]
-    cols = []
+    values = np.empty((pi.shape[0], depth))
     v = np.ones(pi.shape[0])
-    for _ in range(depth):
-        v = m @ v
-        cols.append(v)
-    return np.column_stack(cols)
+    if tangents is None:
+        for j in range(depth):
+            v = values[:, j] = m @ v
+        return values
+    dpi, ds = tangents
+    dvalues = np.empty((dpi.shape[0], pi.shape[0], depth))
+    dv = np.zeros_like(dpi)
+    for j in range(depth):
+        dv = dvalues[:, :, j] = ds @ (pi * v) + (dpi * v + pi * dv) @ s.T
+        v = values[:, j] = m @ v
+    return values, dvalues
 
 
-def wheel_tau(values: np.ndarray, weights: np.ndarray, spec: WheelSpec) -> float:
-    """sum_a weights_a prod_j values[a, k_j - 1]^l_j: a wheel moment from iterates."""
-    prod = np.ones(values.shape[0])
-    for k, l in zip(spec.ks, spec.ls):
-        prod = prod * values[:, k - 1] ** l
-    return float(weights @ prod)
+def wheel_exponents(specs) -> np.ndarray:
+    """Row r holds spec r's multiplicity l_j in column k_j - 1, zeros elsewhere."""
+    specs = list(specs)
+    exps = np.zeros((len(specs), max(max(spec.ks) for spec in specs)), dtype=np.int64)
+    for r, spec in enumerate(specs):
+        exps[r, np.array(spec.ks) - 1] = spec.ls
+    return exps
+
+
+def wheel_moments(values: np.ndarray, weights: np.ndarray, exps: np.ndarray, tangents=None):
+    """Wheel moments sum_a weights_a prod_k values[a, k]^exps[r, k], one per
+    row r of ``wheel_exponents``, with no loop over keys.
+
+    Powers are taken with integer exponents and multiplied in ascending
+    spoke length, the arithmetic of one key at a time.  With tangents =
+    (dweights, dvalues), P directions of shapes (P, K) and (P, K, depth),
+    also returns the moments' derivatives along each, shape (rows, P).
+    """
+    depth = exps.shape[1]
+    powers = np.stack([values ** e for e in range(int(exps.max()) + 1)])
+    blocks, cols = np.arange(values.shape[0])[:, None], np.arange(depth)
+    factors = powers[exps[:, None, :], blocks, cols]  # (rows, K, depth)
+    prod = factors[..., 0]
+    for j in range(1, depth):
+        prod = prod * factors[..., j]
+    taus = (prod[:, None, :] @ weights)[:, 0]  # a stack of 1-D dots: each key's own sum
+    if tangents is None:
+        return taus
+    dweights, dvalues = tangents
+    # d/dv of v^e is e v^(e-1), times the other columns' factors
+    grad = exps[:, None, :] * powers[np.maximum(exps - 1, 0)[:, None, :], blocks, cols]
+    for i, j in itertools.permutations(range(depth), 2):
+        grad[..., j] *= factors[..., i]
+    dtaus = prod @ dweights.T + np.einsum("rak,pak->rp", grad * weights[:, None], dvalues)
+    return taus, dtaus
 
 
 def tau(model, key, truncate_rho: float | None = None) -> float:
@@ -79,7 +121,7 @@ def tau(model, key, truncate_rho: float | None = None) -> float:
     block boundaries)."""
     spec = WheelSpec.coerce(key)
     it = iterate_operator(model, max(spec.ks), truncate_rho)
-    return wheel_tau(it.values, it.weights, spec)
+    return float(wheel_moments(it.values, it.weights, wheel_exponents([spec]))[0])
 
 
 def tau_triangle(model) -> float:

@@ -234,6 +234,15 @@ def oracle_tau_block(pi, S, r: PatternGraph) -> float:
     return total
 
 
+def oracle_wheel_tau(values: np.ndarray, weights: np.ndarray, spec) -> float:
+    """One wheel moment from an iterate table, one spoke length at a time:
+    sum_a weights_a prod_j values[a, k_j - 1]^l_j."""
+    prod = np.ones(values.shape[0])
+    for k, l in zip(spec.ks, spec.ls):
+        prod = prod * values[:, k - 1] ** l
+    return float(weights @ prod)
+
+
 def oracle_tau_block_exact(pi, S, r: PatternGraph) -> Fraction:
     """Same assignment sum in exact rational arithmetic."""
     pi = [Fraction(x) for x in pi]

@@ -1,8 +1,11 @@
 import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmoments import (
     BlockModel,
@@ -27,6 +30,7 @@ from graphmoments import (
 )
 from graphmoments.hubs import DEFAULT_BUDGET
 from graphmoments.models import canonical_order
+from graphmoments.theory import block_iterates, wheel_exponents, wheel_moments
 
 REF = BlockModel(
     pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]), rho=0.01
@@ -194,18 +198,120 @@ def test_fits_and_models_share_one_canonical_order():
 
 
 def test_nls_flags_nonconvergence_budget(monkeypatch):
-    # one evaluation cannot improve on x0, so the fit keeps x0 and the
-    # status of x0's own run, which stopped on the evaluation cap
-    monkeypatch.setattr(blockfit, "_NLS_MAX_NFEV", 1)
+    # a run stopped by the evaluation cap has not converged, even when its
+    # steps improved on x0
     rng = np.random.default_rng(4)
     model = random_model(2, rng)
     cfg = FitConfig(K=2, seed=0, multistart=1)
     tau_hat = dict(zip(cfg.keys(), tau_forward(model.pi, model.S, cfg.keys())))
     noisy = {k: v * (1 + 0.3) for k, v in tau_hat.items()}
-    res = nls_refine(noisy, (np.array([0.6, 0.4]), np.ones((2, 2))), cfg)
+    monkeypatch.setattr(blockfit, "_NLS_MAX_NFEV", 5)
+    res = nls_refine(noisy, (np.array([0.6, 0.4]), np.array([[2.0, 0.5], [0.5, 1.0]])), cfg)
+    assert res.residual < res.residual_init
     assert res.converged is False
     assert res.diagnostics["nls_status"] == 0
-    assert res.residual == res.residual_init
+    assert res.diagnostics["nls_nfev"] == [5]
+
+
+def test_nls_keeps_x0_and_its_own_status_when_no_start_improves(monkeypatch):
+    # tau_(1,1) = pi' S pi = 1 on the whole manifold, so a target that moves
+    # only that key leaves x0 optimal: its gradient vanishes and x0's own run
+    # stops on gtol at its first evaluation, while the jittered runs hit the cap
+    monkeypatch.setattr(blockfit, "_NLS_MAX_NFEV", 1)
+    cfg = FitConfig(K=2, seed=0, multistart=3)
+    init = (np.array([0.7, 0.3]), np.array([[1.5, 0.4], [0.4, 2.0]]))
+    par = blockfit._Parameterization(2)
+    pi_x0, s_x0 = par.unpack(par.pack(*init))[:2]
+    tau_hat = dict(zip(cfg.keys(), tau_forward(pi_x0, s_x0, cfg.keys())))
+    tau_hat[WheelSpec.simple(1, 1)] += 0.5
+    res = nls_refine(tau_hat, init, cfg)
+    assert res.residual == res.residual_init == 0.25
+    assert res.converged is True and res.diagnostics["nls_status"] > 0
+    assert res.diagnostics["nls_nfev"][0] == 1
+    order = canonical_order(pi_x0, s_x0)
+    assert np.array_equal(res.pi, pi_x0[order])
+    assert np.array_equal(res.S, s_x0[np.ix_(order, order)])
+
+
+def test_nls_records_evaluations_of_each_start():
+    rng = np.random.default_rng(6)
+    model = random_model(2, rng)
+    cfg = FitConfig(K=2, seed=0, multistart=3)
+    tau_hat = dict(zip(cfg.keys(), tau_forward(model.pi, model.S, cfg.keys())))
+    noisy = {k: v * (1 + 0.1) for k, v in tau_hat.items()}
+    res = nls_refine(noisy, (np.array([0.6, 0.4]), np.array([[2.0, 0.5], [0.5, 1.0]])), cfg)
+    nfev, njev = res.diagnostics["nls_nfev"], res.diagnostics["nls_njev"]
+    assert len(nfev) == len(njev) == 3
+    assert all(1 <= n <= blockfit._NLS_MAX_NFEV for n in nfev)
+    assert all(n >= 1 for n in njev)
+    assert json.loads(json.dumps(res.to_json()))["diagnostics"]["nls_nfev"] == nfev
+
+
+def test_nls_needs_as_many_keys_as_coordinates():
+    with pytest.raises(DomainError):
+        nls_refine({}, (np.ones(1), np.ones((1, 1))), FitConfig(K=1))
+    with pytest.raises(DomainError):
+        nls_refine({}, (REF.pi, REF.S), FitConfig(K=2))
+    # K=2 has 1 + 3 coordinates and K=3 has 2 + 6
+    for K, n_keys in ((2, 3), (3, 7)):
+        model = random_model(K, np.random.default_rng(K))
+        keys = FitConfig(K=K).keys()[:n_keys]
+        tau_hat = dict(zip(keys, tau_forward(model.pi, model.S, keys)))
+        with pytest.raises(DomainError, match="coordinates"):
+            nls_refine(tau_hat, (model.pi, model.S), FitConfig(K=K))
+        more = FitConfig(K=K).keys()[: n_keys + 1]
+        tau_hat = dict(zip(more, tau_forward(model.pi, model.S, more)))
+        assert nls_refine(tau_hat, (model.pi, model.S), FitConfig(K=K, multistart=1)).residual < 1e-12
+
+
+def _spec_strategy(K):
+    simple = st.builds(WheelSpec.simple, st.integers(1, K), st.integers(1, 2 * K - 1))
+    mixed = st.lists(st.integers(1, K), min_size=2, max_size=K, unique=True).flatmap(
+        lambda ks: st.builds(
+            WheelSpec,
+            st.just(tuple(sorted(ks))),
+            st.tuples(*[st.integers(1, 3) for _ in ks]),
+        )
+    )
+    return st.one_of(simple, mixed)
+
+
+@st.composite
+def _nls_points(draw):
+    K = draw(st.sampled_from([2, 3]))
+    # logits up to +-4 give weights as skewed as 0.006 : 0.994
+    t = draw(st.lists(st.floats(-4, 4), min_size=K - 1, max_size=K - 1))
+    n_u = K * (K + 1) // 2
+    u = draw(st.lists(st.floats(0.2, 2.0), min_size=n_u, max_size=n_u))
+    zero = draw(st.none() | st.integers(0, n_u - 1))  # an S with a zero entry
+    if zero is not None:
+        u[zero] = 0.0
+    keys = draw(st.lists(_spec_strategy(K), min_size=1, max_size=8, unique=True))
+    return K, np.array(t + u), keys
+
+
+@settings(max_examples=120, deadline=None)
+@given(_nls_points())
+def test_nls_jacobian_matches_central_differences(point):
+    K, x, keys = point
+    par = blockfit._Parameterization(K)
+    exps = wheel_exponents(keys)
+    depth = exps.shape[1]
+
+    def taus(z):
+        pi, s, _, _ = par.unpack(z)
+        return tau_forward(pi, s, keys)
+
+    pi, s, dpi, ds = par.unpack(x)
+    values, dvalues = block_iterates(pi, s, depth, (dpi, ds))
+    tau_x, jac = wheel_moments(values, pi, exps, (dpi, dvalues))
+    assert np.array_equal(tau_x, taus(x))  # the tau-only path is the same map
+    h = 1e-5
+    fd = np.column_stack(
+        [(taus(x + h * e) - taus(x - h * e)) / (2 * h) for e in np.eye(len(x))]
+    )
+    scale = np.maximum(np.max(np.abs(jac), axis=1), np.abs(tau_x))
+    assert np.all(np.max(np.abs(jac - fd), axis=1) <= 1e-6 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +396,40 @@ def test_fit_config_validation():
     keys = FitConfig(K=2).keys()
     assert len(keys) == 2 * 3
     assert WheelSpec.simple(2, 3) in keys
+
+
+def test_fit_config_rejects_nonpositive_or_nonfinite_weights():
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="positive and finite"):
+            FitConfig(K=2, weights={(2, 1): 1.0, (2, 2): bad})
+    assert FitConfig(K=2, weights={(2, 1): 1e-3, "wheel:k=2,l=2": 4.0}).weights
+
+
+def test_fit_falls_back_only_for_keys_over_budget():
+    from graphmoments import BudgetExceededError, wheel_moment_estimates
+    from graphmoments.hubs import has_closed_form
+
+    g = sample_block_model(BlockModel(pi=REF.pi, S=REF.S, rho=0.02), 120, seed=11).graph
+    cfg = FitConfig(K=3, multistart=1, budget=1000, on_stage_error="fallback")
+    over = []
+    for key in cfg.keys():
+        try:
+            wheel_moment_estimates(g, [key], budget=cfg.budget)
+        except BudgetExceededError:
+            over.append(key)
+    # the case must have enumerated keys on both sides of the budget
+    assert over and not any(has_closed_form(k) for k in over)
+    assert any(not has_closed_form(k) and k not in over for k in cfg.keys())
+    res = fit_block_model(g, cfg)
+    assert res.diagnostics["approximation"] == "degree"
+    assert res.diagnostics["approximated_keys"] == [k.name() for k in over]
+    exact = wheel_moment_estimates(g, [k for k in cfg.keys() if k not in over], budget=None)
+    for key, value in exact.items():
+        assert res.tau_hat[key] == value
+    assert list(res.tau_hat) == cfg.keys()
+    fit2 = fit_block_model(g, FitConfig(K=2, on_stage_error="fallback"))
+    assert fit2.diagnostics["approximation"] is None
+    assert fit2.diagnostics["approximated_keys"] == []
 
 
 def test_fit_settings_are_the_ones_callers_set():

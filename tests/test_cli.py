@@ -118,6 +118,18 @@ def test_fit_warns_on_stderr_when_counts_fall_back(graph_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_fit_warning_names_only_the_approximated_keys(graph_path, capsys):
+    argv = ["fit", graph_path, "--K", "3", "--multistart", "1", "--on-stage-error", "fallback"]
+    assert main(argv + ["--budget", "10"]) == 0
+    captured = capsys.readouterr()
+    approximated = json.loads(captured.out)["diagnostics"]["approximated_keys"]
+    # only enumerated keys can exceed a budget; the closed forms stay exact
+    assert approximated and len(approximated) < len(FitConfig(K=3).keys())
+    assert "wheel:k=2,l=3" not in approximated and "wheel:k=1,l=5" not in approximated
+    names = captured.err.split("budget; ", 1)[1].split(" fell back", 1)[0]
+    assert names.split(", ") == approximated
+
+
 def test_threads_is_a_sweep_option_only(graph_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["moments", graph_path, "--pattern", "wheel:k=2,l=1", "--threads", "2"])

@@ -14,7 +14,8 @@ from graphmoments import (
     tau_triangle,
     wheel_to_pattern,
 )
-from oracles import oracle_tau_block, oracle_tau_grid
+from graphmoments.theory import wheel_exponents, wheel_moments
+from oracles import oracle_tau_block, oracle_tau_grid, oracle_wheel_tau
 
 REF = BlockModel(
     pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]), rho=0.01
@@ -71,6 +72,25 @@ def test_tau_matches_assignment_sum_oracle():
         for spec in keys:
             want = oracle_tau_block(model.pi, model.S, wheel_to_pattern(spec))
             assert tau(model, spec) == pytest.approx(want, rel=1e-10), (K, spec.name())
+
+
+def test_wheel_moments_match_one_key_at_a_time_bit_for_bit():
+    # the exponent-matrix map keeps the per-key arithmetic: integer powers,
+    # multiplied in ascending spoke length, then one dot with the weights
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        K = int(rng.integers(1, 5))
+        model = random_model(K, rng)
+        depth = int(rng.integers(1, 5))
+        specs = [WheelSpec.simple(int(rng.integers(1, depth + 1)), int(rng.integers(1, 6)))
+                 for _ in range(4)]
+        for _ in range(4):
+            ks = sorted(rng.choice(np.arange(1, depth + 1), size=min(depth, 2), replace=False))
+            specs.append(WheelSpec(tuple(ks), tuple(int(l) for l in rng.integers(1, 5, size=len(ks)))))
+        it = iterate_operator(model, depth)
+        got = wheel_moments(it.values, it.weights, wheel_exponents(specs))
+        want = [oracle_wheel_tau(it.values, it.weights, spec) for spec in specs]
+        assert got.tolist() == want
 
 
 def test_tau_triangle_matches_oracle():
