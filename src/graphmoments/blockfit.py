@@ -44,7 +44,7 @@ from .errors import (
     StageInconsistencyError,
 )
 from .graph import Graph, rho_hat
-from .hubs import DEFAULT_BUDGET, has_closed_form
+from .hubs import DEFAULT_BUDGET
 from .models import canonical_order
 from .moments import wheel_moment_estimates
 from .patterns import WheelSpec
@@ -537,17 +537,12 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
         return nls_refine(one, init, cfg, rho=rho, extra_diagnostics=diagnostics)
 
     keys = cfg.keys()
-    # closed forms never exceed a budget: count them in one call, so (2,3)'s
-    # pass over A^2 also serves (2,2); each enumerated key may fall back alone
-    closed = [k for k in keys if cfg.estimator == "qcheck" and has_closed_form(k)]
-    found = wheel_moment_estimates(g, closed, budget=cfg.budget) if closed else {}
-    approximated = []
-    for key in keys:
-        if key not in found:
-            try:
-                found.update(wheel_moment_estimates(g, [key], cfg.estimator, cfg.budget))
-            except BudgetExceededError:
-                approximated.append(key)
+    found, approximated = {}, []
+    for key in keys:  # each key may fall back alone
+        try:
+            found.update(wheel_moment_estimates(g, [key], cfg.estimator, cfg.budget))
+        except BudgetExceededError:
+            approximated.append(key)
     if approximated:
         profile = m_degrees(g, cfg.K)
         found.update({k: degree_moment_approx(profile, k) for k in approximated})

@@ -230,9 +230,14 @@ def cmd_moments(args) -> int:
 
 
 def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int) -> dict:
-    cache = HubCountCache.build(g, cfg.keys(), cfg.budget)
+    """1/sigma^2 of each key from seed + its index; a key whose count exceeds
+    the budget is left out, as the fit approximates it with weight 1."""
     weights = {}
     for i, key in enumerate(cfg.keys()):
+        try:
+            cache = HubCountCache.build(g, [key], cfg.budget)
+        except BudgetExceededError:
+            continue
         res = bootstrap_variance(g, cache, key, seed=seed + i)
         weights[key] = 1.0 / max(res.sigma2_hat, 1e-300)
     return weights
@@ -478,8 +483,7 @@ def cmd_sweep(args) -> int:
         if "model" in entry:
             obj = entry["model"]
         elif "path" in entry:
-            with open(entry["path"]) as fh:
-                obj = json.load(fh)
+            obj = _load(load_model, entry["path"], "model").to_json()
         else:
             raise InputError(f"model {name!r} needs 'model' or 'path'")
         models.append((name, obj))

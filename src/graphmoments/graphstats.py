@@ -6,22 +6,23 @@ with the CSR entries, triangles per vertex, the k = 2 sums over A^2 and the
 memoised per-hub columns of closed-form wheel keys (filled by ``hubs``).
 
 The k = 2 sums come from one pass over the row blocks A[r0:r1] @ A
-(``a2_sums``), which also reads B if nothing has cached it yet.  Asked for
-(2,3)'s cross sum (``a2_cross``), the same pass multiplies each block's
-rows of A ∘ X by A as well, X_ij = d_j - 2 + B_ij needing B only on the
-block's own rows.  Otherwise B comes from a triangle listing (Latapy, TCS
-2008; Chiba & Nishizeki, SIAM J. Comput. 1985): edges point to the
-endpoint of higher (degree, id) rank, so each triangle is one wedge of
-forward edges at its lowest vertex, closed by ``searchsorted`` in the
-sorted CSR keys i*n + j.  Triangle counts and D^(3) run it only when no
-k = 2 wheel came first.  (2,3)'s clique terms list again, but pair only
-triangle edges (B >= 1) and extend a triangle to K4s only along edges in
-two triangles or more.
+(``a2_sums``), which also reads B if nothing has cached it yet.  Otherwise
+B comes from a triangle listing (Latapy, TCS 2008; Chiba & Nishizeki, SIAM
+J. Comput. 1985): edges point to the endpoint of higher (degree, id) rank,
+so each triangle is one wedge of forward edges at its lowest vertex, closed
+by ``searchsorted`` in the sorted CSR keys i*n + j.  Triangle counts and
+D^(3) run it only when no k = 2 wheel came first.  (2,3)'s cross sum
+(``a2_cross``) reads ``a2_sums`` first and then multiplies each block's
+rows of A ∘ X by A, X_ij = d_j - 2 + B_ij, so in any key order each row
+block's two products are formed once.  Its clique terms list again, but
+pair only triangle edges (B >= 1) and extend a triangle to K4s only along
+edges in two triangles or more.
 
 BLOCK_BYTES caps the temporaries of each chunk of wedges, K4 candidates or
-A^2 rows (with any dense row buffer), sized by measured bytes per item; a
-chunk holds at least one item, and no kernel holds A^2.  The cap does not
-cover the O(n + E) arrays a kernel keeps, returns or builds once.
+rows of A^2 or (A ∘ X) A (with any dense row buffer), sized by measured
+bytes per item; a chunk holds at least one item, and no kernel holds A^2.
+The cap does not cover the O(n + E) arrays a kernel keeps, returns or
+builds once.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ BLOCK_BYTES = 1 << 25  # bytes of temporaries one chunk of a kernel may hold
 # bytes of temporaries per item, measured with tracemalloc
 _WEDGE_BYTES = 96  # a wedge being closed, or a triangle being extended
 _K4_BYTES = 112  # a K4 candidate
-_A2_BYTES = 32  # an entry of A^2 in the pass, with its entry of (A ∘ X) A if asked
+_A2_BYTES = 32  # an entry of a row block's product with A, A^2 or (A ∘ X) A
 _INT64_LIMIT = 2**62  # headroom below 2^63 for one more addition
 
 
@@ -207,43 +208,31 @@ class GraphStats:
                     np.add.at(k4, y[hit], 1)
         return opposite, k4, qe
 
-    def a2_blocks(self, entry_bytes: int, row_bytes: int = 0):
-        """Yield (r0, r1, A[r0:r1] @ A) over consecutive row blocks of A^2,
-        sized for entry_bytes per entry plus row_bytes per row."""
+    def a2_blocks(self, entry_bytes: int, row_bytes: int = 0, left=None):
+        """Yield (r0, r1, L @ A) over consecutive row blocks, sized for
+        entry_bytes per entry plus row_bytes per row.  L = left(r0, r1), a
+        matrix with the pattern of A[r0:r1], or A[r0:r1] itself (the blocks
+        of A^2) if left is None."""
         a = self.adjacency
         # 2-walks, at most n, bound each row's entries
         for lo, hi in _chunks(np.minimum(self.d2 + self.d, self.n) * entry_bytes + row_bytes):
-            yield lo, hi, a[lo:hi] @ a
+            yield lo, hi, (a[lo:hi] if left is None else left(lo, hi)) @ a
 
     @cached_property
     def a2_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s2, s3): per vertex i, the sums over k != i of (A^2)_ik^2 and (A^2)_ik^3."""
-        return self._a2_pass(cross=False)
-
-    @cached_property
-    def a2_cross(self) -> np.ndarray:
-        """pq: per vertex i, the sum over k of (A^2)_ik Q_ik, with Q = (A ∘ X) A
-        and X_ij = d_j - 2 + B_ij; its pass also caches ``a2_sums`` and B."""
-        return self._a2_pass(cross=True)
-
-    def _a2_pass(self, cross: bool):
-        """(s2, s3), or pq if cross, from one pass over the row blocks of A^2
-        after the k = 2 int64 guard.
+        """(s2, s3): per vertex i, the sums over k != i of (A^2)_ik^2 and
+        (A^2)_ik^3, from one pass over the row blocks of A^2 after the k = 2
+        int64 guard.
 
         If B is not cached yet, the pass reads it as well and caches it as
         ``edge_triangles``: through a dense buffer of each block's rows when
         the 2-walk bound fills at least half of A^2, else through the
-        block's elementwise product with A.  For pq, the block's rows of
-        A ∘ X times A pack (A^2)_ik into the low bits of each entry, below
-        2^shift as (A^2)_ik <= max degree, and Q_ik above them; no entry is
-        dropped, as it is zero only where (A^2)_ik is.
+        block's elementwise product with A.
         """
         _k2_dtype(self.d, self.d2)  # raises before the first block if a sum could wrap
         n, d, a = self.n, self.d, self.adjacency
         s2, s3 = -d * d, -(d**3)  # drop k = i, where (A^2)_ii = d_i
-        pq, shift = np.zeros(n, dtype=np.int64), int(d.max(initial=0)).bit_length()
         b = None if "edge_triangles" in self.__dict__ else np.zeros(self.indices.size, np.int64)
-        known = self.edge_triangles if b is None else b
         # a buffered row costs n cells; the product costs about two cells per entry
         dense = b is not None and 2 * int(np.minimum(self.d2 + d, n).sum()) >= n * n
         for lo, hi, p in self.a2_blocks(_A2_BYTES, 8 * n if dense else 0):
@@ -259,21 +248,38 @@ class GraphStats:
                 on_edges = p.multiply(a[lo:hi])  # B where it is positive
                 rows = np.repeat(np.arange(lo, hi), np.diff(on_edges.indptr))
                 b[self._find(rows, on_edges.indices)] = on_edges.data
-            if not cross:
-                continue
             del p  # hold one product at a time
-            x = (d[self.indices[e0:e1]] - 2 + known[e0:e1]) << shift
+        if b is not None:
+            self.__dict__["edge_triangles"] = b
+        return s2, s3
+
+    @cached_property
+    def a2_cross(self) -> np.ndarray:
+        """pq: per vertex i, the sum over k of (A^2)_ik Q_ik, with Q = (A ∘ X) A
+        and X_ij = d_j - 2 + B_ij.
+
+        It reads ``a2_sums`` first, which guards int64 and caches B, and then
+        forms only the row blocks of (A ∘ X) A, so any order of asking forms
+        each block's A^2 and (A ∘ X) A products once.  Each entry packs
+        (A^2)_ik into its low bits, below 2^shift as (A^2)_ik <= max degree,
+        and Q_ik above them; no entry is dropped, as it is zero only where
+        (A^2)_ik is.
+        """
+        self.a2_sums  # the int64 guard, and B
+        d, b, shift = self.d, self.edge_triangles, int(self.d.max(initial=0)).bit_length()
+
+        def packed(lo, hi):  # rows lo..hi-1 of A ∘ X, shifted, plus 1 at each entry
+            e0, e1 = self.indptr[lo], self.indptr[hi]
+            x = (d[self.indices[e0:e1]] - 2 + b[e0:e1]) << shift
             x += 1
-            q = sparse.csr_matrix((x, self.indices[e0:e1], self.indptr[lo : hi + 1] - e0),
-                                  shape=(hi - lo, n)) @ a
+            return sparse.csr_matrix((x, self.indices[e0:e1], self.indptr[lo : hi + 1] - e0),
+                                     shape=(hi - lo, self.n))
+
+        pq = np.zeros(self.n, dtype=np.int64)
+        for lo, hi, q in self.a2_blocks(_A2_BYTES, left=packed):
             walks = q.data & ((1 << shift) - 1)
             q.data >>= shift
             walks *= q.data
             pq[lo:hi] = row_sums(q.indptr, walks)
-            del x, q, walks
-        if b is not None:
-            self.__dict__["edge_triangles"] = b
-        if not cross:
-            return s2, s3
-        self.__dict__["a2_sums"] = (s2, s3)
+            del q, walks  # hold one product at a time
         return pq

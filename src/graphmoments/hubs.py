@@ -17,11 +17,11 @@ Everything else runs an exact per-hub enumeration with a work budget.
 The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``): the sums
 of (A^2)_ik^2 and (A^2)_ik^3 come from its one memoised pass over the row
 blocks of A^2, which also yields B unless a triangle count listed it first.
-(2,3) asks that pass for its cross sum too, from a product (A∘X)·A taken
-block by block, and lists the triangles and K4s over triangle edges only.
-``wheel_counts`` counts (2,3) first, so a key set holding (2,2) and (2,3)
-forms each row block of A^2 once.  No kernel holds the full A^2.
-Closed-form columns are memoised per graph.
+(2,3) also reads a cross sum from the product (A∘X)·A, formed block by
+block after that pass, and lists the triangles and K4s over triangle edges
+only.  In any key order, each row block of A^2 and of (A∘X)·A is formed
+once.  No kernel holds the full A^2.  Closed-form
+columns are memoised per graph.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .graphstats import _k2_dtype, row_sums
 from .patterns import WheelSpec, hub_multiplicity, wheel_rooted_count
 
 DEFAULT_BUDGET = 1_000_000
-_K23 = WheelSpec.simple(2, 3)
 
 
 def _hub_counts_k2_l2(g: Graph) -> np.ndarray:
@@ -86,7 +85,7 @@ def _hub_counts_k2_l3(g: Graph) -> np.ndarray:
     st = g.stats
     d, m = st.d, st.d2
     dtype = _k2_dtype(d, m)
-    pq = st.a2_cross  # its pass also caches s2, s3 and B
+    pq = st.a2_cross  # reads a2_sums first, which also caches B
     s2, s3 = st.a2_sums
     t = triangles_per_vertex(g)
     b = st.edge_triangles
@@ -232,19 +231,6 @@ def wheel_counts_per_hub(
     if spec.is_simple and l == 1:
         return m_degrees(g, k, budget=budget).counts[:, k - 1].copy()
     return _hub_counts_generic(g, spec, budget)
-
-
-def wheel_counts(g: Graph, specs, budget: int | None = DEFAULT_BUDGET) -> dict:
-    """Per-hub counts of each spec, keyed in the order given.
-
-    (2,3) is counted first: its pass over A^2 also caches the sums and B
-    that (2,2) reads, so a key set holding both forms each row block of A^2
-    once.
-    """
-    specs = list(specs)
-    k23_first = sorted(specs, key=lambda spec: spec != _K23)
-    counts = {spec: wheel_counts_per_hub(g, spec, budget) for spec in k23_first}
-    return {spec: counts[spec] for spec in specs}
 
 
 def wheel_total(counts, spec: WheelSpec, n: int) -> tuple[int, int]:

@@ -210,7 +210,13 @@ class SampleOutput:
 def load_model(path) -> BlockModel | Graphon:
     """Load either model type from a JSON file, keyed on its fields."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # invalid JSON or text encoding
+            raise InvalidModelError(f"model file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InvalidModelError(f"model file {path} does not hold a JSON object")
+    return model_from_json(obj)
 
 
 def model_from_json(obj: dict) -> BlockModel | Graphon:

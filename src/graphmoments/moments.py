@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .counting import count_induced, count_noninduced
 from .errors import BudgetExceededError, DomainError, NormalizationError
 from .graph import Graph, rho_hat
-from .hubs import DEFAULT_BUDGET, wheel_counts, wheel_total
+from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub, wheel_total
 from .patterns import (
     PatternGraph,
     WheelSpec,
@@ -163,7 +163,7 @@ def moment_table(
     rho = rho_hat(g)
     items = [_as_item(raw) for raw in patterns]
     wheels = [item for item in items if isinstance(item, WheelSpec)]
-    counts = wheel_counts(g, wheels, budget) if mode != "induced" else {}
+    counts = {w: wheel_counts_per_hub(g, w, budget) for w in wheels} if mode != "induced" else {}
 
     def checked(value, q):  # the density-free moment, when there is a density
         return value * rho**-q if value is not None and rho > 0 else None
@@ -236,11 +236,10 @@ def wheel_moment_estimates(
     if rho == 0:
         raise NormalizationError("moment estimates need at least one edge")
     specs = [WheelSpec.coerce(key) for key in keys]
-    counts = wheel_counts(g, specs, budget) if estimator == "qcheck" else {}
     out = {}
     for spec in specs:
         if estimator == "qcheck":
-            total, denom = wheel_total(counts[spec], spec, g.n)
+            total, denom = wheel_total(wheel_counts_per_hub(g, spec, budget), spec, g.n)
             out[spec] = (total / denom if denom else 0.0) * rho**-spec.q
         else:
             pattern = wheel_to_pattern(spec)

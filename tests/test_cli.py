@@ -11,11 +11,14 @@ import graphmoments
 from graphmoments import (
     BlockModel,
     FitConfig,
+    HubCountCache,
+    bootstrap_variance,
     fit_block_model,
     load_edge_list,
     sample_block_model,
     save_model,
 )
+from graphmoments import cli
 from graphmoments.cli import main
 
 REF = BlockModel(
@@ -128,6 +131,43 @@ def test_fit_warning_names_only_the_approximated_keys(graph_path, capsys):
     assert "wheel:k=2,l=3" not in approximated and "wheel:k=1,l=5" not in approximated
     names = captured.err.split("budget; ", 1)[1].split(" fell back", 1)[0]
     assert names.split(", ") == approximated
+
+
+def test_bootstrap_weights_skip_the_keys_that_fall_back(graph_path, capsys):
+    argv = ["fit", graph_path, "--K", "3", "--multistart", "1", "--on-stage-error", "fallback",
+            "--budget", "10", "--seed", "3"]
+    assert main(argv + ["--weights", "bootstrap"]) == 0
+    captured = capsys.readouterr()
+    approximated = json.loads(captured.out)["diagnostics"]["approximated_keys"]
+    assert approximated and captured.err.startswith("warning: ")
+    # the approximated keys keep the default weight; every other key keeps
+    # the weight of its own seed, seed + its index among the fit's keys
+    g = load_edge_list(graph_path)
+    cfg = FitConfig(K=3, budget=10)
+    weights = cli._bootstrap_weights(g, cfg, 3)
+    assert sorted(k.name() for k in set(cfg.keys()) - set(weights)) == sorted(approximated)
+    for i, key in enumerate(cfg.keys()):
+        if key in weights:
+            res = bootstrap_variance(g, HubCountCache.build(g, [key], None), key, seed=3 + i)
+            assert weights[key] == 1.0 / res.sigma2_hat
+
+
+def test_malformed_model_json_is_input_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"models": [{"name": "ref", "path": str(model)}], "n": [50],
+                                    "replicates": 1, "metrics": ["rho_hat"]}))
+    for text in ('{"K": 2, "pi": [0.5,', "[0.5, 0.5]"):  # truncated, not an object
+        model.write_text(text)
+        out = tmp_path / "g.edges"
+        assert main(["gen", str(model), "--n", "50", "--out", str(out)]) == 2
+        assert not out.exists()
+        sweep_out = tmp_path / "s.jsonl"
+        assert main(["sweep", str(cfg_path), "--out", str(sweep_out), "--threads", "1"]) == 2
+        assert not sweep_out.exists()  # no cell ran
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+        assert all(str(model) in line for line in err)
 
 
 def test_threads_is_a_sweep_option_only(graph_path, capsys):

@@ -144,16 +144,17 @@ def test_one_row_blocks_match_a_single_block(monkeypatch):
             assert _outputs(_fresh(g), first) == want
 
 
-def _record_a2_blocks_and_listings(monkeypatch) -> tuple[list, list]:
-    """Record the row range of every A^2 block formed and, for every wedge
-    listing, whether it paired only triangle edges (B cached and positive).
-    Blocks are capped at 256 KiB, so every graph below takes several."""
-    blocks, listings = [], []
+def _record_a2_blocks_and_listings(monkeypatch) -> tuple[list, list, list]:
+    """Record the row range of every A^2 block and of every (A ∘ X) A block
+    formed and, for every wedge listing, whether it paired only triangle
+    edges (B cached and positive).  Blocks are capped at 256 KiB, so every
+    graph below takes several."""
+    blocks, crosses, listings = [], [], []
     a2_blocks, listing = graphstats.GraphStats.a2_blocks, graphstats.GraphStats._triangles
 
-    def counting_blocks(self, *args):
-        for r0, r1, p in a2_blocks(self, *args):
-            blocks.append((r0, r1))
+    def counting_blocks(self, entry_bytes, row_bytes=0, left=None):
+        for r0, r1, p in a2_blocks(self, entry_bytes, row_bytes, left):
+            (blocks if left is None else crosses).append((r0, r1))
             yield r0, r1, p
 
     def counting_listing(self, fwd, cap):
@@ -164,7 +165,7 @@ def _record_a2_blocks_and_listings(monkeypatch) -> tuple[list, list]:
     monkeypatch.setattr(graphstats.GraphStats, "a2_blocks", counting_blocks)
     monkeypatch.setattr(graphstats.GraphStats, "_triangles", counting_listing)
     monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 18)
-    return blocks, listings
+    return blocks, crosses, listings
 
 
 def _each_row_once(blocks: list, n: int) -> bool:
@@ -174,7 +175,7 @@ def _each_row_once(blocks: list, n: int) -> bool:
 
 
 def test_k22_first_forms_each_a2_block_once_and_lists_no_triangles(monkeypatch):
-    blocks, listings = _record_a2_blocks_and_listings(monkeypatch)
+    blocks, crosses, listings = _record_a2_blocks_and_listings(monkeypatch)
     rng = np.random.default_rng(12)
     for n, p in ((300, 0.3), (2000, 0.003)):  # dense row buffer, product with A
         g = Graph.from_edges(np.argwhere(np.triu(rng.random((n, n)) < p, 1)), n)
@@ -182,30 +183,44 @@ def test_k22_first_forms_each_a2_block_once_and_lists_no_triangles(monkeypatch):
         wheel_counts_per_hub(g, K22)
         triangle_count(g)
         m_degrees(g, 3)
-        assert listings == []
+        assert listings == [] and crosses == []
         assert _each_row_once(blocks, n)
 
 
 def test_k2_fit_forms_each_a2_block_once_and_lists_only_triangle_edges(monkeypatch):
-    blocks, listings = _record_a2_blocks_and_listings(monkeypatch)
+    blocks, crosses, listings = _record_a2_blocks_and_listings(monkeypatch)
     cfg = FitConfig(K=2, on_stage_error="fallback")
-    runs = {
-        "fit": lambda h: fit_block_model(h, cfg),
-        "cache": lambda h: HubCountCache.build(h, cfg.keys()),
+    # each order of asking, with the wedge listings it runs: (2,3)'s clique
+    # terms over triangle edges, after the triangle count's full listing if any
+    orders = {
+        "(2,2), (2,3)": (lambda h: [wheel_counts_per_hub(h, k) for k in (K22, K23)], [True]),
+        "(2,3), (2,2)": (lambda h: [wheel_counts_per_hub(h, k) for k in (K23, K22)], [True]),
+        "triangles, (2,3)": (lambda h: (triangle_count(h), wheel_counts_per_hub(h, K23)),
+                             [False, True]),
+        "fit": (lambda h: fit_block_model(h, cfg), [True]),
+        "cache": (lambda h: HubCountCache.build(h, cfg.keys()), [True]),
         # fit --weights bootstrap: the cache, then the fit on the same graph
-        "cache, fit": lambda h: (HubCountCache.build(h, cfg.keys()), fit_block_model(h, cfg)),
+        "cache, fit": (lambda h: (HubCountCache.build(h, cfg.keys()), fit_block_model(h, cfg)),
+                       [True]),
     }
     for n, lam in ((300, 90.0), (2000, 6.0)):  # dense row buffer, product with A
         model = BlockModel(pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]),
                            rho=lam / (n - 1))
         g = sample_block_model(model, n, seed=5).graph
-        for name, run in runs.items():
+        columns: dict = {}  # the distinct per-hub columns of each key over the orders
+        for name, (run, listed) in orders.items():
             blocks.clear()
+            crosses.clear()
             listings.clear()
-            run(_fresh(g))
-            assert _each_row_once(blocks, n), (n, name)
-            # (2,3)'s clique terms list once, over triangle edges only
-            assert listings == [True], (n, name)
+            h = _fresh(g)
+            run(h)
+            assert _each_row_once(blocks, n) and _each_row_once(crosses, n), (n, name)
+            assert listings == listed, (n, name)
+            for key in set(h.stats.hub_columns) & {K22, K23}:
+                col = h.stats.hub_columns[key]
+                columns.setdefault(key, set()).add((col.dtype.str, col.tobytes()))
+        # bit-identical per-hub columns in every order
+        assert {key: len(cols) for key, cols in columns.items()} == {K22: 1, K23: 1}, n
 
 
 def _traced_peak(fn) -> int:
@@ -248,10 +263,10 @@ def test_kernels_keep_their_temporaries_under_block_bytes(monkeypatch, block_byt
         passed = _warm(g)
         peaks["pass"] = (_traced_peak(lambda: passed.stats.a2_sums), 4)
         passed.stats.triangles
-        # after (2,2), (2,3) passes over A^2 again with B cached, and builds X and its per-entry sums
+        # after the A^2 pass, (2,3) forms only (A ∘ X) A blocks and builds its per-entry sums
         peaks["(2,3)"] = (_traced_peak(lambda: wheel_counts_per_hub(passed, K23)), 10)
         crossed = _warm(g)
-        # (2,3) first reads B in its own pass, through the dense row buffer or A's product
+        # (2,3) first runs the A^2 pass, reading B through the dense row buffer or A's product
         peaks["(2,3) first"] = (_traced_peak(lambda: wheel_counts_per_hub(crossed, K23)), 10)
         for kernel, (peak, outputs) in peaks.items():
             assert peak - outputs * linear <= block_bytes, (n, p, kernel, peak)

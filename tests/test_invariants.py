@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import graphmoments
@@ -51,3 +53,25 @@ def test_package_reads_no_environment_variable():
         )
     ]
     assert found == []
+
+
+def test_every_traced_name_exists():
+    # perfbench's --trace runs wrap these names; one renamed or deleted here
+    # should fail the suite, not only a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{mod}.{attr}"
+        for mod, attr, _ in tracing.FUNCTIONS
+        if not callable(getattr(importlib.import_module(f"graphmoments.{mod}"), attr, None))
+    ] + [
+        f"{mod}.{cls}.{attr}"
+        for mod, cls, attr, _ in tracing.CLASSMETHODS
+        if not isinstance(
+            vars(getattr(importlib.import_module(f"graphmoments.{mod}"), cls, object)).get(attr),
+            classmethod,
+        )
+    ]
+    assert tracing.FUNCTIONS and tracing.CLASSMETHODS and missing == []
