@@ -27,18 +27,8 @@ import numpy as np
 from . import __version__
 from .blockfit import FitConfig, fit_block_model
 from .bootstrap import HubCountCache, bootstrap_variance
-from .degrees import (
-    degree_moment_approx,
-    joint_coupling_error,
-    m_degrees,
-    theta_profile,
-)
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    InputError,
-    NumericalError,
-)
+from .degrees import degree_moment_approx, joint_coupling_error, m_degrees, theta_profile
+from .errors import BudgetExceededError, DomainError, InputError, NumericalError
 from .graph import Graph, lambda_hat, load_edge_list, rho_hat, write_edge_list
 from .hubs import DEFAULT_BUDGET
 from .models import (
@@ -246,15 +236,9 @@ def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int) -> dict:
 def cmd_fit(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
     manifest = _manifest("fit", args, [args.graph], [args.out] if args.out else [])
-    cfg = FitConfig(
-        K=args.K,
-        estimator=args.estimator,
-        stage_weight_tol=args.stage_tol,
-        multistart=args.multistart,
-        seed=args.seed,
-        budget=_budget(args),
-        on_stage_error=args.on_stage_error,
-    )
+    cfg = FitConfig(K=args.K, estimator=args.estimator, stage_weight_tol=args.stage_tol,
+                    multistart=args.multistart, seed=args.seed, budget=_budget(args),
+                    on_stage_error=args.on_stage_error)
     t0 = time.monotonic()
     if args.weights == "bootstrap":
         weights = _bootstrap_weights(g, cfg, args.seed)
@@ -337,15 +321,8 @@ def cmd_bootstrap(args) -> int:
     manifest = _manifest("bootstrap", args, [args.graph], [args.out] if args.out else [])
     t0 = time.monotonic()
     cache = HubCountCache.build(g, [key], _budget(args))
-    result = bootstrap_variance(
-        g,
-        cache,
-        key,
-        m=args.m,
-        B=args.B,
-        seed=args.seed,
-        normalization=args.normalization,
-    )
+    result = bootstrap_variance(g, cache, key, m=args.m, B=args.B, seed=args.seed,
+                                normalization=args.normalization)
     manifest.wall_clock_s = time.monotonic() - t0
     _emit_json(result.to_json(), manifest, args.out)
     return 0
@@ -406,10 +383,7 @@ def _sweep_cell(task: dict) -> dict:
             elif name in ("tau_check", "tau_error"):
                 key = WheelSpec.simple(params["k"], params["l"])
                 val = wheel_moment_estimates(g, [key], estimator=estimator, budget=budget)[key]
-                if name == "tau_check":
-                    metrics[spec] = val
-                else:
-                    metrics[spec] = val - tau(model, key)
+                metrics[spec] = val if name == "tau_check" else val - tau(model, key)
             elif name == "approx_gap":
                 key = WheelSpec.simple(params["k"], params["l"])
                 exact = wheel_moment_estimates(g, [key], estimator=estimator, budget=budget)[key]
@@ -421,12 +395,8 @@ def _sweep_cell(task: dict) -> dict:
                 theta = theta_profile(model, sample.xi, depth)
                 metrics[spec] = joint_coupling_error(profile, theta)
             elif name == "fit":
-                cfg = FitConfig(
-                    K=params["K"],
-                    estimator=estimator,
-                    budget=budget,
-                    **task["fit_options"],
-                )
+                cfg = FitConfig(K=params["K"], estimator=estimator, budget=budget,
+                                **task["fit_options"])
                 res = fit_block_model(g, cfg)
                 metrics[f"{spec}.residual"] = res.residual
                 metrics[f"{spec}.converged"] = res.converged
@@ -482,6 +452,7 @@ def cmd_sweep(args) -> int:
             raise InputError("each sweep model needs a name")
         if "model" in entry:
             obj = entry["model"]
+            model_from_json(obj)  # a bad model fails here, as by "path", not in every cell
         elif "path" in entry:
             obj = _load(load_model, entry["path"], "model").to_json()
         else:

@@ -7,8 +7,9 @@ model type, through ``theory.iterate_operator`` and ``model.locate``),
 which is what the coupling diagnostics quantify.
 
 Orders 1-3 are closed forms over the graph's cached statistics layer
-(``Graph.stats``): degrees, D^(2) and triangles per vertex, with the CSR
-adjacency built once per graph; no A^2 is formed.
+(``Graph.stats``): degrees, D^(2) and triangles per vertex, with every
+mat-vec taken as row sums over the CSR entries; no A^2 is formed and
+scipy is not loaded.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import triangles_per_vertex
-from .errors import BudgetExceededError, DomainError, NormalizationError
+from .errors import BudgetExceededError, CountOverflowError, DomainError, NormalizationError
 from .graph import Graph, average_degree
+from .graphstats import _INT64_LIMIT, row_sums
 from .patterns import WheelSpec
 from .theory import iterate_operator
 
@@ -66,10 +68,16 @@ class ThetaProfile:
 def _paths_order3(g: Graph) -> np.ndarray:
     """D^(3) closed form: summing d_l choices over i~j~k and excluding the
     revisits l in {j, i} gives A^2 (d-1) - d(d-1) - 2 * triangles, with
-    A^2 (d-1) taken as A (A (d-1)) and triangles from the statistics layer."""
-    d = g.degrees.astype(np.int64)
-    t1 = g.adjacency @ (g.adjacency @ (d - 1))
-    return t1 - d * (d - 1) - 2 * triangles_per_vertex(g)
+    A^2 (d-1) taken as A (A (d-1)), two row sums over the CSR entries that
+    are at most D^3 for max degree D (past 2^62, CountOverflowError), and
+    triangles from the statistics layer."""
+    st = g.stats
+    dmax = int(st.d.max(initial=0))
+    if dmax**3 >= _INT64_LIMIT:
+        raise CountOverflowError(f"D^(3) sums could pass 2^62 (max degree {dmax})")
+    f = st.d - 1
+    t1 = row_sums(st.indptr, row_sums(st.indptr, f[st.indices])[st.indices])
+    return t1 - st.d * f - 2 * triangles_per_vertex(g)
 
 
 def _paths_dfs(g: Graph, m: int, budget: int | None) -> np.ndarray:
@@ -110,9 +118,8 @@ def m_degrees(g: Graph, m: int, budget: int | None = 50_000_000) -> DegreeProfil
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    d = g.degrees.astype(np.int64)
     if m <= 3:
-        cols = [d]
+        cols = [g.stats.d]
         if m >= 2:
             cols.append(g.stats.d2)
         if m == 3:

@@ -5,7 +5,8 @@ edges.  Adjacency is CSR-style: a flat ``indices`` array of neighbors with
 ``indptr`` offsets, each neighbor list sorted ascending.  The vertex count
 ``n`` is stored explicitly so isolated vertices survive a write/read round
 trip (the writer emits a ``# n=<count>`` comment header for an unlabelled
-graph).
+graph).  This module is numpy only: a scipy matrix of A is built by
+``Graph.stats`` when an A^2 pass needs it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DomainError, GraphFormatError
 from .graphstats import GraphStats
@@ -79,12 +79,6 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    @cached_property
-    def adjacency(self):
-        """Adjacency as a scipy CSR matrix of int64 ones, built once."""
-        data = np.ones(self.indices.size, dtype=np.int64)
-        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     @cached_property
     def stats(self) -> GraphStats:

@@ -4,6 +4,7 @@
 degrees d, D^(2) = A d - d, per-edge triangle counts B = A^2 ∘ A aligned
 with the CSR entries, triangles per vertex, the k = 2 sums over A^2 and the
 memoised per-hub columns of closed-form wheel keys (filled by ``hubs``).
+Only the A^2 passes build a scipy matrix (``adjacency``); the rest is numpy.
 
 The k = 2 sums come from one pass over the row blocks A[r0:r1] @ A
 (``a2_sums``), which also reads B if nothing has cached it yet.  Otherwise
@@ -30,7 +31,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CountOverflowError, InvariantError
 
@@ -95,15 +95,23 @@ class GraphStats:
         self.n = g.n
         self.indptr = g.indptr
         self.indices = g.indices
-        self.adjacency = g.adjacency
         self.d = g.degrees.astype(np.int64)
         self.src = np.repeat(np.arange(g.n, dtype=np.int64), self.d)  # row of each entry
         self.hub_columns: dict = {}
 
     @cached_property
     def d2(self) -> np.ndarray:
-        """D^(2): 2-paths from each vertex, sum over neighbours of d_j - 1."""
-        return self.adjacency @ self.d - self.d
+        """D^(2): 2-paths from each vertex, row sums of d_j - 1 over the CSR entries."""
+        return row_sums(self.indptr, self.d[self.indices]) - self.d
+
+    @cached_property
+    def adjacency(self):
+        """A as a scipy CSR matrix of int64 ones, built on first use from these
+        arrays: a reference to the graph would make a cycle graph -> stats -> graph."""
+        from scipy import sparse
+
+        data = np.ones(self.indices.size, dtype=np.int64)
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -265,6 +273,8 @@ class GraphStats:
         and Q_ik above them; no entry is dropped, as it is zero only where
         (A^2)_ik is.
         """
+        from scipy import sparse
+
         self.a2_sums  # the int64 guard, and B
         d, b, shift = self.d, self.edge_triangles, int(self.d.max(initial=0)).bit_length()
 

@@ -129,14 +129,15 @@ class BlockModel:
     @classmethod
     def from_json(cls, obj: dict) -> "BlockModel":
         try:
-            pi = obj["pi"]
-            S = obj["S"]
-            rho = obj["rho"]
+            pi, S, rho = obj["pi"], obj["S"], obj["rho"]
+            if "K" in obj and int(obj["K"]) != len(pi):
+                raise InvalidModelError("K does not match len(pi)")
+            pi, S, rho = np.asarray(pi, float), np.asarray(S, float), float(rho)
         except KeyError as exc:
             raise InvalidModelError(f"missing block-model field {exc}") from exc
-        if "K" in obj and int(obj["K"]) != len(pi):
-            raise InvalidModelError("K does not match len(pi)")
-        return cls(pi=np.asarray(pi, float), S=np.asarray(S, float), rho=float(rho))
+        except (TypeError, ValueError) as exc:  # a field that is not a number or array
+            raise InvalidModelError(f"bad block-model field: {exc}") from exc
+        return cls(pi=pi, S=S, rho=rho)
 
     def with_rho(self, rho: float) -> "BlockModel":
         return BlockModel(pi=self.pi, S=self.S, rho=rho)
@@ -191,10 +192,12 @@ class Graphon:
     def from_json(cls, obj: dict) -> "Graphon":
         try:
             grid = np.asarray(obj["grid"], float)
+            if "resolution" in obj and int(obj["resolution"]) != len(grid):
+                raise InvalidModelError("resolution does not match grid size")
         except KeyError as exc:
             raise InvalidModelError(f"missing graphon field {exc}") from exc
-        if "resolution" in obj and int(obj["resolution"]) != len(grid):
-            raise InvalidModelError("resolution does not match grid size")
+        except (TypeError, ValueError) as exc:  # a field that is not a number or array
+            raise InvalidModelError(f"bad graphon field: {exc}") from exc
         return cls(grid=grid)
 
 
@@ -221,6 +224,8 @@ def load_model(path) -> BlockModel | Graphon:
 
 def model_from_json(obj: dict) -> BlockModel | Graphon:
     """Either model type from its JSON object, keyed on its fields."""
+    if not isinstance(obj, dict):
+        raise InvalidModelError(f"a model must be a JSON object, not {type(obj).__name__}")
     return Graphon.from_json(obj) if "grid" in obj else BlockModel.from_json(obj)
 
 

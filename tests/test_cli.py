@@ -170,6 +170,36 @@ def test_malformed_model_json_is_input_error(tmp_path, capsys):
         assert all(str(model) in line for line in err)
 
 
+def test_model_fields_that_are_not_numbers_are_input_errors(tmp_path, capsys):
+    bad = [
+        {"K": 2, "pi": "ab", "S": [[1, 1], [1, 1]], "rho": 0.1},
+        {"K": "two", "pi": [0.5, 0.5], "S": [[1, 1], [1, 1]], "rho": 0.1},
+        {"pi": [0.5, 0.5], "S": [[1, 1], [1]], "rho": 0.1},
+        {"pi": 0.5, "S": [[1]], "rho": 0.1, "K": 1},
+        {"pi": [0.5, 0.5], "S": [[1, 1], [1, 1]], "rho": None},
+        {"grid": [[1, "x"], ["x", 1]]},
+        {"grid": 1.0, "resolution": 1},
+    ]
+    model, out = tmp_path / "model.json", tmp_path / "g.edges"
+    for obj in bad:
+        model.write_text(json.dumps(obj))
+        assert main(["gen", str(model), "--n", "10", "--rho", "0.1", "--out", str(out)]) == 2, obj
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_checks_inline_models_before_any_cell(tmp_path, capsys):
+    cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
+    for model in ({"K": 2, "pi": [0.9, 0.9], "S": [[1, 1], [1, 1]], "rho": 0.1},
+                  {"K": 2, "pi": "ab", "S": [[1, 1], [1, 1]], "rho": 0.1}, 5, [0.5, 0.5]):
+        cfg_path.write_text(json.dumps({"models": [{"name": "bad", "model": model}], "n": [50],
+                                        "replicates": 2, "metrics": ["rho_hat"]}))
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
+        assert not out.exists()  # no cell ran
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_threads_is_a_sweep_option_only(graph_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["moments", graph_path, "--pattern", "wheel:k=2,l=1", "--threads", "2"])
@@ -177,16 +207,50 @@ def test_threads_is_a_sweep_option_only(graph_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def _fresh_python(code: str, *args: str) -> str:
+    """Stdout of code run in a new interpreter that imports this graphmoments."""
+    src = str(Path(graphmoments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_out_scipy_optimize_and_linalg():
     # commands that never fit should not pay for these imports at start-up
     code = (
-        "import sys, graphmoments.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
+        "import sys, graphmoments.cli; print(sorted(m for m in "
+        "('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules))"
     )
-    src = str(Path(graphmoments.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+def test_commands_on_the_o_e_path_never_load_scipy_sparse(tmp_path, model_path):
+    # only the A^2 passes need a sparse matrix; these commands run none
+    g, out = str(tmp_path / "g.edges"), str(tmp_path / "out")
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "models": [{"name": "ref", "path": model_path}], "n": [150, 200], "replicates": 1,
+        "metrics": ["rho_hat", "tau_check:k=2,l=1", "coupling:m=2"],
+    }))
+    commands = [
+        ["gen", model_path, "--n", "300", "--seed", "3", "--out", g],
+        ["degrees", g, "--m", "3", "--out", out],
+        ["moments", g, "--pattern", "wheel:k=1,l=2"],
+        ["moments", g, "--pattern", "wheel:k=2,l=1"],
+        ["bootstrap", g, "--key", "2,1", "--B", "20"],
+        ["sweep", str(cfg), "--out", out, "--threads", "1"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from graphmoments.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    print(argv[0], sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    lines = _fresh_python(code, json.dumps(commands)).splitlines()
+    assert lines == [f"{argv[0]} []" for argv in commands]
 
 
 def test_degrees_csv_and_summary(tmp_path, graph_path):

@@ -1,7 +1,9 @@
 """The per-graph statistics layer and the k = 2 wheel kernels built on it."""
 
+import gc
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import combinations
 
@@ -288,6 +290,32 @@ def test_k2_guard_raises_before_any_a2_block(monkeypatch):
     # one leaf fewer sits just under the bound, where A^2 has 2.7e11 entries
     d = np.r_[2**19, np.ones(2**19, np.int64)]
     assert hubs._k2_dtype(d, np.r_[0, np.full(2**19, 2**19 - 1)]) is np.int64
+
+
+def test_stats_hold_no_reference_back_to_their_graph():
+    # a cycle graph -> stats -> graph would leave a dropped graph's arrays to
+    # the cyclic collector; with it off, the graph must die with its last name
+    g = Graph.from_edges(list(combinations(range(5), 2)) + [(4, 5)])
+    g.stats.d2, g.stats.triangles, g.stats.adjacency
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_d3_int64_guard_decision():
+    # A (A (d-1)) is at most D^3; 1664510^3 < 2^62 <= 1664511^3
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    for dmax, raises in ((1664510, False), (1664511, True)):
+        g.stats.d = np.array([1, dmax, 1])  # synthetic degrees: only the bound is read
+        if raises:
+            with pytest.raises(CountOverflowError, match="2\\^62"):
+                m_degrees(g, 3)
+        else:
+            m_degrees(g, 3)
 
 
 def test_k2_int64_guard_decision():
