@@ -101,23 +101,29 @@ def _subsamples(n: int, m: int, seeds):
     A replicate keeps the first m entries of 0..n-1 after a partial
     Fisher-Yates shuffle drawn as integers(0, n - arange(m)) from its own
     generator.  The m swaps run once per block, vectorised across its rows
-    of about n + 3m int64s, which stay under graphstats.BLOCK_BYTES.
+    of n int32s (int64s from 2^31 vertices) and about 3m int64s, which stay
+    under graphstats.BLOCK_BYTES.  Each block yields a copy of its m
+    columns, so the n-wide rows are freed before the next block is made.
     """
     rows = max(1, graphstats.BLOCK_BYTES // (8 * (n + 3 * m)))
     span = n - np.arange(m)
+    vertex = np.int32 if n < 2**31 else np.int64
     for b0 in range(0, len(seeds), rows):
         block = seeds[b0 : b0 + rows]
         draws = [np.random.default_rng(s).integers(0, span, dtype=np.int64) for s in block]
-        perm = np.empty((len(block), n), dtype=np.int64)
-        perm[:] = np.arange(n)
+        perm = np.empty((len(block), n), dtype=vertex)
+        perm[:] = np.arange(n, dtype=vertex)
         flat = perm.reshape(-1)
         # step j swaps column j with the flat position picks[j] of each row
         picks = np.stack(draws, axis=1) + np.arange(m)[:, None] + n * np.arange(len(block))
+        del draws
         for j, pick in enumerate(picks):
             held = perm[:, j].copy()
             perm[:, j] = flat.take(pick)
             flat.put(pick, held)
-        yield perm[:, :m]
+        kept = perm[:, :m].copy()
+        del perm, flat, picks
+        yield kept
 
 
 def bootstrap_variance(

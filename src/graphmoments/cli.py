@@ -419,6 +419,10 @@ _SWEEP_FIT_KEYS = tuple(
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def cmd_sweep(args) -> int:
     try:
         with open(args.config) as fh:
@@ -428,9 +432,19 @@ def cmd_sweep(args) -> int:
     except json.JSONDecodeError as exc:
         raise InputError(f"config is not valid JSON: {exc}") from exc
 
+    if not isinstance(config, dict):
+        raise InputError("sweep config must be a JSON object")
     for field in ("models", "n", "replicates", "metrics"):
         if field not in config:
             raise InputError(f"sweep config missing {field!r}")
+    if not isinstance(config["models"], list) or not all(
+        isinstance(entry, dict) for entry in config["models"]
+    ):
+        raise InputError("sweep config 'models' must be a list of objects")
+    if not isinstance(config["n"], list) or not all(_is_int(n) for n in config["n"]):
+        raise InputError("sweep config 'n' must be a list of integers")
+    if not _is_int(config["replicates"]):
+        raise InputError("sweep config 'replicates' must be an integer")
     base_seed = int(config.get("seed", args.seed))
     estimator = config.get("estimator", "qcheck")
     budget = args.budget if args.budget is not None else config.get("budget", DEFAULT_BUDGET)

@@ -19,15 +19,23 @@ block's two products are formed once.  Its clique terms list again, but
 pair only triangle edges (B >= 1) and extend a triangle to K4s only along
 edges in two triangles or more.
 
-BLOCK_BYTES caps the temporaries of each chunk of wedges, K4 candidates or
-rows of A^2 or (A ∘ X) A (with any dense row buffer), sized by measured
-bytes per item; a chunk holds at least one item, and no kernel holds A^2.
-The cap does not cover the O(n + E) arrays a kernel keeps, returns or
-builds once.
+The row blocks of both passes run on one thread per usable CPU (the
+affinity mask, else the CPU count), at most one thread per block, the caller
+among them: scipy's sparse product releases the GIL, and each block writes
+only its own rows, so every output is the same under any schedule.
+
+BLOCK_BYTES caps the temporaries of each chunk of wedges or K4 candidates,
+and of all the row blocks of A^2 or (A ∘ X) A in flight (with any dense row
+buffer): each of w workers' blocks gets BLOCK_BYTES / (2 w).  Chunks are
+sized by measured bytes per item; a chunk holds at least one item, and no
+kernel holds A^2.  The cap does not cover the O(n + E) arrays a kernel
+keeps, returns or builds once.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -69,6 +77,14 @@ def _chunks(weights: np.ndarray, cap: int | None = None):
         hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
         yield lo, hi
         lo = hi
+
+
+def _workers() -> int:
+    """Threads for the A^2 row-block passes: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def row_sums(indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -216,15 +232,50 @@ class GraphStats:
                     np.add.at(k4, y[hit], 1)
         return opposite, k4, qe
 
-    def a2_blocks(self, entry_bytes: int, row_bytes: int = 0, left=None):
-        """Yield (r0, r1, L @ A) over consecutive row blocks, sized for
+    def a2_map(self, fn, entry_bytes: int, row_bytes: int = 0, left=None) -> None:
+        """Call fn(r0, r1, L @ A) once for each consecutive row block, sized for
         entry_bytes per entry plus row_bytes per row.  L = left(r0, r1), a
         matrix with the pattern of A[r0:r1], or A[r0:r1] itself (the blocks
-        of A^2) if left is None."""
+        of A^2) if left is None.
+
+        The blocks run on one thread per usable CPU, at most one per block,
+        the caller among them, each taking the next block from one shared
+        iterator; each block gets BLOCK_BYTES / (2 CPUs), so the blocks in
+        flight hold at most half of BLOCK_BYTES.  fn must write only rows
+        r0..r1-1 of its outputs.  The first exception stops the remaining
+        blocks and is raised here, after every helper has returned.
+        """
+        workers = _workers()
         a = self.adjacency
         # 2-walks, at most n, bound each row's entries
-        for lo, hi in _chunks(np.minimum(self.d2 + self.d, self.n) * entry_bytes + row_bytes):
-            yield lo, hi, (a[lo:hi] if left is None else left(lo, hi)) @ a
+        weights = np.minimum(self.d2 + self.d, self.n) * entry_bytes + row_bytes
+        spans = list(_chunks(weights, BLOCK_BYTES // (2 * workers)))
+        blocks, lock = iter(spans), threading.Lock()
+
+        def work():
+            try:
+                while True:
+                    with lock:
+                        span = next(blocks, None)
+                    if span is None:
+                        return
+                    lo, hi = span
+                    fn(lo, hi, (a[lo:hi] if left is None else left(lo, hi)) @ a)
+            except BaseException:
+                with lock:
+                    spans.clear()  # the shared iterator stops at the list's new end
+                raise
+
+        helpers = min(workers, len(spans)) - 1
+        if helpers <= 0:
+            return work()
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(helpers) as pool:
+            futures = [pool.submit(work) for _ in range(helpers)]
+            work()
+        for f in futures:
+            f.result()
 
     @cached_property
     def a2_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +294,10 @@ class GraphStats:
         b = None if "edge_triangles" in self.__dict__ else np.zeros(self.indices.size, np.int64)
         # a buffered row costs n cells; the product costs about two cells per entry
         dense = b is not None and 2 * int(np.minimum(self.d2 + d, n).sum()) >= n * n
-        for lo, hi, p in self.a2_blocks(_A2_BYTES, 8 * n if dense else 0):
+        if b is not None and not dense:
+            self._keys  # built once here, not by each worker's first _find
+
+        def block(lo, hi, p):
             power = p.data * p.data
             s2[lo:hi] += row_sums(p.indptr, power)
             power *= p.data
@@ -256,7 +310,8 @@ class GraphStats:
                 on_edges = p.multiply(a[lo:hi])  # B where it is positive
                 rows = np.repeat(np.arange(lo, hi), np.diff(on_edges.indptr))
                 b[self._find(rows, on_edges.indices)] = on_edges.data
-            del p  # hold one product at a time
+
+        self.a2_map(block, _A2_BYTES, 8 * n if dense else 0)
         if b is not None:
             self.__dict__["edge_triangles"] = b
         return s2, s3
@@ -286,10 +341,12 @@ class GraphStats:
                                      shape=(hi - lo, self.n))
 
         pq = np.zeros(self.n, dtype=np.int64)
-        for lo, hi, q in self.a2_blocks(_A2_BYTES, left=packed):
+
+        def block(lo, hi, q):
             walks = q.data & ((1 << shift) - 1)
             q.data >>= shift
             walks *= q.data
             pq[lo:hi] = row_sums(q.indptr, walks)
-            del q, walks  # hold one product at a time
+
+        self.a2_map(block, _A2_BYTES, left=packed)
         return pq

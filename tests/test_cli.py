@@ -315,6 +315,20 @@ def test_moments_without_budget_stops_at_the_default_budget(graph_path, monkeypa
     assert "exceeded" in capsys.readouterr().err
 
 
+def test_sweep_rejects_malformed_config_shapes_before_any_cell(tmp_path, capsys):
+    cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
+    good = {"models": [{"name": "m", "model": REF.to_json()}], "n": [50], "replicates": 1,
+            "metrics": ["rho_hat"]}
+    for field, value, message in (("models", [5], "'models' must be a list of objects"),
+                                  ("n", 50, "'n' must be a list of integers"),
+                                  ("replicates", "x", "'replicates' must be an integer")):
+        cfg_path.write_text(json.dumps({**good, field: value}))
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2, field
+        assert not out.exists()  # no cell ran
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
 def test_sweep_fit_section_takes_fit_config_fields_only(tmp_path, model_path, capsys):
     cfg = {
         "models": [{"name": "ref", "path": model_path}],
@@ -401,6 +415,27 @@ def test_sweep_byte_identity_and_error_capture(tmp_path, model_path):
     recs = [json.loads(l) for l in out3.read_text().splitlines()]
     assert len(recs) == 2
     assert all(r["error"] and "nonsense_metric" in r["error"] for r in recs)
+
+
+def test_sweep_with_a2_helpers_in_its_workers_is_byte_identical(tmp_path, model_path):
+    # each cell's (2,2) pass takes several row blocks, so under --threads 2 the
+    # sweep's worker processes start A^2 helper threads of their own
+    cfg = {
+        "models": [{"name": "ref", "path": model_path}],
+        "n": [1500, 2000],
+        "replicates": 1,
+        "lambda": {"kind": "fixed", "value": 40.0},
+        "metrics": ["tau_check:k=2,l=2"],
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    outs = [tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"]
+    for out, threads in zip(outs, ("1", "2")):
+        assert main(["sweep", str(cfg_path), "--seed", "3", "--out", str(out),
+                     "--threads", threads]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    recs = [json.loads(line) for line in outs[0].read_text().splitlines()]
+    assert len(recs) == 2 and all(r["error"] is None for r in recs)
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,8 @@
 """The per-graph statistics layer and the k = 2 wheel kernels built on it."""
 
 import gc
+import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -128,6 +130,13 @@ def test_b_from_the_a2_pass_matches_the_listing(g, block_bytes):
         assert _outputs(_fresh(g), "k22") == _outputs(_fresh(g), "triangles")
 
 
+def _a2_spans(g: Graph) -> list:
+    """The row ranges of the A^2 blocks a pass over g forms, in row order."""
+    spans = []
+    g.stats.a2_map(lambda r0, r1, p: spans.append((r0, r1)), 1)
+    return sorted(spans)
+
+
 def test_one_row_blocks_match_a_single_block(monkeypatch):
     rng = np.random.default_rng(3)
     # the first two read B through the dense row buffer, the last through A's product
@@ -136,12 +145,11 @@ def test_one_row_blocks_match_a_single_block(monkeypatch):
         g = Graph.from_edges(np.argwhere(a), n)
         monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 40)
         single = _fresh(g)
-        assert len(list(single.stats.a2_blocks(1))) == 1
+        assert _a2_spans(single) == [(0, n)]
         want = _outputs(single, "k22")
         assert _outputs(_fresh(g), "triangles") == want
         monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1)
-        rows = _fresh(g)
-        assert [r1 - r0 for r0, r1, _ in rows.stats.a2_blocks(1)] == [1] * n
+        assert _a2_spans(_fresh(g)) == [(i, i + 1) for i in range(n)]
         for first in ("k22", "triangles"):
             assert _outputs(_fresh(g), first) == want
 
@@ -149,31 +157,37 @@ def test_one_row_blocks_match_a_single_block(monkeypatch):
 def _record_a2_blocks_and_listings(monkeypatch) -> tuple[list, list, list]:
     """Record the row range of every A^2 block and of every (A ∘ X) A block
     formed and, for every wedge listing, whether it paired only triangle
-    edges (B cached and positive).  Blocks are capped at 256 KiB, so every
-    graph below takes several."""
+    edges (B cached and positive).  Blocks are capped at 256 KiB in all, so
+    every graph below takes several."""
     blocks, crosses, listings = [], [], []
-    a2_blocks, listing = graphstats.GraphStats.a2_blocks, graphstats.GraphStats._triangles
+    a2_map, listing = graphstats.GraphStats.a2_map, graphstats.GraphStats._triangles
 
-    def counting_blocks(self, entry_bytes, row_bytes=0, left=None):
-        for r0, r1, p in a2_blocks(self, entry_bytes, row_bytes, left):
-            (blocks if left is None else crosses).append((r0, r1))
-            yield r0, r1, p
+    def counting_map(self, fn, entry_bytes, row_bytes=0, left=None):
+        formed = blocks if left is None else crosses
+
+        def counted(r0, r1, p):
+            formed.append((r0, r1))
+            fn(r0, r1, p)
+
+        a2_map(self, counted, entry_bytes, row_bytes, left)
 
     def counting_listing(self, fwd, cap):
         b = self.__dict__.get("edge_triangles")
         listings.append(b is not None and bool(np.all(b[fwd] > 0)))
         return listing(self, fwd, cap)
 
-    monkeypatch.setattr(graphstats.GraphStats, "a2_blocks", counting_blocks)
+    monkeypatch.setattr(graphstats.GraphStats, "a2_map", counting_map)
     monkeypatch.setattr(graphstats.GraphStats, "_triangles", counting_listing)
     monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 18)
     return blocks, crosses, listings
 
 
 def _each_row_once(blocks: list, n: int) -> bool:
-    """Whether more than one block was formed and their row ranges tile 0..n once."""
-    starts = [r0 for r0, _ in blocks]
-    return len(blocks) > 1 and starts == [0] + [r1 for _, r1 in blocks[:-1]] and blocks[-1][1] == n
+    """Whether more than one block was formed and their row ranges, in any
+    order of forming, tile 0..n once."""
+    spans = sorted(blocks)
+    starts = [r0 for r0, _ in spans]
+    return len(spans) > 1 and starts == [0] + [r1 for _, r1 in spans[:-1]] and spans[-1][1] == n
 
 
 def test_k22_first_forms_each_a2_block_once_and_lists_no_triangles(monkeypatch):
@@ -223,6 +237,51 @@ def test_k2_fit_forms_each_a2_block_once_and_lists_only_triangle_edges(monkeypat
                 columns.setdefault(key, set()).add((col.dtype.str, col.tobytes()))
         # bit-identical per-hub columns in every order
         assert {key: len(cols) for key, cols in columns.items()} == {K22: 1, K23: 1}, n
+
+
+def _a2_outputs(g: Graph) -> list:
+    """s2, s3, B and pq of a fresh copy of g, as bytes."""
+    st = _fresh(g).stats
+    return [x.tobytes() for x in (*st.a2_sums, st.edge_triangles, st.a2_cross)]
+
+
+def test_concurrent_blocks_match_one_worker(monkeypatch):
+    rng = np.random.default_rng(30)
+    # dense row buffer, product with A; a2_cross on both
+    shapes = [(300, 0.3), (2000, 0.003)]
+    graphs = [Graph.from_edges(np.argwhere(np.triu(rng.random((n, n)) < p, 1)), n)
+              for n, p in shapes]
+    monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 14)  # tens of blocks per pass
+    monkeypatch.setattr(graphstats, "_workers", lambda: 1)
+    want = [_a2_outputs(g) for g in graphs]
+    # more workers than CPUs, switching threads often
+    monkeypatch.setattr(graphstats, "_workers", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert [_a2_outputs(g) for g in graphs] == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_helpers_exception_reaches_the_caller_after_every_helper_ends(monkeypatch):
+    monkeypatch.setattr(graphstats, "_workers", lambda: 4)
+    monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1)  # one row per block
+    g = Graph.from_edges(list(combinations(range(12), 2)))
+    caller, raised = threading.get_ident(), threading.Event()
+
+    def fn(r0, r1, p):
+        if threading.get_ident() == caller:
+            assert raised.wait(10), "no helper took a block"
+        else:
+            raised.set()
+            raise RuntimeError("helper failed")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        g.stats.a2_map(fn, 1)
+    assert threading.active_count() == before
 
 
 def _traced_peak(fn) -> int:
@@ -275,10 +334,10 @@ def test_kernels_keep_their_temporaries_under_block_bytes(monkeypatch, block_byt
 
 
 def test_k2_guard_raises_before_any_a2_block(monkeypatch):
-    def no_blocks(self, *args):
+    def no_blocks(self, *args, **kwargs):
         raise AssertionError("an A^2 row block was formed")
 
-    monkeypatch.setattr(graphstats.GraphStats, "a2_blocks", no_blocks)
+    monkeypatch.setattr(graphstats.GraphStats, "a2_map", no_blocks)
     leaves = 2**19 + 1
     star = Graph.from_edges(np.column_stack([np.zeros(leaves, np.int64), np.arange(1, leaves + 1)]),
                             leaves + 1)
