@@ -19,17 +19,20 @@ block's two products are formed once.  Its clique terms list again, but
 pair only triangle edges (B >= 1) and extend a triangle to K4s only along
 edges in two triangles or more.
 
-The row blocks of both passes run on one thread per usable CPU (the
-affinity mask, else the CPU count), at most one thread per block, the caller
-among them: scipy's sparse product releases the GIL, and each block writes
-only its own rows, so every output is the same under any schedule.
+The row blocks of a pass run on one thread per 4 BLOCK_BYTES of its
+products, at most one per usable CPU (the affinity mask, else the CPU
+count), the caller among them.  scipy's sparse product releases the GIL, and
+each block writes only its own rows, so every output is the same under any
+schedule.  A smaller pass, tens of milliseconds, runs on the caller alone:
+on more threads its time would depend on a second CPU being free, and
+its smaller blocks would cost more page faults than the threads save.
 
 BLOCK_BYTES caps the temporaries of each chunk of wedges or K4 candidates,
 and of all the row blocks of A^2 or (A ∘ X) A in flight (with any dense row
-buffer): each of w workers' blocks gets BLOCK_BYTES / (2 w).  Chunks are
-sized by measured bytes per item; a chunk holds at least one item, and no
-kernel holds A^2.  The cap does not cover the O(n + E) arrays a kernel
-keeps, returns or builds once.
+buffer): on w > 1 threads each block gets BLOCK_BYTES / (2 w), and on the
+caller alone BLOCK_BYTES.  Chunks are sized by measured bytes per item; a
+chunk holds at least one item, and no kernel holds A^2.  The cap does not
+cover the O(n + E) arrays a kernel keeps, returns or builds once.
 """
 
 from __future__ import annotations
@@ -238,18 +241,19 @@ class GraphStats:
         matrix with the pattern of A[r0:r1], or A[r0:r1] itself (the blocks
         of A^2) if left is None.
 
-        The blocks run on one thread per usable CPU, at most one per block,
-        the caller among them, each taking the next block from one shared
-        iterator; each block gets BLOCK_BYTES / (2 CPUs), so the blocks in
-        flight hold at most half of BLOCK_BYTES.  fn must write only rows
-        r0..r1-1 of its outputs.  The first exception stops the remaining
-        blocks and is raised here, after every helper has returned.
+        The blocks run on w threads, one per 4 BLOCK_BYTES of products and
+        at most one per usable CPU, the caller among them, each taking the
+        next block from one shared iterator.  For w > 1 each block gets
+        BLOCK_BYTES / (2 w), so the blocks in flight hold at most half of
+        BLOCK_BYTES; on the caller alone it gets BLOCK_BYTES.  fn must write
+        only rows r0..r1-1 of its outputs.  The first exception stops the
+        remaining blocks and is raised here, after every helper has returned.
         """
-        workers = _workers()
         a = self.adjacency
         # 2-walks, at most n, bound each row's entries
         weights = np.minimum(self.d2 + self.d, self.n) * entry_bytes + row_bytes
-        spans = list(_chunks(weights, BLOCK_BYTES // (2 * workers)))
+        workers = max(1, min(_workers(), int(weights.sum()) // (4 * BLOCK_BYTES)))
+        spans = list(_chunks(weights, BLOCK_BYTES // (2 * workers) if workers > 1 else None))
         blocks, lock = iter(spans), threading.Lock()
 
         def work():
@@ -260,7 +264,11 @@ class GraphStats:
                     if span is None:
                         return
                     lo, hi = span
-                    fn(lo, hi, (a[lo:hi] if left is None else left(lo, hi)) @ a)
+                    # p lives on until the next product is formed: freed first, the
+                    # heap shrank and faulted back in for every block (a K = 2 fit
+                    # at n = 4000, lambda = 20 took 6.0K page faults, 4.3K held)
+                    p = (a[lo:hi] if left is None else left(lo, hi)) @ a
+                    fn(lo, hi, p)
             except BaseException:
                 with lock:
                     spans.clear()  # the shared iterator stops at the list's new end

@@ -418,13 +418,14 @@ def test_sweep_byte_identity_and_error_capture(tmp_path, model_path):
 
 
 def test_sweep_with_a2_helpers_in_its_workers_is_byte_identical(tmp_path, model_path):
-    # each cell's (2,2) pass takes several row blocks, so under --threads 2 the
-    # sweep's worker processes start A^2 helper threads of their own
+    # each cell's (2,2) pass holds over 8 BLOCK_BYTES of products, so under
+    # --threads 2 the sweep's worker processes start A^2 helper threads of
+    # their own on a machine with two CPUs or more
     cfg = {
         "models": [{"name": "ref", "path": model_path}],
-        "n": [1500, 2000],
+        "n": [3000, 3500],
         "replicates": 1,
-        "lambda": {"kind": "fixed", "value": 40.0},
+        "lambda": {"kind": "fixed", "value": 90.0},
         "metrics": ["tau_check:k=2,l=2"],
     }
     cfg_path = tmp_path / "sweep.json"

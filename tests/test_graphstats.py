@@ -284,6 +284,26 @@ def test_a_helpers_exception_reaches_the_caller_after_every_helper_ends(monkeypa
     assert threading.active_count() == before
 
 
+def test_a_pass_takes_one_thread_per_four_block_bytes_of_products(monkeypatch):
+    monkeypatch.setattr(graphstats, "_workers", lambda: 4)
+    g = Graph.from_edges(list(combinations(range(20), 2)))
+    # K20: every row's 2-walk bound is n, so the pass holds 400 one-byte entries
+    for block_bytes, most in ((101, 1), (100, 1), (50, 2), (1, 4)):
+        monkeypatch.setattr(graphstats, "BLOCK_BYTES", block_bytes)
+        spans, threads = [], set()
+
+        def fn(r0, r1, p):
+            spans.append((r0, r1))
+            threads.add(threading.get_ident())
+
+        g.stats.a2_map(fn, 1)
+        assert len(threads) <= most, block_bytes
+        if most == 1:  # the caller alone, in blocks of BLOCK_BYTES
+            assert threads == {threading.get_ident()}
+            rows = block_bytes // 20
+            assert spans == [(r, min(r + rows, 20)) for r in range(0, 20, rows)]
+
+
 def _traced_peak(fn) -> int:
     """Peak traced bytes allocated during fn() above what was live before."""
     tracemalloc.start()
