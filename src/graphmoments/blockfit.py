@@ -1,13 +1,16 @@
 """Block-model parameter recovery from wheel moments.
 
-The density-free wheel moments of a K-block model are the moments of a
-K-atom distribution per spoke length: tau_{k,l} = sum_a pi_a (v^(k)_a)^l.
-Recovery proceeds in stages:
+The density-free wheel moments of a K-block model are mixed moments of the
+block iterates: tau = sum_a pi_a prod_j (v^(k_j)_a)^(l_j).  Recovery
+proceeds in stages:
 
-  1. atoms_from_moments: for each k, solve the 1-d moment problem
-     (Hankel system -> monic polynomial -> roots -> Vandermonde weights)
-     giving the iterate values v^(k)_a and weights pi_a,
-  2. align_stages: assign atoms across stages to consistent blocks,
+  1. atoms_from_moments: solve the 1-d moment problem of the (1,l) wheels,
+     l = 1..2K-1 (Hankel system -> monic polynomial -> roots -> Vandermonde
+     weights; Lindsay, Ann. Statist. 1989), giving the weights pi_a and the
+     first iterate v^(1)_a in ascending order,
+  2. align_stages: each v^(k), k = 2..K, in stage 1's block order, from one
+     linear solve W v^(k) = tau_k with W_la = pi_a (v^(1)_a)^l, l = 0..K-1,
+     on the wheels (k,1) and ((1,l),(k,1)),
   3. recover_S: M = V2 V1^{-1} with V1 = [1, v^(1), .., v^(K-1)],
      V2 = [v^(1), .., v^(K)], then S = M diag(pi)^{-1} symmetrized,
   4. nls_refine: Levenberg-Marquardt least squares (MINPACK) with the
@@ -18,15 +21,14 @@ Outputs are in canonical block order (ascending v^(1), ``models.canonical_order`
 
 The thresholds belong to the method, not to a run, so they are module
 constants: _HANKEL_COND_MAX and _VANDER_COND_MAX bound the condition numbers
-of stage 1's linear systems and _WEIGHT_FLOOR the recovered weights, _TIE_EPS
-is the weight mismatch within which stage 2 treats two block assignments as
-tied, _IDENTIFIABILITY_COND_MAX bounds the iterate matrix of stage 3, and
+of stage 1's linear systems and _WEIGHT_FLOOR the recovered weights.  Stage
+2's matrix is that Vandermonde matrix times diag(pi), so they bound it too.
+_IDENTIFIABILITY_COND_MAX bounds the iterate matrix of stage 3, and
 _NLS_MAX_NFEV and _NLS_TOL stop each least-squares run of stage 4.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +43,6 @@ from .errors import (
     IdentifiabilityError,
     MomentProblemError,
     NormalizationError,
-    StageInconsistencyError,
 )
 from .graph import Graph, rho_hat
 from .hubs import DEFAULT_BUDGET
@@ -55,7 +56,6 @@ SCHEMA_VERSION = "1"
 _HANKEL_COND_MAX = 1e12
 _VANDER_COND_MAX = 1e10
 _WEIGHT_FLOOR = 1e-8
-_TIE_EPS = 1e-3
 _IDENTIFIABILITY_COND_MAX = 1e10
 _NLS_MAX_NFEV = 400
 _NLS_TOL = 1e-14  # xtol, ftol and gtol: runs stop at _NLS_MAX_NFEV or at machine precision
@@ -67,7 +67,9 @@ class FitConfig:
 
     The moment keys are derived from K: all (k, l) with 1 <= k <= K and
     1 <= l <= 2K-1 (the k >= 2 rows are the (K-1)(2K-1) identifying keys;
-    the k=1 row feeds the first-stage moment problem).
+    the k=1 row feeds the first-stage moment problem).  The mixed keys
+    ((1,l),(k,1)), 2 <= k <= K and 1 <= l <= K-1, feed only the direct
+    estimate's solve for v^(k).
 
     weights, when given, maps keys (WheelSpec, (k,l) tuple, or name) to
     residual weights w_kl > 0, e.g. 1/sigma^2 from the bootstrap.  budget is
@@ -79,7 +81,6 @@ class FitConfig:
     K: int
     estimator: str = "qcheck"
     weights: dict | None = None
-    stage_weight_tol: float = 1e-2
     multistart: int = 4
     seed: int = 0
     budget: int | None = DEFAULT_BUDGET
@@ -105,14 +106,17 @@ class FitConfig:
             for l in range(1, 2 * self.K)
         ]
 
+    def mixed_keys(self) -> list[WheelSpec]:
+        return [WheelSpec((1, k), (l, 1)) for k in range(2, self.K + 1) for l in range(1, self.K)]
+
 
 @dataclass
 class FitResult:
     """Fitted block model plus the intermediate (direct) estimate.
 
     pi/S are the refined (least-squares projected) estimate in canonical
-    order; pi_direct/S_direct the stage-wise construction that initialized
-    it; atoms the per-stage iterate matrix (column k-1 = aligned v^(k));
+    order; pi_direct/S_direct the staged construction that initialized it;
+    atoms the iterate matrix in stage 1's block order (column k-1 = v^(k));
     residual the weighted squared moment mismatch at the refined estimate.
     """
 
@@ -216,70 +220,31 @@ def atoms_from_moments(moments, K: int) -> tuple[np.ndarray, np.ndarray, dict]:
     return atoms, weights, diag
 
 
-def align_stages(
-    stages, pi=None, *, weight_tol: float = FitConfig.stage_weight_tol
-) -> tuple[np.ndarray, dict]:
-    """Assign per-stage atoms to blocks.
+def align_stages(pi, atoms, tau_mixed) -> tuple[np.ndarray, dict]:
+    """The iterate matrix in stage 1's block order: column k-1 holds v^(k).
 
-    stages is a sequence of (atoms, weights) pairs for k = 1, 2, ...; the
-    first stage (ascending atoms) defines the block order.  Later stages
-    are matched by weights, with rank agreement against the previous stage
-    breaking ties (the only information available when weights are equal).
-    Returns (iterates matrix with column k-1 = aligned v^(k), diagnostics).
+    It solves and matches nothing.  pi and atoms are stage 1's weights and
+    v^(1); each v^(k), k = 2..K, solves W v^(k) = tau_k with
+    W_la = pi_a (v^(1)_a)^l for l = 0..K-1, where tau_k holds the moments of
+    (k,1) and of ((1,l),(k,1)) for l = 1..K-1, read from the mapping
+    tau_mixed (WheelSpec, (k,l) tuple or name keys).  W is stage 1's
+    Vandermonde matrix, already checked, times diag(pi).  Returns (iterates,
+    diagnostics).
     """
-    stages = [(np.asarray(a, dtype=float), np.asarray(w, dtype=float)) for a, w in stages]
-    if not stages:
-        raise DomainError("need at least one stage")
-    K = stages[0][0].shape[0]
-    for a, w in stages:
-        if a.shape != (K,) or w.shape != (K,):
-            raise DomainError("ragged stage shapes")
-    if pi is None:
-        pi = stages[0][1]
     pi = np.asarray(pi, dtype=float)
-
-    diag: dict = {"ambiguous_stages": [], "stage_weight_mismatch": []}
-    iterates = np.empty((K, len(stages)))
-    mismatch0 = float(np.max(np.abs(np.sort(stages[0][1]) - np.sort(pi))))
-    diag["stage_weight_mismatch"].append(mismatch0)
-    if mismatch0 > weight_tol:
-        raise StageInconsistencyError(
-            f"stage 1 weights {stages[0][1]} deviate from pi {pi} by {mismatch0:.3g}"
-        )
-    iterates[:, 0] = stages[0][0]
-    prev = stages[0][0]
-
-    for j, (atoms, w) in enumerate(stages[1:], start=2):
-        scored = []
-        for perm in itertools.permutations(range(K)):
-            mismatch = float(np.max(np.abs(w[list(perm)] - pi)))
-            scored.append((mismatch, perm))
-        best_mismatch = min(s for s, _ in scored)
-        candidates = [perm for s, perm in scored if s <= best_mismatch + _TIE_EPS]
-        if len(candidates) > 1:
-            diag["ambiguous_stages"].append(j)
-
-        def concordance(perm):
-            ap = atoms[list(perm)]
-            return sum(
-                1
-                for a in range(K)
-                for b in range(a + 1, K)
-                if (ap[a] - ap[b]) * (prev[a] - prev[b]) > 0
-            )
-
-        perm = max(candidates, key=lambda q: (concordance(q), q))
-        aligned_w = w[list(perm)]
-        mismatch = float(np.max(np.abs(aligned_w - pi)))
-        diag["stage_weight_mismatch"].append(mismatch)
-        if mismatch > weight_tol:
-            raise StageInconsistencyError(
-                f"stage {j} weights {aligned_w} deviate from pi {pi} by "
-                f"{mismatch:.3g} (tolerance {weight_tol:g})"
-            )
-        iterates[:, j - 1] = atoms[list(perm)]
-        prev = iterates[:, j - 1]
-    return iterates, diag
+    atoms = np.asarray(atoms, dtype=float)
+    K = pi.shape[0]
+    if pi.shape != (K,) or atoms.shape != (K,):
+        raise DomainError(f"need K weights and K atoms, got {pi.shape} and {atoms.shape}")
+    taus = {WheelSpec.coerce(k): float(v) for k, v in tau_mixed.items()}
+    rows = [[WheelSpec((1, k), (l, 1)) if l else WheelSpec.simple(k, 1) for k in range(2, K + 1)]
+            for l in range(K)]
+    missing = [key.name() for row in rows for key in row if key not in taus]
+    if missing:
+        raise DomainError(f"the iterate solve needs the moments of {missing}")
+    w = np.vander(atoms, N=K, increasing=True).T * pi[None, :]
+    later = np.linalg.solve(w, np.array([[taus[key] for key in row] for row in rows]))
+    return np.column_stack([atoms, later]), {"solve_cond": float(np.linalg.cond(w))}
 
 
 def recover_S(pi, iterates) -> tuple[np.ndarray, dict]:
@@ -519,12 +484,13 @@ def _fallback_init(K: int) -> tuple[np.ndarray, np.ndarray]:
 def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
     """Full pipeline: wheel moments -> stage recovery -> NLS projection.
 
-    Wheel moments use cfg.estimator.  Each key whose exact count exceeds
-    the budget takes the falling-factorial degree approximation instead;
-    diagnostics["approximated_keys"] names those keys and
-    diagnostics["approximation"] is then "degree".  Stage errors (ill-posed Hankel,
-    misaligned weights, unidentifiable iterates) propagate unless
-    cfg.on_stage_error == "fallback", which starts the least-squares
+    Wheel moments use cfg.estimator, on cfg.keys() and, for the direct
+    estimate, cfg.mixed_keys(); the refinement fits cfg.keys() only.  Each
+    key whose exact count exceeds the budget takes the falling-factorial
+    degree approximation instead; diagnostics["approximated_keys"] names
+    those keys and diagnostics["approximation"] is then "degree".  Stage
+    errors (ill-posed Hankel or atoms, unidentifiable iterates) propagate
+    unless cfg.on_stage_error == "fallback", which starts the least-squares
     refinement from a neutral point instead.
     """
     rho = rho_hat(g)
@@ -538,7 +504,7 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
 
     keys = cfg.keys()
     found, approximated = {}, []
-    for key in keys:  # each key may fall back alone
+    for key in keys + cfg.mixed_keys():  # each key may fall back alone
         try:
             found.update(wheel_moment_estimates(g, [key], cfg.estimator, cfg.budget))
         except BudgetExceededError:
@@ -550,39 +516,25 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
     diagnostics: dict = {
         "approximation": "degree" if approximated else None,
         "approximated_keys": [k.name() for k in approximated],
+        "stages": [],
     }
 
-    stage_diags = []
     atoms_matrix = None
     try:
-        stages = []
-        for k in range(1, cfg.K + 1):
-            mom = [taus[WheelSpec.simple(k, l)] for l in range(1, 2 * cfg.K)]
-            atoms, wts, sdiag = atoms_from_moments(mom, cfg.K)
-            stages.append((atoms, wts))
-            stage_diags.append(sdiag)
-        pi0 = stages[0][1]
-        atoms_matrix, align_diag = align_stages(
-            stages, pi0, weight_tol=cfg.stage_weight_tol
-        )
+        mom = [taus[WheelSpec.simple(1, l)] for l in range(1, 2 * cfg.K)]
+        atoms, pi0, stage_diag = atoms_from_moments(mom, cfg.K)
+        diagnostics["stages"].append(stage_diag)
+        atoms_matrix, solve_diag = align_stages(pi0, atoms, found)
         s0, rec_diag = recover_S(pi0, atoms_matrix)
         scale = float(pi0 @ s0 @ pi0)
         if scale <= 0:
             raise IdentifiabilityError(f"direct estimate has normalization {scale:.3g}")
         s0 = np.maximum(s0 / scale, 0.0)
-        diagnostics.update(
-            {
-                "stages": stage_diags,
-                "align": align_diag,
-                "recover": rec_diag,
-                "direct_scale": scale,
-            }
-        )
-    except (MomentProblemError, IdentifiabilityError, StageInconsistencyError) as exc:
+        diagnostics.update({"solve": solve_diag, "recover": rec_diag, "direct_scale": scale})
+    except (MomentProblemError, IdentifiabilityError) as exc:
         if cfg.on_stage_error != "fallback":
             raise
         diagnostics["stage_error"] = f"{type(exc).__name__}: {exc}"
-        diagnostics["stages"] = stage_diags
         pi0, s0 = _fallback_init(cfg.K)
         atoms_matrix = None
 

@@ -236,9 +236,8 @@ def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int) -> dict:
 def cmd_fit(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
     manifest = _manifest("fit", args, [args.graph], [args.out] if args.out else [])
-    cfg = FitConfig(K=args.K, estimator=args.estimator, stage_weight_tol=args.stage_tol,
-                    multistart=args.multistart, seed=args.seed, budget=_budget(args),
-                    on_stage_error=args.on_stage_error)
+    cfg = FitConfig(K=args.K, estimator=args.estimator, multistart=args.multistart,
+                    seed=args.seed, budget=_budget(args), on_stage_error=args.on_stage_error)
     t0 = time.monotonic()
     if args.weights == "bootstrap":
         weights = _bootstrap_weights(g, cfg, args.seed)
@@ -255,7 +254,7 @@ def cmd_fit(args) -> int:
     payload = result.to_json()
     if not args.report_stages:
         payload["diagnostics"].pop("stages", None)
-        payload["diagnostics"].pop("align", None)
+        payload["diagnostics"].pop("solve", None)
     _emit_json(payload, manifest, args.out)
     return 0
 
@@ -581,14 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="bootstrap: weighted least squares with 1/sigma^2 from subsampling",
     )
-    p.add_argument("--report-stages", action="store_true", help="keep stage diagnostics in output")
+    p.add_argument("--report-stages", action="store_true",
+                   help="keep stage 1's and the iterate solve's diagnostics in output")
     p.add_argument("--multistart", type=int, default=FitConfig.multistart)
-    p.add_argument(
-        "--stage-tol",
-        type=float,
-        default=FitConfig.stage_weight_tol,
-        help="stage weight tolerance",
-    )
     p.add_argument(
         "--on-stage-error",
         choices=("raise", "fallback"),

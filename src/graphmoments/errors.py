@@ -53,10 +53,6 @@ class IdentifiabilityError(NumericalError):
     """Iterate matrix numerically rank-deficient; parameters not identified."""
 
 
-class StageInconsistencyError(NumericalError):
-    """Per-stage mixture weights disagree beyond tolerance."""
-
-
 class CountOverflowError(NumericalError):
     """A count exceeded the representable/checked integer range."""
 

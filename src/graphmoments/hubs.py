@@ -12,6 +12,9 @@ Fast paths:
   * l = 1:               order-k degrees (path counts)
   * k = 2, l in {2, 3}:  closed-form independent-set counts in the
                          conflict graph of 2-paths, with no Python loops
+  * ((1,l),(k,1)), k in {2, 3}, any l: one k-spoke and l 1-spokes, from the
+                         k-paths split by how many of their vertices are
+                         neighbours of the hub
 Everything else runs an exact per-hub enumeration with a work budget.
 
 The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``): the sums
@@ -34,7 +37,7 @@ from .counting import triangles_per_vertex
 from .degrees import falling_factorial_column, m_degrees
 from .errors import BudgetExceededError, InvariantError
 from .graph import Graph
-from .graphstats import _k2_dtype, row_sums
+from .graphstats import _INT64_LIMIT, _k2_dtype, row_sums
 from .patterns import WheelSpec, hub_multiplicity, wheel_rooted_count
 
 DEFAULT_BUDGET = 1_000_000
@@ -114,6 +117,49 @@ def _hub_counts_k2_l3(g: Graph) -> np.ndarray:
         - comb3_t
         - cyc
     )
+
+
+def _mixed_dtype(d: np.ndarray, dk: np.ndarray, l: int):
+    """Integer type for the mixed closed form, from max degree D and max D^(k) M.
+
+    Its terms P(r) C(d - r, l) and their sum are at most D^(k)_i C(d_i - 1, l)
+    <= M C(D - 1, l), as r >= 1 and the P(r) sum to D^(k): past 2^62, Python
+    ints.  M counts as at least 1, so that on int64 the binomials fit too.
+    """
+    dmax = int(d.max(initial=0))
+    mmax = max(int(dk.max(initial=0)), 1)
+    return object if mmax * math.comb(max(dmax - 1, 0), l) >= _INT64_LIMIT else np.int64
+
+
+def _hub_counts_mixed(g: Graph, k: int, l: int) -> np.ndarray:
+    """One k-spoke and l 1-spokes per hub, k in {2, 3}: n_i = sum_r P_i(r) C(d_i - r, l).
+
+    P_i(r) counts the ordered k-paths from i with exactly r vertices in N(i);
+    the 1-spokes are any l of the other d_i - r neighbours.  For k = 2,
+    P(2) = 2 t_i and P(1) = D^(2)_i - 2 t_i.  For k = 3, paths (i, j, m, x):
+
+    * P(3) = sum_{m~i} B_im (B_im - 1): j and x are common neighbours of i and m;
+    * P(2) = sum_{m~i} B_im (d_m - 1 - B_im) + (s2 - D^(2) - P(3)): m ~ i and
+      x ≁ i, or m ≁ i and j, x common neighbours of i and m, which is
+      sum_{m≁i, m≠i} (A^2)_im ((A^2)_im - 1);
+    * P(1) = D^(3) - P(2) - P(3).
+
+    Each P(r) is at most D^(k), under D^(3)'s and the k = 2 guards.
+    """
+    st = g.stats
+    d, t = st.d, triangles_per_vertex(g)
+    if k == 2:
+        dk, paths = st.d2, {2: 2 * t, 1: st.d2 - 2 * t}
+    else:
+        dk = m_degrees(g, 3).counts[:, 2]
+        s2, _ = st.a2_sums
+        b = st.edge_triangles
+        p3 = row_sums(g.indptr, b * (b - 1))
+        p2 = row_sums(g.indptr, b * (d[g.indices] - 1 - b)) + s2 - st.d2 - p3
+        paths = {3: p3, 2: p2, 1: dk - p2 - p3}
+    dtype, lfact = _mixed_dtype(d, dk, l), math.factorial(l)
+    choose = {r: falling_factorial_column(np.maximum(d - r, 0), l) // lfact for r in paths}
+    return sum(p.astype(dtype) * choose[r].astype(dtype) for r, p in paths.items())
 
 
 def _paths_from_hub(g: Graph, hub: int, k: int, budget: int | None) -> list[frozenset]:
@@ -203,11 +249,23 @@ def _closed_form(g: Graph, k: int, l: int) -> np.ndarray:
     return _hub_counts_k2_l2(g) if l == 2 else _hub_counts_k2_l3(g)
 
 
+def _mixed_spokes(spec: WheelSpec) -> tuple[int, int] | None:
+    """(k, l) when spec is the mixed key ((1,l),(k,1)) with k in {2, 3}, else None."""
+    spokes = dict(zip(spec.ks, spec.ls))
+    k = max(spokes)
+    if len(spokes) == 2 and 1 in spokes and k <= 3 and spokes[k] == 1:
+        return k, spokes[1]
+    return None
+
+
 def has_closed_form(spec: WheelSpec) -> bool:
     """Whether spec's per-hub counts come from a closed form: (1,l), (2,1),
-    (3,1), (2,2) or (2,3).  These enumerate nothing, so no budget applies."""
+    (3,1), (2,2), (2,3) or ((1,l),(k,1)) for k in {2, 3}.  These enumerate
+    nothing, so no budget applies."""
+    if not spec.is_simple:
+        return _mixed_spokes(spec) is not None
     k, l = spec.ks[0], spec.ls[0]
-    return spec.is_simple and (k == 1 or (l == 1 and k <= 3) or (k == 2 and l <= 3))
+    return k == 1 or (l == 1 and k <= 3) or (k == 2 and l <= 3)
 
 
 def wheel_counts_per_hub(
@@ -226,7 +284,8 @@ def wheel_counts_per_hub(
     if has_closed_form(spec):
         memo = g.stats.hub_columns
         if spec not in memo:
-            memo[spec] = _closed_form(g, k, l)
+            memo[spec] = (_closed_form(g, k, l) if spec.is_simple
+                          else _hub_counts_mixed(g, *_mixed_spokes(spec)))
         return memo[spec].copy()
     if spec.is_simple and l == 1:
         return m_degrees(g, k, budget=budget).counts[:, k - 1].copy()

@@ -193,15 +193,11 @@ def test_criterion_04_population_round_trip():
             m = _random_conditioned_model(rng, K)
             order = m.canonical_order()
             pi_c, S_c = m.pi[order], m.S[np.ix_(order, order)]
-            stages = []
-            for k in range(1, K + 1):
-                mom = np.array(
-                    [tau(m, WheelSpec.simple(k, l)) for l in range(1, 2 * K)]
-                )
-                atoms, weights, _ = atoms_from_moments(mom, K)
-                stages.append((atoms, weights))
-            pi_hat = stages[0][1]
-            iterates, _ = align_stages(stages, pi_hat)
+            cfg = FitConfig(K=K)
+            taus = {key: tau(m, key) for key in cfg.keys() + cfg.mixed_keys()}
+            mom = [taus[WheelSpec.simple(1, l)] for l in range(1, 2 * K)]
+            atoms, pi_hat, _ = atoms_from_moments(mom, K)
+            iterates, _ = align_stages(pi_hat, atoms, taus)
             S_hat, _ = recover_S(pi_hat, iterates)
             worst_pi = max(worst_pi, float(np.max(np.abs(pi_hat - pi_c))))
             worst_S = max(worst_S, float(np.max(np.abs(S_hat - S_c))))

@@ -17,6 +17,7 @@ from graphmoments import (
     load_edge_list,
     sample_block_model,
     save_model,
+    write_edge_list,
 )
 from graphmoments import cli
 from graphmoments.cli import main
@@ -105,6 +106,45 @@ def test_fit_runs_and_reports(graph_path, capsys):
     # canonical order: ascending stage-1 atoms
     v1 = np.array(obj["S"]) @ np.array(obj["pi"])
     assert v1[0] <= v1[1] + 1e-9
+
+
+def test_default_fit_exits_0_on_a_graph_whose_stages_once_disagreed(tmp_path, capsys):
+    # criterion 11's graph r = 0 at n = 4000, lambda = 20: its stage 2
+    # weights once missed stage 1's by more than 0.01, and fit exited 3
+    seed = int(np.random.SeedSequence([11, 4000, 0]).generate_state(1)[0])
+    g = sample_block_model(REF.with_rho(20 / 3999), 4000, seed=seed).graph
+    path = tmp_path / "r0.edges"
+    write_edge_list(g, path)
+    assert main(["fit", str(path), "--K", "2"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert "stage_error" not in obj["diagnostics"]
+    # stage 1's and the solve's diagnostics only on request
+    assert not {"stages", "solve"} & set(obj["diagnostics"])
+    assert main(["fit", str(path), "--K", "2", "--report-stages"]) == 0
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert len(diag["stages"]) == 1 and set(diag["solve"]) == {"solve_cond"}
+
+
+def test_fit_has_no_stage_tolerance(graph_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", graph_path, "--K", "2", "--stage-tol", "0.1"])
+    assert exc.value.code == 2
+    assert "--stage-tol" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_stage_tolerance_before_any_cell(tmp_path, model_path, capsys):
+    cfg = {
+        "models": [{"name": "ref", "path": model_path}],
+        "n": [200],
+        "replicates": 1,
+        "metrics": ["fit:K=2"],
+        "fit": {"stage_weight_tol": 0.01},
+    }
+    cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
+    assert "stage_weight_tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_warns_on_stderr_when_counts_fall_back(graph_path, capsys):
@@ -363,7 +403,7 @@ def test_sweep_fit_section_takes_fit_config_fields_only(tmp_path, model_path, ca
     assert main(["sweep", str(cfg_path), "--out", str(out3), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert "xtol" in err
-    assert "weights, stage_weight_tol, multistart, seed, on_stage_error" in err
+    assert "weights, multistart, seed, on_stage_error" in err
     assert not out3.exists()
 
 

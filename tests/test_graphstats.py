@@ -90,6 +90,17 @@ def test_k2_wheels_match_oracle(g):
 
 
 @settings(max_examples=80, deadline=None)
+@given(graphs(), st.sampled_from([2, 3]), st.integers(1, 4))
+def test_mixed_wheels_match_oracle(g, k, l):
+    # one k-spoke and l 1-spokes, in either spoke order
+    a = dense_adj(g)
+    for spec in (WheelSpec((1, k), (l, 1)), WheelSpec((k, 1), (1, l))):
+        assert hubs.has_closed_form(spec)
+        got = wheel_counts_per_hub(g, spec)
+        assert [int(c) for c in got] == [oracle_hub_count(a, spec, i) for i in range(g.n)], spec
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.one_of(graphs(), graphs(["clique_paths"], (5, 7))), st.booleans())
 def test_clique_terms_match_oracle(g, b_cached):
     # K5-K7 with pendant paths give many K4s next to edges in no triangle,
@@ -418,6 +429,34 @@ def test_k2_l3_python_int_path_matches_int64(monkeypatch):
     got = wheel_counts_per_hub(_fresh(g), K23)
     assert got.dtype == object
     assert [int(c) for c in got] == want.tolist()
+
+
+def test_mixed_int64_guard_decision():
+    # terms are at most M C(D - 1, l); C(2^20, 2) = 2^39 - 2^19, so the boundary
+    # M is the least with M C(2^20, 2) >= 2^62
+    d = np.array([2**20 + 1, 1, 1])
+    c = 2**39 - 2**19
+    m = -(-(2**62) // c)
+    assert m == 8388617 and (m - 1) * c < 2**62 <= m * c
+    assert hubs._mixed_dtype(d, np.array([m - 1, 0, 0]), 2) is np.int64
+    assert hubs._mixed_dtype(d, np.array([m, 0, 0]), 2) is object
+    # no k-paths: the binomials alone decide
+    assert hubs._mixed_dtype(np.array([99, 1]), np.zeros(2, np.int64), 9) is np.int64
+    assert hubs._mixed_dtype(np.array([99, 1]), np.zeros(2, np.int64), 20) is object
+    assert hubs._mixed_dtype(np.zeros(0, np.int64), np.zeros(0, np.int64), 3) is np.int64
+
+
+def test_mixed_python_int_path_matches_int64(monkeypatch):
+    rng = np.random.default_rng(9)
+    a = np.triu(rng.random((30, 30)) < 0.3, 1)
+    g = Graph.from_edges(np.argwhere(a), 30)
+    specs = [WheelSpec((1, k), (l, 1)) for k in (2, 3) for l in (1, 2, 3)]
+    want = [wheel_counts_per_hub(_fresh(g), spec) for spec in specs]
+    monkeypatch.setattr(hubs, "_mixed_dtype", lambda d, dk, l: object)
+    for spec, w in zip(specs, want):
+        got = wheel_counts_per_hub(_fresh(g), spec)
+        assert got.dtype == object
+        assert [int(c) for c in got] == w.tolist()
 
 
 def test_closed_form_keys_are_counted_once_per_graph(monkeypatch):
