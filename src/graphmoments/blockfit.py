@@ -47,11 +47,9 @@ from .errors import (
 from .graph import Graph, rho_hat
 from .hubs import DEFAULT_BUDGET
 from .models import canonical_order
-from .moments import wheel_moment_estimates
+from .moments import SCHEMA_VERSION, wheel_moment_estimates
 from .patterns import WheelSpec
 from .theory import block_iterates, wheel_exponents, wheel_moments
-
-SCHEMA_VERSION = "1"
 
 _HANKEL_COND_MAX = 1e12
 _VANDER_COND_MAX = 1e10
@@ -79,7 +77,6 @@ class FitConfig:
     """
 
     K: int
-    estimator: str = "qcheck"
     weights: dict | None = None
     multistart: int = 4
     seed: int = 0
@@ -89,8 +86,6 @@ class FitConfig:
     def __post_init__(self):
         if self.K < 1:
             raise DomainError("K must be >= 1")
-        if self.estimator not in ("qcheck", "pcheck"):
-            raise DomainError(f"bad estimator {self.estimator!r}")
         if self.on_stage_error not in ("raise", "fallback"):
             raise DomainError(f"bad on_stage_error {self.on_stage_error!r}")
         if self.multistart < 1:
@@ -369,23 +364,6 @@ def nls_refine(
     pi0, s0 = init
     pi0 = np.asarray(pi0, dtype=float)
     s0 = np.asarray(s0, dtype=float)
-    if K == 1:
-        residual = float(np.sum((sqrtw * (tau_forward(pi0, s0, keys) - target)) ** 2))
-        return FitResult(
-            K=1,
-            pi=np.array([1.0]),
-            S=np.array([[1.0]]),
-            rho=rho,
-            residual=residual,
-            converged=True,
-            pi_direct=np.array([1.0]),
-            S_direct=np.array([[1.0]]),
-            atoms=np.ones((1, 1)) if atoms is None else np.asarray(atoms, dtype=float),
-            residual_init=residual,
-            tau_hat=taus,
-            diagnostics=dict(extra_diagnostics or {}),
-        )
-
     x0 = par.pack(pi0, s0)
     exps = wheel_exponents(keys)
     gauge = float(x0[K - 1 :] @ x0[K - 1 :])
@@ -484,11 +462,13 @@ def _fallback_init(K: int) -> tuple[np.ndarray, np.ndarray]:
 def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
     """Full pipeline: wheel moments -> stage recovery -> NLS projection.
 
-    Wheel moments use cfg.estimator, on cfg.keys() and, for the direct
-    estimate, cfg.mixed_keys(); the refinement fits cfg.keys() only.  Each
-    key whose exact count exceeds the budget takes the falling-factorial
-    degree approximation instead; diagnostics["approximated_keys"] names
-    those keys and diagnostics["approximation"] is then "degree".  Stage
+    Wheel moments are the noninduced Q_check estimates of cfg.keys() and,
+    for the direct estimate, cfg.mixed_keys(); the refinement fits
+    cfg.keys() only.  K = 1 has nothing to estimate (tau_(1,1) = 1 on every
+    graph) and returns pi = [1], S = [[1]] at once.  Each key whose exact
+    count exceeds the budget takes the falling-factorial degree
+    approximation instead; diagnostics["approximated_keys"] names those keys
+    and diagnostics["approximation"] is then "degree".  Stage
     errors (ill-posed Hankel or atoms, unidentifiable iterates) propagate
     unless cfg.on_stage_error == "fallback", which starts the least-squares
     refinement from a neutral point instead.
@@ -496,21 +476,30 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
     rho = rho_hat(g)
     if rho <= 0:
         raise NormalizationError("cannot fit an empty graph (rho_hat = 0)")
-    if cfg.K == 1:  # tau_(1,1) = 1 on every graph: nothing to estimate
-        one = {WheelSpec.simple(1, 1): 1.0}
-        init = (np.ones(1), np.ones((1, 1)))
-        diagnostics = {"approximation": None, "approximated_keys": []}
-        return nls_refine(one, init, cfg, rho=rho, extra_diagnostics=diagnostics)
+    if cfg.K == 1:
+        return FitResult(
+            K=1, pi=np.ones(1), S=np.ones((1, 1)), rho=rho, residual=0.0, residual_init=0.0,
+            converged=True, pi_direct=np.ones(1), S_direct=np.ones((1, 1)), atoms=np.ones((1, 1)),
+            tau_hat={WheelSpec.simple(1, 1): 1.0},
+            diagnostics={"approximation": None, "approximated_keys": []},
+        )
 
     keys = cfg.keys()
     found, approximated = {}, []
     for key in keys + cfg.mixed_keys():  # each key may fall back alone
         try:
-            found.update(wheel_moment_estimates(g, [key], cfg.estimator, cfg.budget))
+            found.update(wheel_moment_estimates(g, [key], budget=cfg.budget))
         except BudgetExceededError:
             approximated.append(key)
     if approximated:
-        profile = m_degrees(g, cfg.K)
+        try:
+            profile = m_degrees(g, cfg.K)
+        except BudgetExceededError as exc:
+            names = ", ".join(k.name() for k in approximated)
+            raise BudgetExceededError(
+                f"the exact counts of {names} exceeded the budget, and their degree "
+                f"approximation needs D^({cfg.K}): {exc}"
+            ) from exc
         found.update({k: degree_moment_approx(profile, k) for k in approximated})
     taus = {k: found[k] for k in keys}
     diagnostics: dict = {

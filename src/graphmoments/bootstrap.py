@@ -24,9 +24,8 @@ from . import graphstats
 from .errors import DomainError, NormalizationError
 from .graph import Graph
 from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub, wheel_total
+from .moments import SCHEMA_VERSION
 from .patterns import WheelSpec
-
-SCHEMA_VERSION = "1"
 
 _NORMALIZATIONS = ("rho_star", "literal")
 

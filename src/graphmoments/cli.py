@@ -39,11 +39,9 @@ from .models import (
     sample_block_model,
     sample_graphon,
 )
-from .moments import MomentEntry, MomentTable, moment_table, wheel_moment_estimates
+from .moments import SCHEMA_VERSION, MomentEntry, MomentTable, moment_table, wheel_moment_estimates
 from .patterns import WheelSpec, parse_pattern_name, wheel_isomorphism_count
 from .theory import tau
-
-SCHEMA_VERSION = "1"
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +234,8 @@ def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int) -> dict:
 def cmd_fit(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
     manifest = _manifest("fit", args, [args.graph], [args.out] if args.out else [])
-    cfg = FitConfig(K=args.K, estimator=args.estimator, multistart=args.multistart,
-                    seed=args.seed, budget=_budget(args), on_stage_error=args.on_stage_error)
+    cfg = FitConfig(K=args.K, multistart=args.multistart, seed=args.seed, budget=_budget(args),
+                    on_stage_error=args.on_stage_error)
     t0 = time.monotonic()
     if args.weights == "bootstrap":
         weights = _bootstrap_weights(g, cfg, args.seed)
@@ -394,8 +392,7 @@ def _sweep_cell(task: dict) -> dict:
                 theta = theta_profile(model, sample.xi, depth)
                 metrics[spec] = joint_coupling_error(profile, theta)
             elif name == "fit":
-                cfg = FitConfig(K=params["K"], estimator=estimator, budget=budget,
-                                **task["fit_options"])
+                cfg = FitConfig(K=params["K"], budget=budget, **task["fit_options"])
                 res = fit_block_model(g, cfg)
                 metrics[f"{spec}.residual"] = res.residual
                 metrics[f"{spec}.converged"] = res.converged
@@ -414,7 +411,7 @@ def _sweep_cell(task: dict) -> dict:
 
 # the FitConfig fields a sweep's "fit" section may set; the sweep sets the others itself
 _SWEEP_FIT_KEYS = tuple(
-    f.name for f in fields(FitConfig) if f.name not in ("K", "estimator", "budget")
+    f.name for f in fields(FitConfig) if f.name not in ("K", "budget")
 )
 
 
@@ -446,6 +443,8 @@ def cmd_sweep(args) -> int:
         raise InputError("sweep config 'replicates' must be an integer")
     base_seed = int(config.get("seed", args.seed))
     estimator = config.get("estimator", "qcheck")
+    if estimator not in ("qcheck", "pcheck"):
+        raise InputError(f"bad estimator {estimator!r}")
     budget = args.budget if args.budget is not None else config.get("budget", DEFAULT_BUDGET)
     fit_options = config.get("fit", {})
     unknown = sorted(set(fit_options) - set(_SWEEP_FIT_KEYS))
@@ -455,7 +454,7 @@ def cmd_sweep(args) -> int:
             f"accepted keys: {', '.join(_SWEEP_FIT_KEYS)}"
         )
     # a bad value in the section fails here, not in every cell
-    FitConfig(K=1, estimator=estimator, budget=budget, **fit_options)
+    FitConfig(K=1, budget=budget, **fit_options)
     rule = config.get("lambda")
 
     models = []
@@ -573,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common], help="fit a K-block model")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--K", type=int, required=True, help="block count")
-    p.add_argument("--estimator", choices=("qcheck", "pcheck"), default=FitConfig.estimator)
     p.add_argument(
         "--weights",
         choices=("bootstrap",),

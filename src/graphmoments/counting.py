@@ -14,11 +14,13 @@ with an optional node budget.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BudgetExceededError, InvariantError
 from .graph import Graph
-from .patterns import PatternGraph, automorphism_count, quotient_by_automorphisms
+from .patterns import PatternGraph, quotient_by_automorphisms
 
 
 def wedge_count(g: Graph) -> int:
@@ -127,6 +129,16 @@ def _embedding_count(g: Graph, r: PatternGraph, induced: bool, budget: int | Non
 
     extend(0)
     return count
+
+
+def automorphism_count(r: PatternGraph) -> int:
+    """|Aut(R)|: the induced embeddings of R into itself."""
+    return _embedding_count(Graph.from_edges(r.edges, r.p), r, induced=True, budget=None)
+
+
+def count_isomorphism_classes(r: PatternGraph) -> int:
+    """N(R) = p!/|Aut(R)|: distinct graphs on a fixed p-set isomorphic to R."""
+    return quotient_by_automorphisms(math.factorial(r.p), automorphism_count(r))
 
 
 def _count(g: Graph, r: PatternGraph, induced: bool, budget: int | None) -> int:

@@ -93,10 +93,7 @@ def _paths_dfs(g: Graph, m: int, budget: int | None) -> np.ndarray:
                 continue
             steps += 1
             if budget is not None and steps > budget:
-                raise BudgetExceededError(
-                    f"path enumeration exceeded budget of {budget} steps; "
-                    "consider the falling-factorial degree approximation"
-                )
+                raise BudgetExceededError(f"path enumeration exceeded budget of {budget} steps")
             row[depth] += 1
             if depth + 1 < m:
                 visited[u] = True

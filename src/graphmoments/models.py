@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, InvalidModelError, InvariantError
+from .errors import DomainError, InvalidModelError
 from .graph import Graph
 
 _NORM_TOL = 1e-8
@@ -258,7 +258,8 @@ def blockmodel_to_graphon(model: BlockModel, resolution: int) -> Graphon:
 
 
 def _floyd_sample(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
-    """Uniform k-subset of range(total) in O(k) time and memory."""
+    """Uniform k-subset of range(total), ascending (which keeps the pair
+    decode's binary search cache-friendly), in O(k) memory."""
     if k < 0 or k > total:
         raise DomainError("sample size outside range")
     if k == 0:
@@ -268,29 +269,18 @@ def _floyd_sample(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
     sel: set[int] = set()
     for t, j in zip(ts.tolist(), js.tolist()):
         sel.add(t if t not in sel else j)
-    return np.fromiter(sel, dtype=np.int64, count=k)
+    out = np.fromiter(sel, dtype=np.int64, count=k)
+    out.sort()  # in place: a sorted copy raises the sampler's peak memory
+    return out
 
 
 def _decode_triangular(idx: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the lexicographic index of pairs (i < j) over g items."""
-    idx = idx.astype(np.int64)
-    two = 2 * g - 1
-    i = np.floor((two - np.sqrt(np.maximum(two * two - 8.0 * idx, 0.0))) / 2).astype(np.int64)
-    i = np.clip(i, 0, g - 2)
-    # float sqrt can be off by one near block boundaries; fix exactly
-    for _ in range(3):
-        start = i * (two - i) // 2
-        too_high = idx < start
-        too_low = idx >= start + (g - 1 - i)
-        if not (too_high.any() or too_low.any()):
-            break
-        i = i - too_high.astype(np.int64) + too_low.astype(np.int64)
-        i = np.clip(i, 0, g - 2)
-    start = i * (two - i) // 2
-    if not np.all((idx >= start) & (idx < start + (g - 1 - i))):
-        raise InvariantError("pair index decoding did not converge")
-    j = idx - start + i + 1
-    return i, j
+    """Invert the lexicographic index of pairs (i < j) over g items: row i
+    starts at i(2g - 1 - i)/2."""
+    rows = np.arange(g - 1, dtype=np.int64)
+    starts = rows * (2 * g - 1 - rows) // 2
+    i = np.searchsorted(starts, idx, side="right") - 1
+    return i, idx - starts[i] + i + 1
 
 
 def _sample_cells(

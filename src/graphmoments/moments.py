@@ -8,8 +8,8 @@ For a pattern R on p vertices with q edges and N(R) isomorphism classes:
 
 P_check and Q_check both estimate the density-free moment of an acyclic
 pattern; P_check carries an O(lambda/n) truncation bias downward (extra
-edges excluded), Q_check does not, so fitting code defaults to Q_check
-while reporting defaults to P_check.
+edges excluded), Q_check does not, so fitting code uses Q_check while
+reporting defaults to P_check.
 
 Wheel noninduced counts come from per-hub counting; the per-hub sums are
 normalized by the hub-rooted labeling count p!/prod(ls!), which absorbs
@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .counting import count_induced, count_noninduced
+from .counting import count_induced, count_isomorphism_classes, count_noninduced
 from .errors import BudgetExceededError, DomainError, NormalizationError
 from .graph import Graph, rho_hat
 from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub, wheel_total
 from .patterns import (
     PatternGraph,
     WheelSpec,
-    count_isomorphism_classes,
     hub_multiplicity,
     parse_pattern_name,
     wheel_isomorphism_count,
@@ -36,6 +35,7 @@ from .patterns import (
 )
 from .theory import tau
 
+#: The schema version of every JSON document the package writes.
 SCHEMA_VERSION = "1"
 
 

@@ -1,8 +1,10 @@
-"""Pattern graphs, wheel specifications, and isomorphism-class counts.
+"""Pattern graphs, wheel specifications, and the wheels' closed forms.
 
 A pattern is a small simple graph R with no isolated vertices; P(R) and
 Q(R) statistics are normalized by N(R), the number of distinct graphs on a
 fixed p-element vertex set isomorphic to R, which equals p!/|Aut(R)|.
+For a general pattern |Aut(R)| comes from the embedding search in
+``counting``.
 
 A (k, l)-wheel is a hub with l vertex-disjoint spokes, each a k-edge path;
 the generalized form takes vectors ks/ls with distinct spoke lengths.  For
@@ -21,7 +23,7 @@ from functools import cached_property
 
 from .errors import CapabilityError, DomainError, InvariantError
 
-#: Automorphism enumeration is only supported up to this pattern order.
+#: Patterns (and the wheels laid out as patterns) stop at this order.
 MAX_PATTERN_ORDER = 10
 
 
@@ -163,57 +165,11 @@ def wheel_to_pattern(spec: WheelSpec) -> PatternGraph:
     return PatternGraph(p=spec.p, edges=tuple(edges))
 
 
-def automorphism_count(r: PatternGraph) -> int:
-    """|Aut(R)| by backtracking over degree-compatible bijections."""
-    p = r.p
-    adj = r.adjacency
-    deg = r.degree_sequence
-    # try low-branching vertices first: rare degrees, then high degree
-    from collections import Counter
-
-    freq = Counter(deg)
-    order = sorted(range(p), key=lambda v: (freq[deg[v]], -deg[v]))
-    image = [-1] * p
-    used = [False] * p
-    count = 0
-
-    def extend(idx: int):
-        nonlocal count
-        if idx == p:
-            count += 1
-            return
-        v = order[idx]
-        mapped_nb = [u for u in adj[v] if image[u] >= 0]
-        mapped_non = [u for u in range(p) if image[u] >= 0 and u not in adj[v] and u != v]
-        for cand in range(p):
-            if used[cand] or deg[cand] != deg[v]:
-                continue
-            if any(image[u] not in adj[cand] for u in mapped_nb):
-                continue
-            if any(image[u] in adj[cand] for u in mapped_non):
-                continue
-            image[v] = cand
-            used[cand] = True
-            extend(idx + 1)
-            image[v] = -1
-            used[cand] = False
-
-    extend(0)
-    return count
-
-
 def quotient_by_automorphisms(labelings: int, automorphisms: int) -> int:
     """labelings / |Aut|, which must be exact."""
     if labelings % automorphisms:
         raise InvariantError(f"|Aut| = {automorphisms} does not divide {labelings} labelings")
     return labelings // automorphisms
-
-
-def count_isomorphism_classes(r: PatternGraph) -> int:
-    """N(R) = p!/|Aut(R)|: distinct graphs on a fixed p-set isomorphic to R."""
-    if r.p > MAX_PATTERN_ORDER:
-        raise CapabilityError(f"pattern order {r.p} exceeds bound {MAX_PATTERN_ORDER}")
-    return quotient_by_automorphisms(math.factorial(r.p), automorphism_count(r))
 
 
 def _offcenter_path(spec: WheelSpec) -> bool:

@@ -382,6 +382,26 @@ def test_fit_k1_trivial():
     assert res.converged
 
 
+def test_nls_refine_runs_k1_on_the_general_path():
+    one = (np.ones(1), np.ones((1, 1)))
+    res = nls_refine({(1, 1): 1.0, (2, 1): 1.2}, one, FitConfig(K=1, multistart=2))
+    assert res.pi.tolist() == [1.0] and res.S.tolist() == [[1.0]]
+    assert res.residual == pytest.approx(0.04)
+    assert len(res.diagnostics["nls_nfev"]) == 2
+
+
+def test_fit_names_the_approximated_keys_when_the_degree_fallback_fails(monkeypatch):
+    from graphmoments import BudgetExceededError, m_degrees
+
+    g = sample_block_model(BlockModel(pi=REF.pi, S=REF.S, rho=0.05), 60, seed=2).graph
+    monkeypatch.setattr(blockfit, "m_degrees", lambda g, m: m_degrees(g, m, budget=10))
+    with pytest.raises(BudgetExceededError) as exc:
+        fit_block_model(g, FitConfig(K=4, budget=10, on_stage_error="fallback"))
+    message = str(exc.value)
+    assert "wheel:k=4,l=7" in message and "D^(4)" in message
+    assert "approximation" not in str(exc.value.__cause__)
+
+
 def test_fit_empty_graph_raises():
     from graphmoments import Graph, NormalizationError
 
@@ -402,8 +422,6 @@ def test_fit_result_json_shape():
 def test_fit_config_validation():
     with pytest.raises(DomainError):
         FitConfig(K=0)
-    with pytest.raises(DomainError):
-        FitConfig(K=2, estimator="nope")
     with pytest.raises(DomainError):
         FitConfig(K=2, multistart=0)
     keys = FitConfig(K=2).keys()
@@ -448,7 +466,7 @@ def test_fit_falls_back_only_for_keys_over_budget():
 def test_fit_settings_are_the_ones_callers_set():
     # stage and solver thresholds are module constants, not settings
     assert [f.name for f in dataclasses.fields(FitConfig)] == [
-        "K", "estimator", "weights", "multistart", "seed", "budget", "on_stage_error",
+        "K", "weights", "multistart", "seed", "budget", "on_stage_error",
     ]
     assert FitConfig(K=2).budget == DEFAULT_BUDGET
     assert list(inspect.signature(atoms_from_moments).parameters) == ["moments", "K"]

@@ -147,6 +147,34 @@ def test_sweep_rejects_a_stage_tolerance_before_any_cell(tmp_path, model_path, c
     assert not out.exists()
 
 
+def test_fit_has_no_estimator_option(graph_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", graph_path, "--K", "2", "--estimator", "qcheck"])
+    assert exc.value.code == 2
+    assert "--estimator" in capsys.readouterr().err
+
+
+def test_sweep_estimator_is_checked_before_any_cell_and_fit_takes_none(
+    tmp_path, model_path, capsys
+):
+    cfg = {"models": [{"name": "ref", "path": model_path}], "n": [200], "replicates": 1,
+           "metrics": ["fit:K=2"]}
+    cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
+    for extra, message in (({"fit": {"estimator": "pcheck"}}, "estimator"),
+                           ({"estimator": "nope"}, "bad estimator 'nope'")):
+        cfg_path.write_text(json.dumps({**cfg, **extra}))
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_fit_k1_prints_the_one_block_model(graph_path, capsys):
+    assert main(["fit", graph_path, "--K", "1"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["pi"] == [1.0] and obj["S"] == [[1.0]]
+    assert obj["residual"] == 0.0 and obj["converged"] is True
+
+
 def test_fit_warns_on_stderr_when_counts_fall_back(graph_path, capsys):
     argv = ["fit", graph_path, "--K", "3", "--multistart", "1", "--on-stage-error", "fallback"]
     # keys past the closed forms, such as (3,2), are enumerated under the budget

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -21,6 +22,15 @@ from graphmoments import (
 REF = BlockModel(
     pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]), rho=0.01
 )
+
+
+def test_pair_decode_follows_combinations_order():
+    from graphmoments.models import _decode_triangular
+
+    for g in range(2, 30):
+        pairs = list(itertools.combinations(range(g), 2))
+        i, j = _decode_triangular(np.arange(len(pairs), dtype=np.int64), g)
+        assert list(zip(i.tolist(), j.tolist())) == pairs, g
 
 
 def test_model_validation():
