@@ -30,7 +30,7 @@ _NLS_MAX_NFEV and _NLS_TOL stop each least-squares run of stage 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -325,15 +325,7 @@ class _Parameterization:
         return pi, s, dpi, dw / scale - s * (dscale / scale)[:, None, None]
 
 
-def nls_refine(
-    tau_hat,
-    init,
-    cfg: FitConfig,
-    *,
-    rho: float = 0.0,
-    atoms=None,
-    extra_diagnostics: dict | None = None,
-) -> FitResult:
+def nls_refine(tau_hat, init, cfg: FitConfig) -> FitResult:
     """Project the estimated moments onto the block-model manifold.
 
     Minimizes sum_keys w_kl (tau_hat_kl - tau_kl(pi, S))^2 over the
@@ -343,7 +335,9 @@ def nls_refine(
     and jittered copies of it.  Needs at least as many keys as coordinates,
     K - 1 + K(K+1)/2.  Never returns a residual above the initialization's;
     converged is whether the solver run that produced the returned point
-    stopped on a tolerance rather than on the evaluation cap.
+    stopped on a tolerance rather than on the evaluation cap.  The result
+    holds only what the refinement computes: rho is 0.0, atoms None and the
+    diagnostics the solver's own; ``fit_block_model`` adds the graph's.
     """
     taus = {WheelSpec.coerce(k): float(v) for k, v in tau_hat.items()}
     keys = sorted(taus, key=lambda s: (s.ks, s.ls))
@@ -431,24 +425,23 @@ def nls_refine(
     pi_hat = pi_hat[order]
     s_hat = s_hat[np.ix_(order, order)]
 
-    diagnostics = dict(extra_diagnostics or {})
-    diagnostics["nls_status"] = int(best_status)
-    diagnostics["multistart"] = cfg.multistart
-    diagnostics["nls_nfev"] = [int(sol.nfev) for sol in sols]
-    diagnostics["nls_njev"] = [int(sol.njev) for sol in sols]
     return FitResult(
         K=K,
         pi=pi_hat,
         S=s_hat,
-        rho=rho,
+        rho=0.0,
         residual=best_val,
         converged=bool(converged),
         pi_direct=pi0,
         S_direct=s0,
-        atoms=None if atoms is None else np.asarray(atoms, dtype=float),
         residual_init=residual_init,
         tau_hat=taus,
-        diagnostics=diagnostics,
+        diagnostics={
+            "nls_status": int(best_status),
+            "multistart": cfg.multistart,
+            "nls_nfev": [int(sol.nfev) for sol in sols],
+            "nls_njev": [int(sol.njev) for sol in sols],
+        },
     )
 
 
@@ -527,11 +520,6 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
         pi0, s0 = _fallback_init(cfg.K)
         atoms_matrix = None
 
-    return nls_refine(
-        taus,
-        (pi0, s0),
-        cfg,
-        rho=rho,
-        atoms=atoms_matrix,
-        extra_diagnostics=diagnostics,
-    )
+    res = nls_refine(taus, (pi0, s0), cfg)
+    return replace(res, rho=rho, atoms=atoms_matrix,
+                   diagnostics={**diagnostics, **res.diagnostics})

@@ -302,19 +302,9 @@ def cmd_degrees(args) -> int:
     return 0
 
 
-def _parse_key(text: str) -> WheelSpec:
-    if text.startswith("wheel:"):
-        return WheelSpec.coerce(text)
-    try:
-        k, l = (int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"bad key {text!r}; use 'k,l' or 'wheel:k=..,l=..'") from exc
-    return WheelSpec.simple(k, l)
-
-
 def cmd_bootstrap(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
-    key = _parse_key(args.key)
+    key = WheelSpec.coerce(args.key)
     manifest = _manifest("bootstrap", args, [args.graph], [args.out] if args.out else [])
     t0 = time.monotonic()
     cache = HubCountCache.build(g, [key], _budget(args))
@@ -330,29 +320,49 @@ def cmd_bootstrap(args) -> int:
 
 
 def _lambda_for(rule, n: int, fallback_rho: float | None) -> tuple[float, float]:
-    """Return (lambda, rho) for a cell."""
+    """Return (lambda, rho) for a cell; InputError on a malformed rule."""
     if rule is None:
         if fallback_rho is None:
             raise InputError("sweep config needs a lambda rule or models with rho")
         return fallback_rho * (n - 1), fallback_rho
-    kind = rule.get("kind")
-    if kind == "fixed":
-        lam = float(rule["value"])
-    elif kind == "power":
-        lam = float(rule["c"]) * n ** float(rule["exponent"])
-    else:
-        raise InputError(f"unknown lambda rule kind {kind!r}")
+    kind = rule.get("kind") if isinstance(rule, dict) else None
+    try:
+        if kind == "fixed":
+            lam = float(rule["value"])
+        elif kind == "power":
+            lam = float(rule["c"]) * n ** float(rule["exponent"])
+        else:
+            raise InputError(f"unknown lambda rule {rule!r}; its kind is 'fixed' or 'power'")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"lambda rule {rule!r} needs numbers: 'value' for kind 'fixed', "
+                         "'c' and 'exponent' for kind 'power'") from exc
+    if n < 2:
+        raise InputError(f"a lambda rule needs n >= 2, got n = {n}")
     return lam, lam / (n - 1)
 
 
+# each sweep metric and the parameters it takes, all positive integers
+_METRICS = {"rho_hat": (), "lambda_hat": (), "edges": (), "tau_check": ("k", "l"),
+            "tau_error": ("k", "l"), "approx_gap": ("k", "l"), "coupling": ("m",), "fit": ("K",)}
+
+
 def _metric_params(spec: str) -> tuple[str, dict]:
-    if ":" not in spec:
-        return spec, {}
-    name, body = spec.split(":", 1)
-    params = {}
-    for part in body.split(","):
-        k, v = part.split("=", 1)
-        params[k] = int(v)
+    """(name, parameters) of a sweep metric such as "tau_check:k=2,l=1".
+
+    InputError unless the name is known and the metric sets exactly that
+    name's parameters, each to a positive integer.
+    """
+    name, _, body = spec.partition(":")
+    if name not in _METRICS:
+        raise InputError(f"unknown metric {name!r}")
+    want = _METRICS[name]
+    try:
+        params = {k: int(v) for k, v in (part.split("=", 1) for part in body.split(",") if body)}
+        if sorted(params) != sorted(want) or min(params.values(), default=1) < 1:
+            raise ValueError
+    except ValueError:
+        form = ":" + ",".join(f"{k}=.." for k in want) + ", with positive integers" if want else ""
+        raise InputError(f"sweep metric {spec!r} must read {name}{form}") from None
     return name, params
 
 
@@ -377,15 +387,12 @@ def _sweep_cell(task: dict) -> dict:
                 metrics[spec] = lambda_hat(g)
             elif name == "edges":
                 metrics[spec] = g.edge_count
-            elif name in ("tau_check", "tau_error"):
+            elif name in ("tau_check", "tau_error", "approx_gap"):
                 key = WheelSpec.simple(params["k"], params["l"])
                 val = wheel_moment_estimates(g, [key], estimator=estimator, budget=budget)[key]
-                metrics[spec] = val if name == "tau_check" else val - tau(model, key)
-            elif name == "approx_gap":
-                key = WheelSpec.simple(params["k"], params["l"])
-                exact = wheel_moment_estimates(g, [key], estimator=estimator, budget=budget)[key]
-                profile = m_degrees(g, params["k"])
-                metrics[spec] = abs(degree_moment_approx(profile, key) - exact)
+                if name == "approx_gap":
+                    val = abs(degree_moment_approx(m_degrees(g, params["k"]), key) - val)
+                metrics[spec] = val - tau(model, key) if name == "tau_error" else val
             elif name == "coupling":
                 depth = params["m"]
                 profile = m_degrees(g, depth)
@@ -402,8 +409,6 @@ def _sweep_cell(task: dict) -> dict:
                     metrics[f"{spec}.pi_error"] = float(pi_err)
                     s_err = np.max(np.abs(res.S - model.S[np.ix_(order, order)]))
                     metrics[f"{spec}.S_error"] = float(s_err)
-            else:
-                raise InputError(f"unknown metric {name!r}")
     except Exception as exc:  # per-line failure; sweep continues
         record["error"] = f"{type(exc).__name__}: {exc}"
     return record
@@ -437,16 +442,28 @@ def cmd_sweep(args) -> int:
         isinstance(entry, dict) for entry in config["models"]
     ):
         raise InputError("sweep config 'models' must be a list of objects")
-    if not isinstance(config["n"], list) or not all(_is_int(n) for n in config["n"]):
-        raise InputError("sweep config 'n' must be a list of integers")
-    if not _is_int(config["replicates"]):
-        raise InputError("sweep config 'replicates' must be an integer")
-    base_seed = int(config.get("seed", args.seed))
+    if not isinstance(config["n"], list) or not all(_is_int(n) and n >= 1 for n in config["n"]):
+        raise InputError("sweep config 'n' must be a list of integers >= 1")
+    if not _is_int(config["replicates"]) or config["replicates"] < 1:
+        raise InputError("sweep config 'replicates' must be an integer >= 1")
+    if not isinstance(config["metrics"], list) or not all(
+        isinstance(spec, str) for spec in config["metrics"]
+    ):
+        raise InputError("sweep config 'metrics' must be a list of strings")
+    for spec in config["metrics"]:
+        _metric_params(spec)
+    base_seed = config.get("seed", args.seed)
+    if not _is_int(base_seed) or base_seed < 0:
+        raise InputError(f"the sweep seed must be a non-negative integer, got {base_seed!r}")
     estimator = config.get("estimator", "qcheck")
     if estimator not in ("qcheck", "pcheck"):
         raise InputError(f"bad estimator {estimator!r}")
     budget = args.budget if args.budget is not None else config.get("budget", DEFAULT_BUDGET)
+    if budget is not None and not _is_int(budget):
+        raise InputError(f"sweep config 'budget' must be an integer or null, got {budget!r}")
     fit_options = config.get("fit", {})
+    if not isinstance(fit_options, dict):
+        raise InputError("sweep config 'fit' must be an object")
     unknown = sorted(set(fit_options) - set(_SWEEP_FIT_KEYS))
     if unknown:
         raise InputError(
@@ -490,14 +507,14 @@ def cmd_sweep(args) -> int:
     for mi, (name, obj) in enumerate(models):
         fallback_rho = obj.get("rho")
         for ni, n in enumerate(config["n"]):
-            lam, rho = _lambda_for(rule, int(n), fallback_rho)
-            cell_id = f"{name}/n={int(n)}/lambda={lam:g}"
-            for rep in range(int(config["replicates"])):
+            lam, rho = _lambda_for(rule, n, fallback_rho)
+            cell_id = f"{name}/n={n}/lambda={lam:g}"
+            for rep in range(config["replicates"]):
                 seed = int(
                     np.random.SeedSequence([base_seed, mi, ni, rep]).generate_state(1)[0]
                 )
                 tasks.append({**shared, "cell_id": cell_id, "model": name, "model_obj": obj,
-                              "n": int(n), "lambda": lam, "rho": rho, "rep": rep, "seed": seed})
+                              "n": n, "lambda": lam, "rho": rho, "rep": rep, "seed": seed})
 
     t0 = time.monotonic()
     threads = max(1, args.threads)
@@ -524,7 +541,9 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument(
+    # every command but gen, which enumerates nothing
+    counting = argparse.ArgumentParser(add_help=False, parents=[common])
+    counting.add_argument(
         "--budget",
         type=int,
         default=None,
@@ -546,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latents", action="store_true", help="write latent uniforms sidecar")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("moments", parents=[common], help="pattern/wheel moment table")
+    p = sub.add_parser("moments", parents=[counting], help="pattern/wheel moment table")
     p.add_argument("graph", help="edge-list file")
     p.add_argument(
         "--pattern",
@@ -569,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("fit", parents=[common], help="fit a K-block model")
+    p = sub.add_parser("fit", parents=[counting], help="fit a K-block model")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--K", type=int, required=True, help="block count")
     p.add_argument(
@@ -590,14 +609,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("degrees", parents=[common], help="m-degree profile")
+    p = sub.add_parser("degrees", parents=[counting], help="m-degree profile")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--m", type=int, required=True, help="maximum path length")
     p.add_argument("--out", default=None, help="per-vertex CSV path")
     p.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
     p.set_defaults(func=cmd_degrees)
 
-    p = sub.add_parser("bootstrap", parents=[common], help="subsampling variance estimate")
+    p = sub.add_parser("bootstrap", parents=[counting], help="subsampling variance estimate")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--key", required=True, help="wheel key: 'k,l' or wheel:k=..,l=..")
     p.add_argument("--m", type=int, default=None, help="subsample size (default ceil(n^0.7))")
@@ -611,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_bootstrap)
 
-    p = sub.add_parser("sweep", parents=[common], help="simulation sweep to JSONL")
+    p = sub.add_parser("sweep", parents=[counting], help="simulation sweep to JSONL")
     p.add_argument("config", help="sweep config JSON")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument(

@@ -15,7 +15,8 @@ Fast paths:
   * ((1,l),(k,1)), k in {2, 3}, any l: one k-spoke and l 1-spokes, from the
                          k-paths split by how many of their vertices are
                          neighbours of the hub
-Everything else runs an exact per-hub enumeration with a work budget.
+Everything else runs an exact per-hub enumeration whose budget bounds the
+key's total work over all hubs.
 
 The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``): the sums
 of (A^2)_ik^2 and (A^2)_ik^3 come from its one memoised pass over the row
@@ -29,6 +30,7 @@ columns are memoised per graph.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -162,23 +164,16 @@ def _hub_counts_mixed(g: Graph, k: int, l: int) -> np.ndarray:
     return sum(p.astype(dtype) * choose[r].astype(dtype) for r, p in paths.items())
 
 
-def _paths_from_hub(g: Graph, hub: int, k: int, budget: int | None) -> list[frozenset]:
+def _paths_from_hub(g: Graph, hub: int, k: int, spend) -> list[frozenset]:
     """All loopless k-edge paths from hub, as frozensets of non-hub vertices."""
     out: list[frozenset] = []
     stack: list[int] = []
-    steps = 0
 
     def walk(v: int, depth: int):
-        nonlocal steps
         for u in g.neighbors(v):
             if u == hub or u in stack:
                 continue
-            steps += 1
-            if budget is not None and steps > budget:
-                raise BudgetExceededError(
-                    f"spoke enumeration at hub {hub} exceeded {budget} steps; "
-                    "consider the falling-factorial degree approximation"
-                )
+            spend()
             if depth == k:
                 out.append(frozenset(stack + [u]))
             else:
@@ -190,18 +185,11 @@ def _paths_from_hub(g: Graph, hub: int, k: int, budget: int | None) -> list[froz
     return out
 
 
-def _count_disjoint_selections(groups: list[tuple[list[frozenset], int]], budget: int | None) -> int:
+def _count_disjoint_selections(groups: list[tuple[list[frozenset], int]], spend) -> int:
     """Number of ways to pick l_j paths from group j, all pairwise disjoint."""
-    nodes = 0
 
     def rec(gi: int, start: int, need: int, used: frozenset) -> int:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(
-                f"disjoint-selection search exceeded {budget} nodes; "
-                "consider the falling-factorial degree approximation"
-            )
+        spend()
         if need == 0:
             if gi + 1 == len(groups):
                 return 1
@@ -226,16 +214,25 @@ def _count_disjoint_selections(groups: list[tuple[list[frozenset], int]], budget
 def _hub_counts_generic(g: Graph, spec: WheelSpec, budget: int | None) -> np.ndarray:
     counts = np.zeros(g.n, dtype=object)
     order = sorted(zip(spec.ks, spec.ls), key=lambda kl: -kl[0])
+    # every hub's path walks and disjoint-selection searches spend from one budget
+    limit = math.inf if budget is None else budget
+    steps = itertools.count(1)
+
+    def spend():
+        if next(steps) > limit:
+            raise BudgetExceededError(f"enumerating {spec.name()} exceeded the budget of "
+                                      f"{budget} steps")
+
     for i in range(g.n):
         groups = []
         feasible = True
         for k, l in order:
-            paths = _paths_from_hub(g, i, k, budget)
+            paths = _paths_from_hub(g, i, k, spend)
             if len(paths) < l:
                 feasible = False
                 break
             groups.append((paths, l))
-        counts[i] = _count_disjoint_selections(groups, budget) if feasible else 0
+        counts[i] = _count_disjoint_selections(groups, spend) if feasible else 0
     if g.n == 0 or max(int(c) for c in counts) < 2**63:
         return counts.astype(np.int64)
     return counts
@@ -276,8 +273,9 @@ def wheel_counts_per_hub(
     Dispatches to closed forms where available (``has_closed_form``); each
     is computed once per graph, memoised in ``g.stats`` and returned as a
     copy.  Other keys run the budget-guarded exact enumerators ((k,1) for
-    k >= 4 by path DFS) and are recomputed on every call, so a smaller
-    budget still raises.  Returns int64 when safe, Python ints (object
+    k >= 4 by path DFS), where the budget caps the steps of the whole key,
+    not of one hub; they are recomputed on every call, so a smaller budget
+    still raises.  Returns int64 when safe, Python ints (object
     dtype) when counts could overflow.
     """
     k, l = spec.ks[0], spec.ls[0]

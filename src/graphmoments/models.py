@@ -296,31 +296,17 @@ def _sample_cells(
     per-pair Bernoulli law exactly while touching only realized edges.
     """
     chunks = []
-    for a in range(len(groups)):
-        ga = groups[a]
-        if ga.size == 0:
-            continue
+    for a, ga in enumerate(groups):
         for b in range(a, len(groups)):
             gb = groups[b]
-            if gb.size == 0:
-                continue
             p = float(prob[a, b])
-            if p <= 0.0:
+            total = ga.size * (ga.size - 1) // 2 if a == b else ga.size * gb.size
+            if p <= 0.0 or total == 0:
                 continue
-            if a == b:
-                total = ga.size * (ga.size - 1) // 2
-                if total == 0:
-                    continue
-                cnt = total if p >= 1.0 else int(rng.binomial(total, p))
-                idx = _floyd_sample(rng, total, cnt)
-                i, j = _decode_triangular(idx, ga.size)
-                chunks.append(np.column_stack([ga[i], ga[j]]))
-            else:
-                total = ga.size * gb.size
-                cnt = total if p >= 1.0 else int(rng.binomial(total, p))
-                idx = _floyd_sample(rng, total, cnt)
-                i, j = np.divmod(idx, gb.size)
-                chunks.append(np.column_stack([ga[i], gb[j]]))
+            cnt = total if p >= 1.0 else int(rng.binomial(total, p))
+            idx = _floyd_sample(rng, total, cnt)
+            i, j = _decode_triangular(idx, ga.size) if a == b else np.divmod(idx, gb.size)
+            chunks.append(np.column_stack([ga[i], gb[j]]))
     edges = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2), dtype=np.int64)
     return Graph.from_edges(edges, num_vertices=n)
 

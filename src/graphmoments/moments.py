@@ -13,7 +13,9 @@ reporting defaults to P_check.
 
 Wheel noninduced counts come from per-hub counting; the per-hub sums are
 normalized by the hub-rooted labeling count p!/prod(ls!), which absorbs
-the hub multiplicity of single-spoke wheels.
+the hub multiplicity of single-spoke wheels.  ``moment_table`` is the one
+place these normalizations are computed; ``wheel_moment_estimates`` reads
+its Q_check or P_check entries.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import math
 from dataclasses import dataclass
 
 from .counting import count_induced, count_isomorphism_classes, count_noninduced
-from .errors import BudgetExceededError, DomainError, NormalizationError
+from .errors import BudgetExceededError, CapabilityError, DomainError, NormalizationError
 from .graph import Graph, rho_hat
 from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub, wheel_total
 from .patterns import (
+    MAX_PATTERN_ORDER,
     PatternGraph,
     WheelSpec,
     hub_multiplicity,
@@ -154,14 +157,25 @@ def moment_table(
             the budget; request only what you need.
         budget: enumeration budget passed to the counting kernels.
 
+    On an empty graph the *_check fields are None (no density to
+    normalize by).
+
     Raises:
-        NormalizationError: only when a requested normalized moment needs a
-            positive density (entries keep None checks on an empty graph).
+        CapabilityError: induced counts ("induced" or "both") of a wheel of
+            order > 10, which no induced counter handles; noninduced wheel
+            counts have no such bound.
+        BudgetExceededError: a count's enumeration exceeded the budget.
     """
     if mode not in ("induced", "noninduced", "both"):
         raise DomainError(f"bad mode {mode!r}")
     rho = rho_hat(g)
     items = [_as_item(raw) for raw in patterns]
+    too_large = [item.name() for item in items if item.p > MAX_PATTERN_ORDER]
+    if mode != "noninduced" and too_large:  # only wheels get past PatternGraph's bound
+        raise CapabilityError(
+            f"induced counting unavailable for {', '.join(too_large)} (order > "
+            f"{MAX_PATTERN_ORDER}); the noninduced estimator (qcheck) has no such limit"
+        )
     wheels = [item for item in items if isinstance(item, WheelSpec)]
     counts = {w: wheel_counts_per_hub(g, w, budget) for w in wheels} if mode != "induced" else {}
 
@@ -173,7 +187,7 @@ def moment_table(
         name, p, q = item.name(), item.p, item.q
         if isinstance(item, WheelSpec):
             n_iso = wheel_isomorphism_count(item)
-            pattern = wheel_to_pattern(item) if p <= 10 else None
+            pattern = wheel_to_pattern(item) if mode != "noninduced" else None
         else:
             n_iso, pattern = count_isomorphism_classes(item), item
         denom = math.comb(g.n, p) * n_iso
@@ -188,11 +202,6 @@ def moment_table(
                 noninduced = count_noninduced(g, pattern, budget)
                 q_hat = noninduced / denom if denom else 0.0
         if mode != "noninduced":
-            if pattern is None:
-                raise BudgetExceededError(
-                    f"induced counting unavailable for {name} (order {p} > 10); "
-                    "the noninduced estimator (qcheck) has no such limit"
-                )
             try:
                 induced = count_induced(g, pattern, budget)
             except BudgetExceededError as exc:
@@ -218,6 +227,10 @@ def moment_table(
     return MomentTable(n=g.n, edge_count=g.edge_count, rho=rho, entries=tuple(entries))
 
 
+# estimator -> (moment_table mode, entry field)
+_ESTIMATORS = {"qcheck": ("noninduced", "q_check"), "pcheck": ("induced", "p_check")}
+
+
 def wheel_moment_estimates(
     g: Graph,
     keys,
@@ -226,27 +239,19 @@ def wheel_moment_estimates(
 ) -> dict[WheelSpec, float]:
     """Density-free moment estimates tau_check for a set of wheel keys.
 
-    estimator "qcheck" uses noninduced per-hub counts (exact at any scale
-    for the supported keys); "pcheck" uses induced counts and is only
+    The q_check ("qcheck") or p_check ("pcheck") entries of
+    ``moment_table``: qcheck uses noninduced per-hub counts (exact at any
+    scale for the supported keys); pcheck uses induced counts and is only
     feasible when the pattern is small enough to count induced copies.
     """
-    if estimator not in ("qcheck", "pcheck"):
+    if estimator not in _ESTIMATORS:
         raise DomainError(f"bad estimator {estimator!r}")
-    rho = rho_hat(g)
-    if rho == 0:
+    if rho_hat(g) == 0:
         raise NormalizationError("moment estimates need at least one edge")
+    mode, field = _ESTIMATORS[estimator]
     specs = [WheelSpec.coerce(key) for key in keys]
-    out = {}
-    for spec in specs:
-        if estimator == "qcheck":
-            total, denom = wheel_total(wheel_counts_per_hub(g, spec, budget), spec, g.n)
-            out[spec] = (total / denom if denom else 0.0) * rho**-spec.q
-        else:
-            pattern = wheel_to_pattern(spec)
-            n_iso = wheel_isomorphism_count(spec)
-            ind = count_induced(g, pattern, budget)
-            out[spec] = ind / (math.comb(g.n, spec.p) * n_iso) * rho**-spec.q
-    return out
+    table = moment_table(g, specs, mode=mode, budget=budget)
+    return {spec: getattr(entry, field) for spec, entry in zip(specs, table.entries)}
 
 
 def theory_table(model, keys) -> MomentTable:

@@ -18,6 +18,7 @@ per-hub statistics, so both are exposed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,16 +111,18 @@ class WheelSpec:
 
     @classmethod
     def coerce(cls, key) -> "WheelSpec":
-        """A WheelSpec from itself, a "wheel:k=..,l=.." name or a (k, l) pair."""
+        """A WheelSpec from itself, a "wheel:k=..,l=.." name, a "k,l" string
+        or a (k, l) pair of integers; DomainError on anything else."""
         if isinstance(key, WheelSpec):
             return key
-        if isinstance(key, str):
-            spec = parse_pattern_name(key)
-            if not isinstance(spec, WheelSpec):
-                raise DomainError(f"{key!r} is not a wheel key")
-            return spec
-        k, l = key
-        return cls.simple(int(k), int(l))
+        if isinstance(key, str) and key.startswith("wheel:"):
+            return parse_pattern_name(key)
+        parts = key.split(",") if isinstance(key, str) else key
+        try:
+            k, l = (int(x) if isinstance(x, str) else operator.index(x) for x in parts)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"bad key {key!r}; use 'k,l' or 'wheel:k=..,l=..'") from exc
+        return cls.simple(k, l)
 
     @property
     def p(self) -> int:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import stats
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -84,6 +85,7 @@ def report(num: int, label: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+@pytest.mark.slow
 def test_criterion_01_counting_matches_brute_force():
     classes = connected_pattern_classes(5)
     rng = np.random.default_rng(1)
@@ -259,6 +261,7 @@ def test_criterion_07_path_profiles_match_brute_force():
                   "500 graphs, n<=8, depths 1..4, exact")
 
 
+@pytest.mark.slow
 def test_criterion_08_profile_coupling_tightens_with_degree():
     n, reps, depth = 5000, 50, 2
     makers = [("er", 0, er_model), ("ref", 1, ref_model)]
@@ -279,6 +282,7 @@ def test_criterion_08_profile_coupling_tightens_with_degree():
     assert report(8, "degree-profile coupling", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_09_degree_approximation_gap_direction():
     # The falling factorial (D_i^(2))_2 counts every ordered pair of distinct
     # 2-paths from hub i; the exact (2,2) count keeps only vertex-disjoint
@@ -407,6 +411,7 @@ def test_criterion_10_subsampling_variance_calibration():
                   f"ratio {ratio:.2f} in [0.5, 2]")
 
 
+@pytest.mark.slow
 def test_criterion_11_end_to_end_fit():
     lam = 20.0
     order = [1, 0]  # canonical: ascending expected block intensity

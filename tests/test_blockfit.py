@@ -441,7 +441,9 @@ def test_fit_falls_back_only_for_keys_over_budget():
     from graphmoments.hubs import has_closed_form
 
     g = sample_block_model(BlockModel(pi=REF.pi, S=REF.S, rho=0.02), 120, seed=11).graph
-    cfg = FitConfig(K=3, multistart=1, budget=1000, on_stage_error="fallback")
+    # a budget bounds each key's total work over all hubs: at 30000, (2,4), (2,5)
+    # and (3,2) stay exact and (3,3), (3,4), (3,5) go over
+    cfg = FitConfig(K=3, multistart=1, budget=30000, on_stage_error="fallback")
     over = []
     for key in cfg.keys():
         try:

@@ -360,6 +360,31 @@ def test_bad_pattern_is_input_error(graph_path, capsys):
     assert main(["moments", graph_path, "--pattern", "zz"]) == 2
 
 
+def test_moments_pcheck_past_order_10_is_an_input_error(graph_path, capsys):
+    argv = ["moments", graph_path, "--pattern", "wheel:k=2,l=5", "--estimator", "pcheck"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "qcheck" in err[0]
+
+
+def test_gen_takes_no_budget(tmp_path, model_path, capsys):
+    out = tmp_path / "g.edges"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", model_path, "--n", "50", "--budget", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err and not out.exists()
+    assert main(["gen", model_path, "--n", "50", "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "g.edges.manifest.json").read_text())
+    assert "budget" not in side["parameters"]
+
+
+def test_bootstrap_rejects_a_malformed_key(graph_path, capsys):
+    for key in ("2", "a,b", "2,1,3"):
+        assert main(["bootstrap", graph_path, "--key", key, "--B", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad key") and "use 'k,l' or 'wheel:k=..,l=..'" in err
+
+
 def test_budget_exceeded_exit_code(graph_path, capsys):
     rc = main(
         [
@@ -387,11 +412,27 @@ def test_sweep_rejects_malformed_config_shapes_before_any_cell(tmp_path, capsys)
     cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
     good = {"models": [{"name": "m", "model": REF.to_json()}], "n": [50], "replicates": 1,
             "metrics": ["rho_hat"]}
-    for field, value, message in (("models", [5], "'models' must be a list of objects"),
-                                  ("n", 50, "'n' must be a list of integers"),
-                                  ("replicates", "x", "'replicates' must be an integer")):
-        cfg_path.write_text(json.dumps({**good, field: value}))
-        assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2, field
+    power = {"kind": "power", "c": 1.5, "exponent": 0.3}
+    for extra, message in (({"models": [5]}, "'models' must be a list of objects"),
+                           ({"n": 50}, "'n' must be a list of integers"),
+                           ({"n": [0]}, "'n' must be a list of integers"),
+                           ({"replicates": "x"}, "'replicates' must be an integer"),
+                           ({"replicates": 0}, "'replicates' must be an integer >= 1"),
+                           ({"lambda": {"kind": "fixed"}}, "'value' for kind 'fixed'"),
+                           ({"lambda": {**power, "c": "x"}}, "'c' and 'exponent' for kind 'power'"),
+                           ({"lambda": 5}, "its kind is 'fixed' or 'power'"),
+                           ({"n": [1], "lambda": power}, "needs n >= 2"),
+                           ({"seed": "abc"}, "seed must be a non-negative integer"),
+                           ({"metrics": "rho_hat"}, "'metrics' must be a list of strings"),
+                           ({"metrics": ["tau_check:k=2"]}, "must read tau_check:k=..,l=.."),
+                           ({"metrics": ["tau_check:k=2,l=x"]}, "with positive integers"),
+                           ({"metrics": ["fit:K=0"]}, "must read fit:K=.."),
+                           ({"metrics": ["rho_hat:k=1"]}, "must read rho_hat"),
+                           ({"metrics": ["nonsense"]}, "unknown metric 'nonsense'"),
+                           ({"budget": "many"}, "'budget' must be an integer or null"),
+                           ({"fit": 5}, "'fit' must be an object")):
+        cfg_path.write_text(json.dumps({**good, **extra}))
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2, extra
         assert not out.exists()  # no cell ran
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
@@ -474,15 +515,18 @@ def test_sweep_byte_identity_and_error_capture(tmp_path, model_path):
     assert all("lambda_hat" in r["metrics"] for r in recs)
     assert all(r["error"] is None for r in recs)
 
-    # a failing metric is captured per record instead of aborting the sweep
-    cfg["metrics"] = ["rho_hat", "nonsense_metric"]
+    # a metric that fails on a cell's graph is captured per record instead of
+    # aborting the sweep
+    cfg["metrics"] = ["rho_hat", "tau_check:k=3,l=2"]
     cfg["n"] = [60]
+    cfg["budget"] = 1
     cfg_path.write_text(json.dumps(cfg))
     out3 = tmp_path / "s3.jsonl"
     assert main(["sweep", str(cfg_path), "--seed", "7", "--out", str(out3)]) == 0
     recs = [json.loads(l) for l in out3.read_text().splitlines()]
     assert len(recs) == 2
-    assert all(r["error"] and "nonsense_metric" in r["error"] for r in recs)
+    assert all(r["error"].startswith("BudgetExceededError: ") for r in recs)
+    assert all("rho_hat" in r["metrics"] for r in recs)
 
 
 def test_sweep_with_a2_helpers_in_its_workers_is_byte_identical(tmp_path, model_path):

@@ -93,6 +93,17 @@ def test_budget_guard_generic_path():
         wheel_counts_per_hub(g, WheelSpec(ks=(2, 3), ls=(2, 1)), budget=10)
 
 
+def test_budget_bounds_a_keys_work_over_all_hubs():
+    # each hub of the union sees only its own K5, whose whole (3,2) count fits
+    # the budget; the twenty copies together do not
+    spec, k5 = WheelSpec.simple(3, 2), ~np.eye(5, dtype=bool)
+    assert not wheel_counts_per_hub(graph_from_dense(k5), spec, budget=400).any()
+    union = graph_from_dense(np.kron(np.eye(20, dtype=bool), k5))
+    with pytest.raises(BudgetExceededError, match="wheel:k=3,l=2") as exc:
+        wheel_counts_per_hub(union, spec, budget=400)
+    assert "hub" not in str(exc.value) and "approximation" not in str(exc.value)
+
+
 def test_object_dtype_on_huge_counts():
     # star with a fat center: binomial(70, 35) overflows int64
     n = 71

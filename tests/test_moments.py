@@ -108,8 +108,8 @@ def test_estimates_helper_matches_table():
     est_p = wheel_moment_estimates(g, keys, estimator="pcheck")
     table = moment_table(g, keys, mode="both")
     for key, entry in zip(keys, table.entries):
-        assert est_q[key] == pytest.approx(entry.q_check, rel=1e-14)
-        assert est_p[key] == pytest.approx(entry.p_check, rel=1e-14)
+        assert est_q[key] == entry.q_check
+        assert est_p[key] == entry.p_check
 
 
 def test_empty_graph_rejected():
@@ -154,6 +154,19 @@ def test_budget_error_suggests_cheaper_estimator():
     with pytest.raises(BudgetExceededError) as err:
         moment_table(g, [WheelSpec.simple(2, 2)], mode="both", budget=10)
     assert "qcheck" in str(err.value)
+
+
+def test_induced_counts_past_order_10_are_a_capability_error():
+    from graphmoments import CapabilityError
+
+    _, g = small_graph(seed=41, n=9, p=0.5)
+    big = WheelSpec.simple(2, 5)  # order 11
+    for mode in ("induced", "both"):
+        with pytest.raises(CapabilityError, match="qcheck"):
+            moment_table(g, [big], mode=mode, budget=10)
+    with pytest.raises(CapabilityError):
+        wheel_moment_estimates(g, [big], estimator="pcheck")
+    assert moment_table(g, [big], mode="noninduced", budget=None).entries[0].p_check is None
 
 
 def test_table_json_round_trip():

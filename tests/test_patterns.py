@@ -72,6 +72,18 @@ def test_wheel_spec_validation():
         WheelSpec(ks=(1, 2), ls=(1,))
 
 
+def test_wheel_key_coercion():
+    two_one = WheelSpec.simple(2, 1)
+    for key in (two_one, "2,1", (2, 1), "wheel:k=2,l=1"):
+        assert WheelSpec.coerce(key) == two_one
+    assert WheelSpec.coerce("wheel:k=1+2,l=2+1") == WheelSpec(ks=(1, 2), ls=(2, 1))
+    for bad in ("2", "a,b", (1, 2, 3), (2.5, 1), 5, "edges:0-1,1-2"):
+        with pytest.raises(DomainError, match="use 'k,l' or 'wheel:k=..,l=..'"):
+            WheelSpec.coerce(bad)
+    with pytest.raises(DomainError):
+        WheelSpec.coerce("wheel:k=2")
+
+
 def test_wheel_to_pattern_structure():
     r = wheel_to_pattern(WheelSpec.simple(2, 2))
     assert r.p == 5
