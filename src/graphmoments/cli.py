@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import hashlib
 import json
 import os
@@ -34,6 +33,7 @@ from .hubs import DEFAULT_BUDGET
 from .models import (
     BlockModel,
     Graphon,
+    check_rho,
     load_model,
     model_from_json,
     sample_block_model,
@@ -274,11 +274,10 @@ def cmd_degrees(args) -> int:
         profile = m_degrees(g, args.m, budget=args.budget)
     manifest.wall_clock_s = time.monotonic() - t0
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["vertex"] + [f"D{j}" for j in range(1, args.m + 1)])
-            for i in range(g.n):
-                writer.writerow([i] + [int(x) for x in profile.counts[i]])
+        header = ",".join(["vertex"] + [f"D{j}" for j in range(1, args.m + 1)])
+        columns = [map(str, range(g.n))] + [map(str, col) for col in profile.counts.T.tolist()]
+        with open(args.out, "w", newline="") as fh:  # csv's dialect: "\r\n" ends each row
+            fh.write("\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n")
         _emit_sidecar(manifest, args.out)
         print(f"wrote {args.out}")
     normalized = profile.normalized() if profile.mean_degree > 0 else None
@@ -480,13 +479,14 @@ def cmd_sweep(args) -> int:
         if not name:
             raise InputError("each sweep model needs a name")
         if "model" in entry:
+            model = model_from_json(entry["model"])  # a bad model fails here, not in every cell
             obj = entry["model"]
-            model_from_json(obj)  # a bad model fails here, as by "path", not in every cell
         elif "path" in entry:
-            obj = _load(load_model, entry["path"], "model").to_json()
+            model = _load(load_model, entry["path"], "model")
+            obj = model.to_json()
         else:
             raise InputError(f"model {name!r} needs 'model' or 'path'")
-        models.append((name, obj))
+        models.append((name, obj, model))
 
     manifest = _manifest(
         "sweep",
@@ -504,10 +504,15 @@ def cmd_sweep(args) -> int:
     }
 
     tasks = []
-    for mi, (name, obj) in enumerate(models):
+    for mi, (name, obj, model) in enumerate(models):
         fallback_rho = obj.get("rho")
         for ni, n in enumerate(config["n"]):
             lam, rho = _lambda_for(rule, n, fallback_rho)
+            # a density the model cannot take fails here, by the sampler's own checks
+            if isinstance(model, Graphon):
+                check_rho(rho)
+            else:
+                model.with_rho(rho)
             cell_id = f"{name}/n={n}/lambda={lam:g}"
             for rep in range(config["replicates"]):
                 seed = int(

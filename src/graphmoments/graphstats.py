@@ -182,16 +182,15 @@ class GraphStats:
         """B: triangles through each CSR entry's edge, (A^2)_ij for i ~ j.
 
         Listed here unless ``a2_sums`` has cached it first."""
-        # each triangle marks one direction of each of its edges; add the other
-        half = np.zeros(self.indices.size, dtype=np.int64)
+        # each triangle lists one direction of each of its edges; add the
+        # counts to the reverse entries of the edges some triangle hit
+        b = np.zeros(self.indices.size, dtype=np.int64)
         for tri in self._triangles(self._forward[1], BLOCK_BYTES):
             for e in tri:
-                np.add.at(half, e, 1)
-        other = np.empty_like(half)
-        # sorting entries by column lists their reverses in CSR order
-        other[np.argsort(self.indices, kind="stable")] = half
-        half += other
-        return half
+                np.add.at(b, e, 1)
+        hit = np.flatnonzero(b)
+        b[self._find(self.indices[hit], self.src[hit])] += b[hit]
+        return b
 
     @cached_property
     def triangles(self) -> np.ndarray:

@@ -34,6 +34,12 @@ _NORM_TOL = 1e-8
 _GRID_TOL = 1e-9
 
 
+def check_rho(rho: float) -> None:
+    """InvalidModelError unless the density rho lies in (0, 1]."""
+    if not (0 < rho <= 1):
+        raise InvalidModelError(f"rho={rho} outside (0, 1]")
+
+
 def canonical_order(pi: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Block permutation sorting marginal intensity v = S pi ascending.
 
@@ -80,8 +86,7 @@ class BlockModel:
             raise InvalidModelError(
                 f"S is not normalized: sum pi_a pi_b S_ab = {norm:.12g}"
             )
-        if not (0 < self.rho <= 1):
-            raise InvalidModelError(f"rho={self.rho} outside (0, 1]")
+        check_rho(self.rho)
         if self.rho * S.max() > 1 + 1e-12:
             raise InvalidModelError(
                 f"rho * max(S) = {self.rho * S.max():.6g} > 1: invalid edge probability"
@@ -259,17 +264,42 @@ def blockmodel_to_graphon(model: BlockModel, resolution: int) -> Graphon:
 
 def _floyd_sample(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
     """Uniform k-subset of range(total), ascending (which keeps the pair
-    decode's binary search cache-friendly), in O(k) memory."""
+    decode's binary search cache-friendly), in O(k) memory.
+
+    Floyd's draw: step i = 0..k-1 draws t_i uniform on [0, j_i] with
+    j_i = total - k + i, and adds t_i unless t_i is already in the set,
+    in which case it adds j_i (never in the set: every earlier entry is at
+    most j_{i-1}).  Step i collides exactly when
+      - t_i repeats an earlier draw t_m (that value entered the set at or
+        before step m), or
+      - t_i is a first draw equal to j_m for the earlier step
+        m = t_i - (total - k), and step m itself collided.
+    The second case chains back through earlier steps, so its chains are
+    resolved by pointer jumping.  The draws, and hence the generator state
+    afterwards, are those of the sequential loop, and so is the subset.
+    """
     if k < 0 or k > total:
         raise DomainError("sample size outside range")
     if k == 0:
         return np.zeros(0, dtype=np.int64)
-    js = np.arange(total - k, total, dtype=np.int64)
+    base = total - k
+    js = np.arange(base, total, dtype=np.int64)
     ts = rng.integers(0, js + 1)
-    sel: set[int] = set()
-    for t, j in zip(ts.tolist(), js.tolist()):
-        sel.add(t if t not in sel else j)
-    out = np.fromiter(sel, dtype=np.int64, count=k)
+    order = np.argsort(ts)
+    runs = np.flatnonzero(np.diff(ts[order], prepend=-1))  # one run per drawn value
+    collided = np.ones(k, dtype=bool)
+    collided[np.minimum.reduceat(order, runs)] = False  # the first draw of each value
+    chained = np.flatnonzero(~collided & (ts >= base) & (ts < js))
+    ptr = np.arange(k)
+    ptr[chained] = ts[chained] - base
+    active = chained
+    while active.size:  # ptr = ptr[ptr] on the steps whose pointer still moves
+        step = ptr[active]
+        hop = ptr[step]
+        ptr[active] = hop
+        active = active[hop != step]
+    collided[chained] = collided[ptr[chained]]
+    out = np.where(collided, js, ts)
     out.sort()  # in place: a sorted copy raises the sampler's peak memory
     return out
 
@@ -322,8 +352,6 @@ def sample_block_model(
     intervals, edges Bernoulli(rho * S) per block pair."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if model.rho * model.S.max() > 1 + 1e-12:
-        raise InvalidModelError("rho * max(S) > 1")
     rng = _generator(seed)
     xi = rng.random(n)
     order = model.canonical_order()
@@ -341,8 +369,7 @@ def sample_graphon(
     min(rho * w, 1), so cells exceeding 1/rho saturate to certain edges."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if not (0 < rho <= 1):
-        raise DomainError(f"rho={rho} outside (0, 1]")
+    check_rho(rho)
     rng = _generator(seed)
     xi = rng.random(n)
     cells = w.locate(xi)

@@ -154,6 +154,11 @@ def oracle_triangles_at(a: np.ndarray, i: int) -> int:
     return sum(1 for j, k in itertools.combinations(nb, 2) if a[j, k])
 
 
+def oracle_edge_triangles(a: np.ndarray, i: int, j: int) -> int:
+    """Triangles through the edge ij: the common neighbours of i and j."""
+    return sum(1 for k in range(a.shape[0]) if a[i, k] and a[j, k])
+
+
 def oracle_overlapping_2path_pairs(a: np.ndarray, hub: int) -> int:
     """Ordered pairs of distinct loopless 2-paths from hub that share a
     vertex other than the hub."""
@@ -180,6 +185,24 @@ def oracle_clique_terms(a: np.ndarray, i: int) -> tuple[int, int, int]:
     k4 = sum(1 for t in itertools.combinations(others, 3)
              if all(a[u, v] for u, v in itertools.combinations((i,) + t, 2)))
     return opposite, k4, qe
+
+
+# ---------------------------------------------------------------------------
+# edge sampling: Floyd's draw one step at a time
+
+
+def floyd_sample(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
+    """Uniform k-subset of range(total), ascending, by Floyd's sequential
+    loop: step i draws t in [0, j] with j = total - k + i and adds t, or j
+    when t is already in the set."""
+    if k == 0:
+        return np.zeros(0, dtype=np.int64)
+    js = np.arange(total - k, total, dtype=np.int64)
+    ts = rng.integers(0, js + 1)
+    sel: set[int] = set()
+    for t, j in zip(ts.tolist(), js.tolist()):
+        sel.add(t if t not in sel else j)
+    return np.array(sorted(sel), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

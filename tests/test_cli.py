@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,10 +14,14 @@ import graphmoments
 from graphmoments import (
     BlockModel,
     FitConfig,
+    Graphon,
     HubCountCache,
+    blockmodel_to_graphon,
     bootstrap_variance,
+    erdos_renyi_model,
     fit_block_model,
     load_edge_list,
+    m_degrees,
     sample_block_model,
     save_model,
     write_edge_list,
@@ -51,6 +58,23 @@ def test_gen_is_deterministic(tmp_path, model_path):
     c = tmp_path / "c.edges"
     main(["gen", model_path, "--n", "200", "--seed", "6", "--out", str(c)])
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("model, args, digest", [
+    (REF, ["--n", "2000", "--seed", "3"],
+     "c017336c364fe86be3e0f48ca8aa96a6de573c8ac855e010d53be10ef364a1a0"),
+    # at rho = 0.4 the w = 3 cells saturate: every pair in them is an edge
+    (blockmodel_to_graphon(BlockModel(pi=np.array([0.5, 0.5]),
+                                      S=np.array([[3.0, 0.2], [0.2, 0.6]]), rho=0.01), 16),
+     ["--n", "300", "--rho", "0.4", "--seed", "5"],
+     "85b75ff45cd40206e85fb1cca036ce40d066c67475e6bf68d44d94b4cb10b416"),
+], ids=["two-block", "saturated-graphon"])
+def test_gen_edge_lists_keep_their_digests(tmp_path, model, args, digest):
+    # pinned sampler output: any change to the draw order or the subset fails here
+    save_model(model, tmp_path / "model.json")
+    out = tmp_path / "g.edges"
+    assert main(["gen", str(tmp_path / "model.json"), *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_gen_sidecar_manifest_and_latents(tmp_path, model_path):
@@ -338,6 +362,18 @@ def test_degrees_csv_and_summary(tmp_path, graph_path):
     assert "quantiles" in sobj["columns"][0]
 
 
+def test_degrees_csv_is_what_csv_writer_writes(tmp_path, graph_path):
+    out = tmp_path / "deg.csv"
+    assert main(["degrees", graph_path, "--m", "2", "--out", str(out)]) == 0
+    profile = m_degrees(load_edge_list(graph_path), 2)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["vertex", "D1", "D2"])
+    for i, row in enumerate(profile.counts.tolist()):
+        writer.writerow([i] + row)
+    assert out.read_bytes() == want.getvalue().encode()
+
+
 def test_bootstrap_json(graph_path, capsys):
     rc = main(
         ["bootstrap", graph_path, "--key", "2,1", "--B", "24", "--seed", "4"]
@@ -413,6 +449,8 @@ def test_sweep_rejects_malformed_config_shapes_before_any_cell(tmp_path, capsys)
     good = {"models": [{"name": "m", "model": REF.to_json()}], "n": [50], "replicates": 1,
             "metrics": ["rho_hat"]}
     power = {"kind": "power", "c": 1.5, "exponent": 0.3}
+    er = {"models": [{"name": "er", "model": erdos_renyi_model(0.1).to_json()}]}
+    flat = {"models": [{"name": "w", "model": Graphon(grid=np.ones((2, 2))).to_json()}]}
     for extra, message in (({"models": [5]}, "'models' must be a list of objects"),
                            ({"n": 50}, "'n' must be a list of integers"),
                            ({"n": [0]}, "'n' must be a list of integers"),
@@ -430,7 +468,10 @@ def test_sweep_rejects_malformed_config_shapes_before_any_cell(tmp_path, capsys)
                            ({"metrics": ["rho_hat:k=1"]}, "must read rho_hat"),
                            ({"metrics": ["nonsense"]}, "unknown metric 'nonsense'"),
                            ({"budget": "many"}, "'budget' must be an integer or null"),
-                           ({"fit": 5}, "'fit' must be an object")):
+                           ({"fit": 5}, "'fit' must be an object"),
+                           ({**er, "lambda": {"kind": "fixed", "value": 100.0}}, "outside (0, 1]"),
+                           ({"lambda": {"kind": "fixed", "value": 30.0}}, "rho * max(S) = 1.22"),
+                           ({**flat, "lambda": {"kind": "fixed", "value": 0.0}}, "rho=0.0 outside")):
         cfg_path.write_text(json.dumps({**good, **extra}))
         assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2, extra
         assert not out.exists()  # no cell ran

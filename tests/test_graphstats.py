@@ -32,6 +32,7 @@ from graphmoments.counting import triangle_count, triangles_per_vertex
 from oracles import (
     dense_adj,
     oracle_clique_terms,
+    oracle_edge_triangles,
     oracle_hub_count,
     oracle_mdegree,
     oracle_triangles_at,
@@ -110,6 +111,20 @@ def test_clique_terms_match_oracle(g, b_cached):
         g.stats.a2_sums  # the pass caches B, so the listing pairs only triangle edges
     got = zip(*(column.tolist() for column in g.stats.clique_terms()))
     assert list(got) == [oracle_clique_terms(a, i) for i in range(g.n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(), st.sampled_from([None, 1]))
+def test_listed_b_matches_oracle_before_any_a2_pass(g, block_bytes):
+    # B from the triangle listing alone: each entry's reverse is marked where a triangle hit
+    a = dense_adj(g)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes is not None:
+            mp.setattr(graphstats, "BLOCK_BYTES", block_bytes)
+        b = g.stats.edge_triangles
+    assert "a2_sums" not in g.stats.__dict__
+    want = [oracle_edge_triangles(a, i, j) for i in range(g.n) for j in g.neighbors(i)]
+    assert b.tolist() == want
 
 
 def _fresh(g: Graph) -> Graph:

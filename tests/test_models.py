@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmoments import (
     BlockModel,
@@ -18,6 +20,8 @@ from graphmoments import (
     save_model,
     tau,
 )
+from graphmoments.models import _floyd_sample
+from oracles import floyd_sample
 
 REF = BlockModel(
     pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]), rho=0.01
@@ -31,6 +35,37 @@ def test_pair_decode_follows_combinations_order():
         pairs = list(itertools.combinations(range(g), 2))
         i, j = _decode_triangular(np.arange(len(pairs), dtype=np.int64), g)
         assert list(zip(i.tolist(), j.tolist())) == pairs, g
+
+
+@st.composite
+def floyd_cases(draw):
+    """(total, k, seed) with k at 0, 1, total - 1 and total where the loop
+    oracle can afford it, and totals up to 10^9."""
+    total = draw(st.one_of(st.integers(1, 2000), st.integers(1, 10**9)))
+    cap = min(total, 2000)
+    edges = [0, 1] + ([total - 1, total] if total <= 2000 else [])
+    k = draw(st.one_of(st.sampled_from(edges), st.integers(0, cap)))
+    return total, k, draw(st.integers(0, 2**32 - 1))
+
+
+def _assert_same_draw(total, k, seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = _floyd_sample(fast, total, k)
+    assert np.array_equal(out, floyd_sample(slow, total, k))
+    assert out.dtype == np.int64
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(floyd_cases())
+def test_floyd_sample_matches_the_sequential_loop(case):
+    _assert_same_draw(*case)
+
+
+@pytest.mark.parametrize("total, k", [(50000, 50000), (50000, 49999), (60000, 30000), (10**9, 50000)])
+def test_floyd_sample_matches_the_sequential_loop_at_scale(total, k):
+    # k = total is a saturated cell: nearly every step collides through a chain
+    _assert_same_draw(total, k, seed=7)
 
 
 def test_model_validation():
