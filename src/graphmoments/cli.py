@@ -29,6 +29,7 @@ from .bootstrap import HubCountCache, bootstrap_variance
 from .degrees import degree_moment_approx, joint_coupling_error, m_degrees, theta_profile
 from .errors import BudgetExceededError, DomainError, InputError, NumericalError
 from .graph import Graph, lambda_hat, load_edge_list, rho_hat, write_edge_list
+from .graphstats import share_cpus
 from .hubs import DEFAULT_BUDGET
 from .models import (
     BlockModel,
@@ -524,7 +525,10 @@ def cmd_sweep(args) -> int:
     t0 = time.monotonic()
     threads = max(1, args.threads)
     if threads > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        # each worker's A^2 passes take 1/threads of the CPUs, not all of them
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=threads, initializer=share_cpus, initargs=(threads,)
+        ) as pool:
             records = list(pool.map(_sweep_cell, tasks, chunksize=1))
     else:
         records = [_sweep_cell(t) for t in tasks]

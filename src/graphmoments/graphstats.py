@@ -6,33 +6,41 @@ with the CSR entries, triangles per vertex, the k = 2 sums over A^2 and the
 memoised per-hub columns of closed-form wheel keys (filled by ``hubs``).
 Only the A^2 passes build a scipy matrix (``adjacency``); the rest is numpy.
 
-The k = 2 sums come from one pass over the row blocks A[r0:r1] @ A
-(``a2_sums``), which also reads B if nothing has cached it yet.  Otherwise
-B comes from a triangle listing (Latapy, TCS 2008; Chiba & Nishizeki, SIAM
-J. Comput. 1985): edges point to the endpoint of higher (degree, id) rank,
-so each triangle is one wedge of forward edges at its lowest vertex, closed
-by ``searchsorted`` in the sorted CSR keys i*n + j.  Triangle counts and
-D^(3) run it only when no k = 2 wheel came first.  (2,3)'s cross sum
-(``a2_cross``) reads ``a2_sums`` first and then multiplies each block's
-rows of A ∘ X by A, X_ij = d_j - 2 + B_ij, so in any key order each row
-block's two products are formed once.  Its clique terms list again, but
-pair only triangle edges (B >= 1) and extend a triangle to K4s only along
-edges in two triangles or more.
+The k = 2 sums come from one pass over the row blocks of A^2 (``a2_sums``),
+which also reads B if nothing has cached it yet.  A^2 is symmetric, so the
+pass splits the rows into _BANDS bands and forms each pair {i, k} of two
+bands once, in the earlier row; B at the entries it skips is copied from
+the reverse entries.  Otherwise B comes from a triangle listing (Latapy,
+TCS 2008; Chiba & Nishizeki, SIAM J. Comput. 1985): edges point to the
+endpoint of higher (degree, id) rank, so each triangle is one wedge of
+forward edges at its lowest vertex, closed by ``searchsorted`` in the
+sorted CSR keys i*n + j, and each count is added to the reverse entry.
+Both reverse steps look each entry up or radix-sort the column indices
+once, whichever is cheaper.  Triangle counts and D^(3) list only when no
+k = 2 wheel came first.  (2,3)'s cross sum (``a2_cross``) reads ``a2_sums``
+first and then multiplies each block's rows of A ∘ X by all of A, X_ij =
+d_j - 2 + B_ij, as that product is not symmetric; so in any key order each
+row block's two products are formed once.  Its clique terms list again,
+but pair only triangle edges (B >= 1) and extend a triangle to K4s only
+along edges in two triangles or more.
 
 The row blocks of a pass run on one thread per 4 BLOCK_BYTES of its
 products, at most one per usable CPU (the affinity mask, else the CPU
-count), the caller among them.  scipy's sparse product releases the GIL, and
-each block writes only its own rows, so every output is the same under any
-schedule.  A smaller pass, tens of milliseconds, runs on the caller alone:
-on more threads its time would depend on a second CPU being free, and
-its smaller blocks would cost more page faults than the threads save.
+count, split evenly between the worker processes of a sweep), the caller
+among them.  scipy's sparse product releases the GIL, each block writes
+only its own rows, and the column sums are exact integers added under a
+lock, so every output is the same under any schedule.  A smaller pass,
+tens of milliseconds, runs on the caller alone: on more threads its time
+would depend on a second CPU being free, and its smaller blocks would cost
+more page faults than the threads save.
 
 BLOCK_BYTES caps the temporaries of each chunk of wedges or K4 candidates,
 and of all the row blocks of A^2 or (A ∘ X) A in flight (with any dense row
 buffer): on w > 1 threads each block gets BLOCK_BYTES / (2 w), and on the
 caller alone BLOCK_BYTES.  Chunks are sized by measured bytes per item; a
 chunk holds at least one item, and no kernel holds A^2.  The cap does not
-cover the O(n + E) arrays a kernel keeps, returns or builds once.
+cover the O(n + E) arrays a kernel keeps, returns or builds once, such as a
+band's right factor, one at a time per running thread.
 """
 
 from __future__ import annotations
@@ -51,6 +59,10 @@ _WEDGE_BYTES = 96  # a wedge being closed, or a triangle being extended
 _K4_BYTES = 112  # a K4 candidate
 _A2_BYTES = 32  # an entry of a row block's product with A, A^2 or (A ∘ X) A
 _INT64_LIMIT = 2**62  # headroom below 2^63 for one more addition
+# share of the entries past which a sort finds reverses faster than _find: measured
+# between 0.07 and 0.12 on Erdos-Renyi graphs from n = 5000 to 200000
+_SORT_SHARE = 0.08
+_BANDS = 8  # row bands of the A^2 pass; a band's rows form only the columns from its start on
 
 
 def _k2_dtype(d: np.ndarray, d2: np.ndarray):
@@ -82,12 +94,24 @@ def _chunks(weights: np.ndarray, cap: int | None = None):
         lo = hi
 
 
+_share = 1  # the processes that split this process's CPUs, set by share_cpus
+
+
+def share_cpus(processes: int) -> None:
+    """Give this process's A^2 passes 1/processes of its CPUs: the
+    initializer of each worker process of a sweep."""
+    global _share
+    _share = max(1, processes)
+
+
 def _workers() -> int:
-    """Threads for the A^2 row-block passes: the CPUs this process may run on."""
+    """Threads for the A^2 row-block passes: this process's share of the CPUs
+    it may run on, at least one."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // _share)
 
 
 def row_sums(indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -135,6 +159,31 @@ class GraphStats:
     @cached_property
     def _keys(self) -> np.ndarray:
         return self.src * self.n + self.indices  # ascending: rows, then sorted columns
+
+    @cached_property
+    def _walks(self) -> np.ndarray:
+        """Each row's bound on its entries in A^2: its 2-walks, at most n."""
+        return np.minimum(self.d2 + self.d, self.n)
+
+    def _to_reverse(self, x: np.ndarray, e: np.ndarray) -> None:
+        """Add x at the CSR entries e to their reverse entries, all reads first.
+
+        The reverses come from ``_find`` when e is at most _SORT_SHARE of the
+        entries, else from one stable sort of the column indices, 16 bits a
+        pass so that numpy sorts by radix: it lists the entries by (column,
+        row), which is each entry's reverse (Gustavson's transposition).
+        """
+        if e.size > _SORT_SHARE * self.indices.size:
+            rev = np.argsort(self.indices.astype(np.uint16), kind="stable")  # the low 16 bits
+            for shift in range(16, max(self.n - 1, 1).bit_length(), 16):
+                digit = self.indices[rev]
+                digit >>= shift
+                rev = rev[np.argsort(digit.astype(np.uint16), kind="stable")]
+                del digit
+            rev = rev[e]
+        else:
+            rev = self._find(self.indices[e], self.src[e])
+        x[rev] += x[e]
 
     def _find(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """CSR position of each entry (i, j), or -1 where i and j are not adjacent."""
@@ -188,8 +237,7 @@ class GraphStats:
         for tri in self._triangles(self._forward[1], BLOCK_BYTES):
             for e in tri:
                 np.add.at(b, e, 1)
-        hit = np.flatnonzero(b)
-        b[self._find(self.indices[hit], self.src[hit])] += b[hit]
+        self._to_reverse(b, np.flatnonzero(b))
         return b
 
     @cached_property
@@ -234,11 +282,13 @@ class GraphStats:
                     np.add.at(k4, y[hit], 1)
         return opposite, k4, qe
 
-    def a2_map(self, fn, entry_bytes: int, row_bytes: int = 0, left=None) -> None:
-        """Call fn(r0, r1, L @ A) once for each consecutive row block, sized for
+    def a2_map(self, fn, entry_bytes: int, row_bytes: int = 0, left=None, bands=None) -> None:
+        """Call fn(r0, r1, L @ R) once for each consecutive row block, sized for
         entry_bytes per entry plus row_bytes per row.  L = left(r0, r1), a
         matrix with the pattern of A[r0:r1], or A[r0:r1] itself (the blocks
-        of A^2) if left is None.
+        of A^2) if left is None.  R is A, unless bands = (edges, right): then
+        the blocks also end at the edges, and R = right(r0), called under the
+        pass's lock in row order and dropped once the product is formed.
 
         The blocks run on w threads, one per 4 BLOCK_BYTES of products and
         at most one per usable CPU, the caller among them, each taking the
@@ -249,10 +299,12 @@ class GraphStats:
         remaining blocks and is raised here, after every helper has returned.
         """
         a = self.adjacency
-        # 2-walks, at most n, bound each row's entries
-        weights = np.minimum(self.d2 + self.d, self.n) * entry_bytes + row_bytes
+        weights = self._walks * entry_bytes + row_bytes
         workers = max(1, min(_workers(), int(weights.sum()) // (4 * BLOCK_BYTES)))
         spans = list(_chunks(weights, BLOCK_BYTES // (2 * workers) if workers > 1 else None))
+        if bands is not None:
+            bounds = np.union1d([lo for lo, _ in spans] + [self.n], bands[0]).tolist()
+            spans = list(zip(bounds[:-1], bounds[1:]))
         blocks, lock = iter(spans), threading.Lock()
 
         def work():
@@ -260,13 +312,15 @@ class GraphStats:
                 while True:
                     with lock:
                         span = next(blocks, None)
-                    if span is None:
-                        return
-                    lo, hi = span
+                        if span is None:
+                            return
+                        lo, hi = span
+                        r = a if bands is None else bands[1](lo)
                     # p lives on until the next product is formed: freed first, the
                     # heap shrank and faulted back in for every block (a K = 2 fit
                     # at n = 4000, lambda = 20 took 6.0K page faults, 4.3K held)
-                    p = (a[lo:hi] if left is None else left(lo, hi)) @ a
+                    p = (a[lo:hi] if left is None else left(lo, hi)) @ r
+                    del r
                     fn(lo, hi, p)
             except BaseException:
                 with lock:
@@ -290,25 +344,67 @@ class GraphStats:
         (A^2)_ik^3, from one pass over the row blocks of A^2 after the k = 2
         int64 guard.
 
+        The rows fall into _BANDS bands of about equal 2-walk bound, and the
+        blocks end at the band edges.  A row of band [c0, c1) forms only its
+        columns k >= c0: its block multiplies by A without its columns < c0,
+        a right factor built once per band from A's index array over A's own
+        ones, an O(E) array that BLOCK_BYTES does not cover.  So a pair
+        {i, k} in two bands is formed once, in the earlier row i, and its
+        powers count for i in the block's row sums and for k in its column
+        sums, added after the pass.  Pairs in one band are formed in both
+        rows.
+
         If B is not cached yet, the pass reads it as well and caches it as
         ``edge_triangles``: through a dense buffer of each block's rows when
         the 2-walk bound fills at least half of A^2, else through the
-        block's elementwise product with A.
+        block's elementwise product with A.  An entry left of its band takes
+        B from its reverse entry after the pass.
         """
+        from scipy import sparse
+
         _k2_dtype(self.d, self.d2)  # raises before the first block if a sum could wrap
-        n, d, a = self.n, self.d, self.adjacency
+        n, d, a, walks = self.n, self.d, self.adjacency, self._walks
         s2, s3 = -d * d, -(d**3)  # drop k = i, where (A^2)_ii = d_i
+        far2, far3 = np.zeros(n, np.int64), np.zeros(n, np.int64)  # the column sums
         b = None if "edge_triangles" in self.__dict__ else np.zeros(self.indices.size, np.int64)
+        total = int(walks.sum())
         # a buffered row costs n cells; the product costs about two cells per entry
-        dense = b is not None and 2 * int(np.minimum(self.d2 + d, n).sum()) >= n * n
+        dense = b is not None and 2 * total >= n * n
         if b is not None and not dense:
             self._keys  # built once here, not by each worker's first _find
+        # band j holds rows edges[j]..edges[j + 1] - 1
+        cuts = np.arange(1, _BANDS) * total // _BANDS
+        edges = np.r_[0, np.searchsorted(np.cumsum(walks), cuts, side="right"), n]
+        held, lock = {}, threading.Lock()  # the newest band's right factor; far's lock
+
+        def band(r):  # the band of row r: empty bands share their start with the next
+            return int(np.searchsorted(edges, r, side="right")) - 1
+
+        def right(lo):  # called in row order, so each band's factor is built once
+            c0 = int(edges[band(lo)])
+            if c0 and c0 not in held:
+                held.clear()
+                # entries (i, k), i < r, k < c0, counted as their reverses in rows < c0
+                left = np.zeros(n + 1, a.indptr.dtype)
+                np.cumsum(np.bincount(a.indices[: a.indptr[c0]], minlength=n), out=left[1:])
+                cols = a.indices[a.indices >= c0]
+                # set in place: the constructor would copy a short view of A's ones
+                held[c0] = f = sparse.csr_matrix((n, n), dtype=a.dtype)
+                f.indptr, f.indices, f.data = a.indptr - left, cols, a.data[: cols.size]
+            return held[c0] if c0 else a
 
         def block(lo, hi, p):
+            c1 = int(edges[band(lo) + 1])
             power = p.data * p.data
-            s2[lo:hi] += row_sums(p.indptr, power)
-            power *= p.data
-            s3[lo:hi] += row_sums(p.indptr, power)
+            for s, far in ((s2, far2), (s3, far3)):
+                s[lo:hi] += row_sums(p.indptr, power)
+                if c1 < n:  # the columns past the band: exact int64 sums, p^T times ones
+                    pt = (power, p.indices, p.indptr)
+                    column = sparse.csc_matrix(pt, shape=(n, hi - lo)) @ np.ones(hi - lo, np.int64)
+                    del pt  # no view of power outlives it
+                    with lock:
+                        far[c1:] += column[c1:]
+                power *= p.data
             del power
             e0, e1 = self.indptr[lo], self.indptr[hi]
             if b is not None and dense:
@@ -318,8 +414,18 @@ class GraphStats:
                 rows = np.repeat(np.arange(lo, hi), np.diff(on_edges.indptr))
                 b[self._find(rows, on_edges.indices)] = on_edges.data
 
-        self.a2_map(block, _A2_BYTES, 8 * n if dense else 0)
+        self.a2_map(block, _A2_BYTES, 8 * n if dense else 0, bands=(edges, right))
+        held.clear()  # the last band's factor, before the reverse step
+        s2 += far2
+        s3 += far3
         if b is not None:
+            # the entries right of their band carry B to their reverse, left of its band
+            beyond = np.zeros(self.indices.size, dtype=bool)
+            for c0, c1 in zip(edges[:-1], edges[1:]):
+                e0, e1 = self.indptr[c0], self.indptr[c1]
+                beyond[e0:e1] = self.indices[e0:e1] >= c1
+            beyond &= b > 0
+            self._to_reverse(b, np.flatnonzero(beyond))
             self.__dict__["edge_triangles"] = b
         return s2, s3
 

@@ -21,11 +21,12 @@ key's total work over all hubs.
 The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``): the sums
 of (A^2)_ik^2 and (A^2)_ik^3 come from its one memoised pass over the row
 blocks of A^2, which also yields B unless a triangle count listed it first.
-(2,3) also reads a cross sum from the product (A∘X)·A, formed block by
-block after that pass, and lists the triangles and K4s over triangle edges
-only.  In any key order, each row block of A^2 and of (A∘X)·A is formed
-once.  No kernel holds the full A^2.  Closed-form
-columns are memoised per graph.
+That pass forms each pair {i, k} of two row bands once, as A^2 is
+symmetric.  (2,3) also reads a cross sum from the product (A∘X)·A, formed
+block by block and in full after that pass, and lists the triangles and
+K4s over triangle edges only.  In any key order, each row block of both
+passes is formed once.  No kernel holds the full A^2.  Closed-form columns
+are memoised per graph.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -26,7 +27,7 @@ from graphmoments import (
     save_model,
     write_edge_list,
 )
-from graphmoments import cli
+from graphmoments import cli, graphstats
 from graphmoments.cli import main
 
 REF = BlockModel(
@@ -590,6 +591,30 @@ def test_sweep_with_a2_helpers_in_its_workers_is_byte_identical(tmp_path, model_
     assert outs[0].read_bytes() == outs[1].read_bytes()
     recs = [json.loads(line) for line in outs[0].read_text().splitlines()]
     assert len(recs) == 2 and all(r["error"] is None for r in recs)
+
+
+def test_sweep_workers_split_the_cpus_between_them(tmp_path, model_path, monkeypatch):
+    # under --threads 2 each worker process runs its A^2 passes on half the CPUs
+    shares = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            shares.append(self.submit(graphstats._workers).result())
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg = {
+        "models": [{"name": "ref", "path": model_path}],
+        "n": [60],
+        "replicates": 2,
+        "lambda": {"kind": "fixed", "value": 4.0},
+        "metrics": ["rho_hat"],
+    }
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "s.jsonl"
+    assert main(["sweep", str(cfg_path), "--seed", "3", "--out", str(out), "--threads", "2"]) == 0
+    assert shares == [max(1, graphstats._workers() // 2)]
 
 
 def test_version_flag(capsys):

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphmoments import (
@@ -127,6 +127,36 @@ def test_listed_b_matches_oracle_before_any_a2_pass(g, block_bytes):
     assert b.tolist() == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.sampled_from([0.0, 1.0]), st.booleans())
+def test_b_matches_oracle_on_both_sides_of_the_sort_crossover(g, share, from_pass):
+    # share 0 sorts for any reverse step, share 1 looks every entry up; B from
+    # the listing adds each count to its reverse, B from the A^2 pass copies
+    # the entries right of their band to their reverse, left of its band
+    a = dense_adj(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphstats, "_SORT_SHARE", share)
+        if from_pass:
+            g.stats.a2_sums
+        b = g.stats.edge_triangles
+    assert ("a2_sums" in g.stats.__dict__) == from_pass
+    want = [oracle_edge_triangles(a, i, j) for i in range(g.n) for j in g.neighbors(i)]
+    assert b.tolist() == want
+
+
+def test_reverse_sort_takes_a_second_pass_past_16_bit_vertex_ids(monkeypatch):
+    # ids past 2^16 sort in two 16-bit passes; renaming v to 2^14 v keeps the
+    # CSR entry order, so B stays the small graph's, entry for entry
+    monkeypatch.setattr(graphstats, "_SORT_SHARE", 0.0)
+    small = Graph.from_edges(list(combinations(range(5), 2)) + [(4, 5), (5, 6), (6, 4), (6, 7)])
+    want = small.stats.edge_triangles.tolist()
+    for from_pass in (False, True):
+        g = _spread(small, 2**17, 2**14)
+        if from_pass:
+            g.stats.a2_sums
+        assert g.stats.edge_triangles.tolist() == want
+
+
 def _fresh(g: Graph) -> Graph:
     return Graph(n=g.n, indptr=g.indptr.copy(), indices=g.indices.copy())
 
@@ -143,13 +173,30 @@ def _outputs(g: Graph, first: str) -> list:
         triangles_per_vertex(g).tolist(),
         wheel_counts_per_hub(g, K22).tolist(),
         wheel_counts_per_hub(g, K23).tolist(),
-        m_degrees(g, 3).counts.tolist(),
+        m_degrees(g, 3).counts.tolist() if g.n else [],
     ]
 
 
+def _spread(g: Graph, n: int, stride: int = 1) -> Graph:
+    """g on n >= stride * g.n vertices, vertex v renamed stride * v: the rest
+    are isolated, and the CSR entries keep their order."""
+    return Graph.from_edges(g.edges() * stride, n)
+
+
+_K5 = Graph.from_edges(list(combinations(range(5), 2)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(graphs(), st.sampled_from([None, 1]))
+@given(graphs(), st.sampled_from([None, 1, 700]))
+# no vertex, one, one edge; K5 alone and among isolated vertices, fewer rows than bands
+@example(Graph.from_edges(np.zeros((0, 2), np.int64), 0), None)
+@example(Graph.from_edges(np.zeros((0, 2), np.int64), 1), None)
+@example(Graph.from_edges([(0, 1)]), None)
+@example(_K5, 700)
+@example(_spread(_K5, 20, 3), 700)
 def test_b_from_the_a2_pass_matches_the_listing(g, block_bytes):
+    # blocks by size: every row at once, one row each, and two or three rows,
+    # so that the pass cuts blocks at band edges inside them
     with pytest.MonkeyPatch.context() as mp:
         if block_bytes is not None:
             mp.setattr(graphstats, "BLOCK_BYTES", block_bytes)
@@ -188,14 +235,14 @@ def _record_a2_blocks_and_listings(monkeypatch) -> tuple[list, list, list]:
     blocks, crosses, listings = [], [], []
     a2_map, listing = graphstats.GraphStats.a2_map, graphstats.GraphStats._triangles
 
-    def counting_map(self, fn, entry_bytes, row_bytes=0, left=None):
+    def counting_map(self, fn, entry_bytes, row_bytes=0, left=None, bands=None):
         formed = blocks if left is None else crosses
 
         def counted(r0, r1, p):
             formed.append((r0, r1))
             fn(r0, r1, p)
 
-        a2_map(self, counted, entry_bytes, row_bytes, left)
+        a2_map(self, counted, entry_bytes, row_bytes, left, bands)
 
     def counting_listing(self, fwd, cap):
         b = self.__dict__.get("edge_triangles")
@@ -277,18 +324,54 @@ def test_concurrent_blocks_match_one_worker(monkeypatch):
     shapes = [(300, 0.3), (2000, 0.003)]
     graphs = [Graph.from_edges(np.argwhere(np.triu(rng.random((n, n)) < p, 1)), n)
               for n, p in shapes]
-    monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 14)  # tens of blocks per pass
+    # no vertex, one, one edge, fewer rows than bands, and a dense graph on
+    # every other row, among as many isolated vertices
+    dense = np.argwhere(np.triu(rng.random((150, 150)) < 0.3, 1))
+    graphs += [Graph.from_edges(np.zeros((0, 2), np.int64), n) for n in (0, 1)]
+    graphs += [Graph.from_edges([(0, 1)]), _K5, _spread(Graph.from_edges(dense, 150), 300, 2)]
+    # one block of every row by size, so the pass cuts it at every band edge
+    monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 40)
     monkeypatch.setattr(graphstats, "_workers", lambda: 1)
     want = [_a2_outputs(g) for g in graphs]
-    # more workers than CPUs, switching threads often
-    monkeypatch.setattr(graphstats, "_workers", lambda: 6)
+    # one worker in blocks of one row; more workers than CPUs, switching
+    # threads often; then two workers in blocks of a few rows, which the
+    # sizer alone would run across band edges
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            assert [_a2_outputs(g) for g in graphs] == want
+        for workers, block_bytes, rounds in ((1, 1 << 14, 1), (6, 1 << 14, 3), (2, 1 << 17, 1)):
+            monkeypatch.setattr(graphstats, "_workers", lambda: workers)
+            monkeypatch.setattr(graphstats, "BLOCK_BYTES", block_bytes)
+            for _ in range(rounds):
+                assert [_a2_outputs(g) for g in graphs] == want, workers
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_the_banded_pass_forms_about_half_of_a2(monkeypatch):
+    # on a dense G(n, p), rows of band j form the columns from the band's start
+    # on: (b + 1) / (2 b) of A^2 over b equal bands, plus one band's width of
+    # rows for bands of unequal size
+    monkeypatch.setattr(graphstats, "_workers", lambda: 1)
+    monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 16)  # a few rows per block
+    rng = np.random.default_rng(31)
+    n, b = 400, graphstats._BANDS
+    g = Graph.from_edges(np.argwhere(np.triu(rng.random((n, n)) < 0.5, 1)), n)
+    full, banded = [], []
+    g.stats.a2_map(lambda r0, r1, p: full.append(p.nnz), 1)
+    a2_map = graphstats.GraphStats.a2_map
+
+    def counting_map(self, fn, entry_bytes, row_bytes=0, left=None, bands=None):
+        def counted(r0, r1, p):
+            banded.append(p.nnz)
+            fn(r0, r1, p)
+
+        a2_map(self, counted, entry_bytes, row_bytes, left, bands)
+
+    monkeypatch.setattr(graphstats.GraphStats, "a2_map", counting_map)
+    g.stats.a2_sums
+    assert sum(full) == n * n and len(banded) > b
+    assert sum(banded) <= sum(full) * (b + 1) / (2 * b) + n * -(-n // b)
 
 
 def test_a_helpers_exception_reaches_the_caller_after_every_helper_ends(monkeypatch):
@@ -328,6 +411,20 @@ def test_a_pass_takes_one_thread_per_four_block_bytes_of_products(monkeypatch):
             assert threads == {threading.get_ident()}
             rows = block_bytes // 20
             assert spans == [(r, min(r + rows, 20)) for r in range(0, 20, rows)]
+
+
+def test_passes_stay_within_a_sweep_workers_share_of_the_cpus(monkeypatch):
+    # 8 usable CPUs, split between the worker processes of a sweep
+    monkeypatch.setattr(graphstats.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    monkeypatch.setattr(graphstats, "_share", 1)  # restored after the test
+    monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1)  # one row per block: a thread per CPU
+    g = Graph.from_edges(list(combinations(range(20), 2)))
+    for processes, most in ((1, 8), (3, 2), (8, 1), (16, 1)):
+        graphstats.share_cpus(processes)
+        threads = set()
+        g.stats.a2_map(lambda r0, r1, p: threads.add(threading.get_ident()), 1)
+        assert graphstats._workers() == most and len(threads) <= most, processes
 
 
 def _traced_peak(fn) -> int:
