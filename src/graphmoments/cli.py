@@ -266,6 +266,8 @@ def _quantile_dict(col: np.ndarray) -> dict:
 
 def cmd_degrees(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
+    if g.n < 1:  # no vertex has a degree to summarise
+        raise InputError(f"{args.graph} has no vertices")
     outputs = [p for p in (args.out, args.summary) if p]
     manifest = _manifest("degrees", args, [args.graph], outputs)
     t0 = time.monotonic()
@@ -281,22 +283,17 @@ def cmd_degrees(args) -> int:
             fh.write("\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n")
         _emit_sidecar(manifest, args.out)
         print(f"wrote {args.out}")
-    normalized = profile.normalized() if profile.mean_degree > 0 else None
+    columns = [{"order": j + 1, "quantiles": _quantile_dict(col)}
+               for j, col in enumerate(profile.counts.T)]
+    if profile.mean_degree > 0:  # an edgeless graph has no normalized profile
+        for column, col in zip(columns, profile.normalized().T):
+            column["normalized_quantiles"] = _quantile_dict(col)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "n": g.n,
         "m": args.m,
         "mean_degree": profile.mean_degree,
-        "columns": [
-            {
-                "order": j + 1,
-                "quantiles": _quantile_dict(profile.counts[:, j]),
-                "normalized_quantiles": (
-                    _quantile_dict(normalized[:, j]) if normalized is not None else None
-                ),
-            }
-            for j in range(args.m)
-        ],
+        "columns": columns,
     }
     _emit_json(summary, manifest, args.summary)
     return 0

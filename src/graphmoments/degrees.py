@@ -111,7 +111,8 @@ def m_degrees(g: Graph, m: int, budget: int | None = 50_000_000) -> DegreeProfil
     """Exact D^(1..m) for every vertex.
 
     Orders up to 3 use closed forms; higher orders fall back to DFS whose
-    step count is budget-guarded (work grows like n * mean_degree^m).
+    step count is budget-guarded (work grows like n * mean_degree^m).  A
+    graph with no vertices has (0, m) counts and mean degree 0.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
@@ -124,7 +125,7 @@ def m_degrees(g: Graph, m: int, budget: int | None = 50_000_000) -> DegreeProfil
         counts = np.column_stack(cols)
     else:
         counts = _paths_dfs(g, m, budget)
-    return DegreeProfile(counts=counts, mean_degree=average_degree(g))
+    return DegreeProfile(counts=counts, mean_degree=average_degree(g) if g.n else 0.0)
 
 
 def theta_profile(model, xi: np.ndarray, m: int) -> ThetaProfile:

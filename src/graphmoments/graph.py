@@ -206,8 +206,12 @@ def load_edge_list(
             reported with its 1-based line number.
     """
     text = _read_text(source)
-    headers = _N_HEADER.findall(text)
-    n_fixed = num_vertices if num_vertices is not None else (int(headers[-1]) if headers else None)
+    n_fixed, pos = num_vertices, text.find("#")
+    while num_vertices is None and pos >= 0:  # the last "# n=<count>" line, if any
+        end = text.find("\n", pos) % (len(text) + 1)  # the last line may have no "\n"
+        header = _N_HEADER.match(text, text.rfind("\n", 0, pos) + 1, end)
+        n_fixed = int(header.group(1)) if header else n_fixed
+        pos = text.find("#", end)
     if not integer_labels:
         n_fixed = None
     e = _parse_pairs(text, np.int64 if integer_labels else str)

@@ -7,32 +7,37 @@ memoised per-hub columns of closed-form wheel keys (filled by ``hubs``).
 Only the A^2 passes build a scipy matrix (``adjacency``); the rest is numpy.
 
 The k = 2 sums come from one pass over the row blocks of A^2 (``a2_sums``),
-which also reads B if nothing has cached it yet.  A^2 is symmetric, so the
-pass splits the rows into _BANDS bands and forms each pair {i, k} of two
-bands once, in the earlier row; B at the entries it skips is copied from
-the reverse entries.  Otherwise B comes from a triangle listing (Latapy,
-TCS 2008; Chiba & Nishizeki, SIAM J. Comput. 1985): edges point to the
-endpoint of higher (degree, id) rank, so each triangle is one wedge of
-forward edges at its lowest vertex, closed by ``searchsorted`` in the
+which forms each pair {i, k} of two row bands once and also reads B if
+nothing has cached it yet.  Otherwise B comes from a triangle listing
+(Latapy, TCS 2008; Chiba & Nishizeki, SIAM J. Comput. 1985): edges point
+to the endpoint of higher (degree, id) rank, so each triangle is one wedge
+of forward edges at its lowest vertex, closed by ``searchsorted`` in the
 sorted CSR keys i*n + j, and each count is added to the reverse entry.
-Both reverse steps look each entry up or radix-sort the column indices
-once, whichever is cheaper.  Triangle counts and D^(3) list only when no
-k = 2 wheel came first.  (2,3)'s cross sum (``a2_cross``) reads ``a2_sums``
-first and then multiplies each block's rows of A ∘ X by all of A, X_ij =
-d_j - 2 + B_ij, as that product is not symmetric; so in any key order each
-row block's two products are formed once.  Its clique terms list again,
-but pair only triangle edges (B >= 1) and extend a triangle to K4s only
-along edges in two triangles or more.
+Triangle counts and D^(3) list only when no k = 2 wheel came first.
+(2,3)'s cross sum (``a2_cross``) reads ``a2_sums`` first and then forms the
+row blocks of (A ∘ X) A, so in any key order each row block's two products
+are formed once.  Its clique terms list again, but pair only triangle
+edges (B >= 1) and extend a triangle to K4s only along edges in two
+triangles or more.
+
+Each block's product is one call of scipy's compiled kernel
+``_sparsetools.csr_matmat`` (``_product``), the one ``@`` calls after a
+pass of its own that only counts the entries.  The output is sized by a
+bound instead (Gustavson, ACM TOMS 1978; Nagasaka et al., Parallel
+Comput. 2019): per row, the lengths of the right factor's rows at the
+row's entries, capped at n, taken from the two factors, so no caller can
+make the kernel write past it.  The product is a view of the entries
+written, and the unwritten tail costs address space, not RSS.
 
 The row blocks of a pass run on one thread per 4 BLOCK_BYTES of its
 products, at most one per usable CPU (the affinity mask, else the CPU
 count, split evenly between the worker processes of a sweep), the caller
-among them.  scipy's sparse product releases the GIL, each block writes
-only its own rows, and the column sums are exact integers added under a
-lock, so every output is the same under any schedule.  A smaller pass,
-tens of milliseconds, runs on the caller alone: on more threads its time
-would depend on a second CPU being free, and its smaller blocks would cost
-more page faults than the threads save.
+among them.  The kernel releases the GIL, each block writes only its own
+rows, and the column sums are exact integers added under a lock, so every
+output is the same under any schedule.  A smaller pass, tens of
+milliseconds, runs on the caller alone: on more threads its time would
+depend on a second CPU being free, and its smaller blocks would cost more
+page faults than the threads save.
 
 BLOCK_BYTES caps the temporaries of each chunk of wedges or K4 candidates,
 and of all the row blocks of A^2 or (A ∘ X) A in flight (with any dense row
@@ -123,6 +128,34 @@ def row_sums(indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sparse(shape, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, format="csr"):
+    """A scipy CSR (or CSC) matrix set in place: its constructor copies short views."""
+    from scipy import sparse
+
+    m = getattr(sparse, f"{format}_matrix")(shape, dtype=data.dtype)
+    m.data, m.indices, m.indptr = data, indices, indptr
+    return m
+
+
+def _product(left, right):
+    """left @ right of CSR matrices by one call of scipy's kernel into arrays sized
+    by each row's bound: right's row lengths at its entries, summed, at most cols."""
+    from scipy.sparse import _sparsetools, _sputils
+
+    (rows, _), (_, cols) = left.shape, right.shape
+    j = left.indices
+    walks = right.indptr[j + 1] - right.indptr[j].astype(np.int64)
+    total = int(np.minimum(row_sums(left.indptr, walks), cols).sum())
+    factors = (left.indptr, j, right.indptr, right.indices)
+    idx = _sputils.get_index_dtype(factors, maxval=total)  # theirs, unless total passes int32
+    lp, lj, rp, rj = (np.asarray(x, dtype=idx) for x in factors)
+    indptr, indices = np.empty(rows + 1, idx), np.empty(total, idx)
+    data = np.empty(total, np.result_type(left.data, right.data))
+    _sparsetools.csr_matmat(rows, cols, lp, lj, left.data, rp, rj, right.data,
+                            indptr, indices, data)
+    return _sparse((rows, cols), data[: indptr[-1]], indices[: indptr[-1]], indptr)
+
+
 def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(item repeated counts[item] times, 0..counts[item]-1 within each)."""
     item = np.repeat(np.arange(counts.size), counts)
@@ -155,6 +188,13 @@ class GraphStats:
 
         data = np.ones(self.indices.size, dtype=np.int64)
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def _rows(self, lo: int, hi: int, data: np.ndarray | None = None):
+        """Rows lo..hi-1 of A over views of its arrays, with data in place of its ones."""
+        a = self.adjacency
+        e0, e1 = a.indptr[lo], a.indptr[hi]
+        return _sparse((hi - lo, self.n), a.data[e0:e1] if data is None else data,
+                       a.indices[e0:e1], a.indptr[lo : hi + 1] - e0)
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -283,19 +323,17 @@ class GraphStats:
         return opposite, k4, qe
 
     def a2_map(self, fn, entry_bytes: int, row_bytes: int = 0, left=None, bands=None) -> None:
-        """Call fn(r0, r1, L @ R) once for each consecutive row block, sized for
-        entry_bytes per entry plus row_bytes per row.  L = left(r0, r1), a
-        matrix with the pattern of A[r0:r1], or A[r0:r1] itself (the blocks
-        of A^2) if left is None.  R is A, unless bands = (edges, right): then
-        the blocks also end at the edges, and R = right(r0), called under the
-        pass's lock in row order and dropped once the product is formed.
+        """Call fn(r0, r1, L R) once for each consecutive row block, sized for
+        entry_bytes per entry of its 2-walk bound plus row_bytes per row.  L =
+        left(r0, r1), a matrix with the pattern of A[r0:r1], or those rows of
+        A (the blocks of A^2) if left is None.  R is A, unless bands = (edges,
+        right): then the blocks also end at the edges, and R = right(r0),
+        called under the pass's lock in row order and dropped once L R is
+        formed by ``_product``, whose own bound is at most the 2-walks.
 
-        The blocks run on w threads, one per 4 BLOCK_BYTES of products and
-        at most one per usable CPU, the caller among them, each taking the
-        next block from one shared iterator.  For w > 1 each block gets
-        BLOCK_BYTES / (2 w), so the blocks in flight hold at most half of
-        BLOCK_BYTES; on the caller alone it gets BLOCK_BYTES.  fn must write
-        only rows r0..r1-1 of its outputs.  The first exception stops the
+        The blocks run on the threads and in the sizes the module describes,
+        each thread taking the next block from one shared iterator.  fn must
+        write only rows r0..r1-1 of its outputs.  The first exception stops the
         remaining blocks and is raised here, after every helper has returned.
         """
         a = self.adjacency
@@ -319,7 +357,7 @@ class GraphStats:
                     # p lives on until the next product is formed: freed first, the
                     # heap shrank and faulted back in for every block (a K = 2 fit
                     # at n = 4000, lambda = 20 took 6.0K page faults, 4.3K held)
-                    p = (a[lo:hi] if left is None else left(lo, hi)) @ r
+                    p = _product(self._rows(lo, hi) if left is None else left(lo, hi), r)
                     del r
                     fn(lo, hi, p)
             except BaseException:
@@ -360,8 +398,6 @@ class GraphStats:
         block's elementwise product with A.  An entry left of its band takes
         B from its reverse entry after the pass.
         """
-        from scipy import sparse
-
         _k2_dtype(self.d, self.d2)  # raises before the first block if a sum could wrap
         n, d, a, walks = self.n, self.d, self.adjacency, self._walks
         s2, s3 = -d * d, -(d**3)  # drop k = i, where (A^2)_ii = d_i
@@ -388,9 +424,7 @@ class GraphStats:
                 left = np.zeros(n + 1, a.indptr.dtype)
                 np.cumsum(np.bincount(a.indices[: a.indptr[c0]], minlength=n), out=left[1:])
                 cols = a.indices[a.indices >= c0]
-                # set in place: the constructor would copy a short view of A's ones
-                held[c0] = f = sparse.csr_matrix((n, n), dtype=a.dtype)
-                f.indptr, f.indices, f.data = a.indptr - left, cols, a.data[: cols.size]
+                held[c0] = _sparse((n, n), a.data[: cols.size], cols, a.indptr - left)
             return held[c0] if c0 else a
 
         def block(lo, hi, p):
@@ -399,8 +433,8 @@ class GraphStats:
             for s, far in ((s2, far2), (s3, far3)):
                 s[lo:hi] += row_sums(p.indptr, power)
                 if c1 < n:  # the columns past the band: exact int64 sums, p^T times ones
-                    pt = (power, p.indices, p.indptr)
-                    column = sparse.csc_matrix(pt, shape=(n, hi - lo)) @ np.ones(hi - lo, np.int64)
+                    pt = _sparse((n, hi - lo), power, p.indices, p.indptr, "csc")
+                    column = pt @ np.ones(hi - lo, np.int64)
                     del pt  # no view of power outlives it
                     with lock:
                         far[c1:] += column[c1:]
@@ -410,7 +444,8 @@ class GraphStats:
             if b is not None and dense:
                 b[e0:e1] = p.toarray()[self.src[e0:e1] - lo, self.indices[e0:e1]]
             elif b is not None:
-                on_edges = p.multiply(a[lo:hi])  # B where it is positive
+                # A's rows first: scipy rebuilds the second factor, copying short views
+                on_edges = self._rows(lo, hi).multiply(p)  # B where it is positive
                 rows = np.repeat(np.arange(lo, hi), np.diff(on_edges.indptr))
                 b[self._find(rows, on_edges.indices)] = on_edges.data
 
@@ -441,8 +476,6 @@ class GraphStats:
         and Q_ik above them; no entry is dropped, as it is zero only where
         (A^2)_ik is.
         """
-        from scipy import sparse
-
         self.a2_sums  # the int64 guard, and B
         d, b, shift = self.d, self.edge_triangles, int(self.d.max(initial=0)).bit_length()
 
@@ -450,8 +483,7 @@ class GraphStats:
             e0, e1 = self.indptr[lo], self.indptr[hi]
             x = (d[self.indices[e0:e1]] - 2 + b[e0:e1]) << shift
             x += 1
-            return sparse.csr_matrix((x, self.indices[e0:e1], self.indptr[lo : hi + 1] - e0),
-                                     shape=(hi - lo, self.n))
+            return self._rows(lo, hi, x)
 
         pq = np.zeros(self.n, dtype=np.int64)
 

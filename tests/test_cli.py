@@ -363,6 +363,16 @@ def test_degrees_csv_and_summary(tmp_path, graph_path):
     assert "quantiles" in sobj["columns"][0]
 
 
+def test_degrees_needs_a_vertex(tmp_path, capsys):
+    path = tmp_path / "empty.el"
+    path.write_text("# n=0\n")
+    out = tmp_path / "deg.csv"
+    assert main(["degrees", str(path), "--m", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {path} has no vertices\n"
+    assert not out.exists()
+
+
 def test_degrees_csv_is_what_csv_writer_writes(tmp_path, graph_path):
     out = tmp_path / "deg.csv"
     assert main(["degrees", graph_path, "--m", "2", "--out", str(out)]) == 0

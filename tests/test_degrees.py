@@ -5,6 +5,8 @@ from graphmoments import (
     BlockModel,
     BudgetExceededError,
     DomainError,
+    Graph,
+    NormalizationError,
     WheelSpec,
     degree_moment_approx,
     falling_factorial,
@@ -84,6 +86,17 @@ def test_normalized_profile_scaling():
     lam = prof.mean_degree
     expect = prof.counts / np.array([lam, lam**2])
     assert np.allclose(prof.normalized(), expect)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_no_vertices_give_empty_counts_and_no_normalized_profile(m):
+    # as on an edgeless graph: mean degree 0, so no scale-free profile
+    for n in (0, 3):
+        prof = m_degrees(Graph.from_edges(np.zeros((0, 2), np.int64), n), m)
+        assert prof.counts.shape == (n, m) and not prof.counts.any()
+        assert prof.mean_degree == 0.0
+        with pytest.raises(NormalizationError):
+            prof.normalized()
 
 
 def test_budget_guard():

@@ -73,6 +73,21 @@ def test_edge_list_header_sets_isolated_tail(tmp_path):
     assert g.degrees[5] == 0
 
 
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("0 1\n# a comment\n  # n = 4\n1 2\n", 4),  # a header on a later line, indented
+        ("# n=5\n0 1\n# n=7\n1 2\n", 7),  # the last header wins
+        ("# n=5\n0 1\n1 2 # n=9\n", 5),  # after an edge, "# n=" is a comment
+        ("0 1\n1 2 # n=9\n", 3),  # ... so without a header the ids are compacted
+        ("# see # n=6\n0 1\n", 2),  # nor is a "#" later in a comment line
+        ("0 1\r\n\t#n=6\r\n", 6),  # tabs and CRLF line ends
+    ],
+)
+def test_edge_list_header_is_the_last_header_line(text, n):
+    assert load_edge_list(text.splitlines(keepends=True)).n == n
+
+
 def test_edge_list_without_header_compacts_labels(tmp_path):
     path = tmp_path / "g.el"
     path.write_text("0 1\n1 4\n")

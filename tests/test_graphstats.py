@@ -173,7 +173,7 @@ def _outputs(g: Graph, first: str) -> list:
         triangles_per_vertex(g).tolist(),
         wheel_counts_per_hub(g, K22).tolist(),
         wheel_counts_per_hub(g, K23).tolist(),
-        m_degrees(g, 3).counts.tolist() if g.n else [],
+        m_degrees(g, 3).counts.tolist(),
     ]
 
 
@@ -372,6 +372,88 @@ def test_the_banded_pass_forms_about_half_of_a2(monkeypatch):
     g.stats.a2_sums
     assert sum(full) == n * n and len(banded) > b
     assert sum(banded) <= sum(full) * (b + 1) / (2 * b) + n * -(-n // b)
+
+
+@st.composite
+def csr_factors(draw):
+    """(left, right): int64 CSR matrices of shapes (r, k) and (k, c), each
+    dimension 0..6, with empty rows, stored zeros and sums that cancel."""
+    from scipy import sparse
+
+    r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
+
+    def matrix(rows, cols):
+        cells = rows * cols
+        mask = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)), bool)
+        i, j = np.nonzero(mask.reshape(rows, cols))
+        x = draw(st.lists(st.integers(-2, 2), min_size=i.size, max_size=i.size))
+        indptr = np.searchsorted(i, np.arange(rows + 1))
+        return sparse.csr_matrix((np.array(x, np.int64), j, indptr), shape=(rows, cols))
+
+    return matrix(r, k), matrix(k, c)
+
+
+def _same_product(got, left, right) -> None:
+    """got equals scipy's left @ right, array for array and value for value."""
+    want = left @ right
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.tolist() == y.tolist(), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_factors())
+def test_the_product_is_scipys(factors):
+    # the private kernel's contract: its one pass gives what @'s two do
+    _same_product(graphstats._product(*factors), *factors)
+
+
+def test_the_passes_form_what_scipys_product_forms(monkeypatch):
+    # every block of both passes: A's rows by A and by a band's right factor
+    # (fewer entries than A), and the packed rows of A ∘ X (entries past 1) by A
+    product, kinds, entries = graphstats._product, set(), [0]
+
+    def checked(left, right):
+        got = product(left, right)
+        _same_product(got, left, right)
+        kinds.add((bool(left.data.max(initial=1) > 1), right.nnz < entries[0]))
+        return got
+
+    monkeypatch.setattr(graphstats, "_product", checked)
+    monkeypatch.setattr(graphstats, "BLOCK_BYTES", 1 << 12)  # a few rows per block
+    rng = np.random.default_rng(32)
+    graphs = [Graph.from_edges(np.argwhere(np.triu(rng.random((n, n)) < p, 1)), n)
+              for n, p in ((60, 0.3), (200, 0.02))]
+    # no vertex, one, one edge and K5 among isolated vertices
+    graphs += [Graph.from_edges(np.zeros((0, 2), np.int64), n) for n in (0, 1)]
+    graphs += [Graph.from_edges([(0, 1)]), _spread(_K5, 20, 3)]
+    for g in graphs:
+        entries[0] = g.indices.size
+        g.stats.a2_sums, g.stats.a2_cross
+    assert kinds == {(False, False), (False, True), (True, False)}
+
+
+def test_no_pass_counts_a_products_entries_first(monkeypatch):
+    # the one-pass product: scipy's counting pass, which @ runs, never runs
+    from scipy.sparse import _compressed, _sparsetools
+
+    def maxnnz(*args):
+        raise AssertionError("csr_matmat_maxnnz ran")
+
+    for module in (_sparsetools, _compressed):
+        monkeypatch.setattr(module, "csr_matmat_maxnnz", maxnnz)
+    rng = np.random.default_rng(33)
+    # the dense row buffer, then the product with A, then a K = 2 fit
+    for n, p in ((200, 0.3), (1000, 0.01)):
+        stats = Graph.from_edges(np.argwhere(np.triu(rng.random((n, n)) < p, 1)), n).stats
+        stats.a2_sums, stats.a2_cross
+    model = BlockModel(pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                       rho=10 / 999)
+    fit_block_model(sample_block_model(model, 1000, seed=7).graph,
+                    FitConfig(K=2, on_stage_error="fallback"))
+    with pytest.raises(AssertionError, match="maxnnz ran"):  # as it does in @
+        stats.adjacency @ stats.adjacency
 
 
 def test_a_helpers_exception_reaches_the_caller_after_every_helper_ends(monkeypatch):

@@ -88,6 +88,16 @@ def test_degrees_summary_validates(graph_path, capsys):
     check(obj, "degrees_summary")
 
 
+def test_edgeless_degrees_summary_validates(tmp_path, capsys):
+    # mean degree 0: no normalized quantiles, and the key is left out
+    path = tmp_path / "edgeless.el"
+    path.write_text("# n=3\n")
+    assert main(["degrees", str(path), "--m", "2"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    check(obj, "degrees_summary")
+    assert obj["mean_degree"] == 0 and all("normalized_quantiles" not in c for c in obj["columns"])
+
+
 def test_sweep_lines_validate(graph_path):
     gp, mp, d = graph_path
     cfg = {
