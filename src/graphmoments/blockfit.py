@@ -71,7 +71,8 @@ class FitConfig:
 
     weights, when given, maps keys (WheelSpec, (k,l) tuple, or name) to
     residual weights w_kl > 0, e.g. 1/sigma^2 from the bootstrap.  budget is
-    the enumeration budget of the exact counts; None means no budget.  The
+    the enumeration budget of the exact counts and of the D^(K) a degree
+    fallback needs; None means no budget.  The
     stage and solver thresholds are module constants (see the module
     docstring), not fields.
     """
@@ -486,7 +487,7 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
             approximated.append(key)
     if approximated:
         try:
-            profile = m_degrees(g, cfg.K)
+            profile = m_degrees(g, cfg.K, budget=cfg.budget)
         except BudgetExceededError as exc:
             names = ", ".join(k.name() for k in approximated)
             raise BudgetExceededError(

@@ -179,11 +179,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _approx_table(g: Graph, specs) -> MomentTable:
+def _approx_table(g: Graph, specs, budget: int | None) -> MomentTable:
     for spec in specs:
         if not isinstance(spec, WheelSpec):
             raise DomainError(f"--approx=degree supports wheel keys only, got {spec.name()}")
-    profile = m_degrees(g, max(max(s.ks) for s in specs))
+    profile = m_degrees(g, max(max(s.ks) for s in specs), budget=budget)
     entries = tuple(
         MomentEntry(
             name=spec.name(),
@@ -209,7 +209,7 @@ def cmd_moments(args) -> int:
     manifest = _manifest("moments", args, [args.graph], [args.out] if args.out else [])
     t0 = time.monotonic()
     if args.approx == "degree":
-        table = _approx_table(g, items)
+        table = _approx_table(g, items, _budget(args))
     else:
         mode = "both" if args.estimator == "pcheck" else "noninduced"
         table = moment_table(g, items, mode=mode, budget=_budget(args))
@@ -388,11 +388,12 @@ def _sweep_cell(task: dict) -> dict:
                 key = WheelSpec.simple(params["k"], params["l"])
                 val = wheel_moment_estimates(g, [key], estimator=estimator, budget=budget)[key]
                 if name == "approx_gap":
-                    val = abs(degree_moment_approx(m_degrees(g, params["k"]), key) - val)
+                    profile = m_degrees(g, params["k"], budget=budget)
+                    val = abs(degree_moment_approx(profile, key) - val)
                 metrics[spec] = val - tau(model, key) if name == "tau_error" else val
             elif name == "coupling":
                 depth = params["m"]
-                profile = m_degrees(g, depth)
+                profile = m_degrees(g, depth, budget=budget)
                 theta = theta_profile(model, sample.xi, depth)
                 metrics[spec] = joint_coupling_error(profile, theta)
             elif name == "fit":

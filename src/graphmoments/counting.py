@@ -8,8 +8,11 @@ set equals the pattern exactly), i.e. labeled embeddings divided by
 Order-3 patterns (2-stars and triangles) take closed-form fast paths so
 they stay cheap on large sparse graphs: triangles come from the graph's
 cached statistics layer (``Graph.stats``, a vectorised listing that never
-forms A^2).  Everything else goes through an injective backtracking search
-with an optional node budget.
+forms A^2).  Everything else goes through ``embeddings``, an injective
+backtracking search with an optional node budget.  It is the package's
+one enumerator: rooted at pattern vertex 0 and with symmetry-breaking
+pairs (Grochow & Kellis, RECOMB 2007) it also yields the per-hub wheel
+counts of ``hubs`` and the path counts D^(m), m >= 4, of ``degrees``.
 """
 
 from __future__ import annotations
@@ -51,21 +54,43 @@ def _count_p3(g: Graph, r: PatternGraph, induced: bool) -> int:
     return w - 3 * t if induced else w
 
 
-def _embedding_count(g: Graph, r: PatternGraph, induced: bool, budget: int | None) -> int:
-    """Count injective vertex maps preserving edges (and non-edges if induced)."""
-    p = r.p
-    padj = r.adjacency
-    # visit each connected component in a BFS order so new vertices anchor
-    # on already-mapped neighbors whenever possible
+class Budget:
+    """The search nodes one job may visit, spent by every search it runs.
+
+    job names what is counted (a pattern, a wheel key, D^(m)) in the error
+    raised when the nodes run out; limit None means no budget.
+    """
+
+    def __init__(self, limit: int | None, job: str):
+        self.limit, self.job = limit, job
+        self.left = math.inf if limit is None else limit
+
+
+class _NeighbourSets(dict):
+    """The neighbour sets of g's vertices, each built when first read, so a
+    search stopped by its budget pays only for the vertices it reached."""
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, x: int) -> set[int]:
+        self[x] = found = set(self.g.neighbors(x).tolist())
+        return found
+
+
+def _search_order(padj, root: int | None) -> list[int]:
+    """Pattern vertices component by component in BFS order, so each new
+    vertex anchors on an already-mapped neighbour whenever possible; the
+    first vertex is root, else one of largest degree."""
+    p = len(padj)
     order: list[int] = []
     placed = set()
     while len(order) < p:
-        root = max(
-            (v for v in range(p) if v not in placed),
-            key=lambda v: len(padj[v]),
-        )
-        queue = [root]
-        placed.add(root)
+        start = root if not order and root is not None else max(
+            (v for v in range(p) if v not in placed), key=lambda v: len(padj[v]))
+        queue = [start]
+        placed.add(start)
         while queue:
             v = queue.pop(0)
             order.append(v)
@@ -73,67 +98,96 @@ def _embedding_count(g: Graph, r: PatternGraph, induced: bool, budget: int | Non
                 if u not in placed:
                     placed.add(u)
                     queue.append(u)
-    anchors = []
-    non_anchors = []
-    for idx, v in enumerate(order):
-        before = order[:idx]
-        anchors.append([u for u in before if u in padj[v]])
-        non_anchors.append([u for u in before if u not in padj[v]])
+    return order
 
-    nbr = [set(g.neighbors(i).tolist()) for i in range(g.n)]
-    gdeg = g.degrees
-    pdeg = r.degree_sequence
-    image = [-1] * p
-    used = set()
-    count = 0
-    nodes = 0
-    all_vertices = range(g.n)
 
-    def extend(idx: int):
-        nonlocal count, nodes
-        if idx == p:
-            count += 1
-            return
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(
-                f"embedding search exceeded budget of {budget} nodes"
-            )
-        v = order[idx]
-        anc = anchors[idx]
-        if anc:
-            base = min((nbr[image[u]] for u in anc), key=len)
-            candidates = [x for x in base if x not in used]
+def embeddings(g: Graph, padj, budget: Budget, induced: bool = False, root: bool = False,
+               pairs=()) -> int | list[int]:
+    """Injective maps of the pattern with neighbour sets padj into g that keep
+    its edges (and, if induced, its non-edges), with image[u] < image[v] for
+    every (u, v) in pairs.
+
+    With root, pattern vertex 0 is mapped first and the result lists the
+    maps by the host vertex it maps to; otherwise it is their total.  Each
+    search node, one partial map, spends one step of budget.  Beyond g's
+    neighbour sets and the per-vertex tally the search holds O(p) state.
+    """
+    p, n = len(padj), g.n
+    order = _search_order(padj, 0 if root else None)
+    at = {v: i for i, v in enumerate(order)}
+    # per position: the first placed neighbour, whose image's neighbours are
+    # the candidates, the other placed neighbours and (if induced) non-
+    # neighbours, the placed ends of pairs bounding it from below and above,
+    # and its degree
+    plan = []
+    for i, v in enumerate(order):
+        anc = [at[u] for u in order[:i] if u in padj[v]]
+        plan.append((
+            anc[0] if anc else None,
+            anc[1:],
+            [at[u] for u in order[:i] if u not in padj[v]] if induced else [],
+            [at[u] for u, w in pairs if w == v and at[u] < i],
+            [at[w] for u, w in pairs if u == v and at[w] < i],
+            len(padj[v]),
+        ))
+    nbr = _NeighbourSets(g)
+    deg = g.degrees.tolist()
+    everything = set(range(n))
+    image = [0] * p
+    used: set[int] = set()
+    tally = [0] * n
+    left = budget.left
+    # a last position with one placed neighbour and nothing else to check is
+    # counted in its parent's loop, without a call
+    lead, plain = plan[-1][0], not any(plan[-1][1:5])
+
+    def extend(i: int) -> int:
+        nonlocal left
+        first, within, outside, below, above, least = plan[i]
+        candidates = everything if first is None else nbr[image[first]]
+        for j in within:
+            candidates = candidates & nbr[image[j]]
+        for j in outside:
+            candidates = candidates - nbr[image[j]]
+        lo = max(image[j] for j in below) if below else -1
+        hi = min(image[j] for j in above) if above else n
+        if i == p - 1:
+            # every neighbour of the last vertex is placed, so its degree holds
+            total = sum(1 for x in candidates if lo < x < hi and x not in used)
         else:
-            candidates = [x for x in all_vertices if x not in used]
-        for x in candidates:
-            if gdeg[x] < pdeg[v]:
-                continue
-            ok = True
-            for u in anc:
-                if x not in nbr[image[u]]:
-                    ok = False
-                    break
-            if ok and induced:
-                for u in non_anchors[idx]:
-                    if x in nbr[image[u]]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            image[v] = x
-            used.add(x)
-            extend(idx + 1)
-            used.discard(x)
-            image[v] = -1
+            total = 0
+            for x in candidates:
+                if x in used or deg[x] < least or not lo < x < hi:
+                    continue
+                image[i] = x
+                used.add(x)
+                if i + 2 < p or not plain:
+                    found = extend(i + 1)
+                else:
+                    left -= 1
+                    ends = nbr[image[lead]]
+                    found = len(ends) - len(used.intersection(ends))
+                used.discard(x)
+                total += found
+                if not i:
+                    tally[x] = found
+        # a node spends its step after its loop, so this one check also
+        # covers the last-position nodes counted in the loop
+        left -= 1
+        if left < 0:
+            raise BudgetExceededError(
+                f"counting {budget.job} exceeded the budget of {budget.limit} search nodes")
+        return total
 
-    extend(0)
-    return count
+    total = extend(0)
+    budget.left = left
+    return tally if root else total
 
 
 def automorphism_count(r: PatternGraph) -> int:
     """|Aut(R)|: the induced embeddings of R into itself."""
-    return _embedding_count(Graph.from_edges(r.edges, r.p), r, induced=True, budget=None)
+    return embeddings(Graph.from_edges(r.edges, r.p), r.adjacency, Budget(None, r.name()),
+                      induced=True)
 
 
 def count_isomorphism_classes(r: PatternGraph) -> int:
@@ -149,8 +203,8 @@ def _count(g: Graph, r: PatternGraph, induced: bool, budget: int | None) -> int:
         return g.edge_count
     if r.p == 3:
         return _count_p3(g, r, induced)
-    embeddings = _embedding_count(g, r, induced=induced, budget=budget)
-    return quotient_by_automorphisms(embeddings, automorphism_count(r))
+    maps = embeddings(g, r.adjacency, Budget(budget, r.name()), induced=induced)
+    return quotient_by_automorphisms(maps, automorphism_count(r))
 
 
 def count_noninduced(g: Graph, r: PatternGraph, budget: int | None = None) -> int:

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import triangles_per_vertex
-from .errors import BudgetExceededError, CountOverflowError, DomainError, NormalizationError
+from .counting import Budget, embeddings, triangles_per_vertex
+from .errors import CountOverflowError, DomainError, NormalizationError
 from .graph import Graph, average_degree
 from .graphstats import _INT64_LIMIT, row_sums
-from .patterns import WheelSpec
+from .patterns import WheelSpec, adjacency
 from .theory import iterate_operator
 
 
@@ -80,51 +80,27 @@ def _paths_order3(g: Graph) -> np.ndarray:
     return t1 - st.d * f - 2 * triangles_per_vertex(g)
 
 
-def _paths_dfs(g: Graph, m: int, budget: int | None) -> np.ndarray:
-    """Loopless path counts of every order up to m by depth-first search."""
-    counts = np.zeros((g.n, m), dtype=np.int64)
-    visited = np.zeros(g.n, dtype=bool)
-    steps = 0
-
-    def walk(v: int, depth: int, row) -> None:
-        nonlocal steps
-        for u in g.neighbors(v):
-            if visited[u]:
-                continue
-            steps += 1
-            if budget is not None and steps > budget:
-                raise BudgetExceededError(f"path enumeration exceeded budget of {budget} steps")
-            row[depth] += 1
-            if depth + 1 < m:
-                visited[u] = True
-                walk(u, depth + 1, row)
-                visited[u] = False
-
-    for i in range(g.n):
-        visited[i] = True
-        walk(i, 0, counts[i])
-        visited[i] = False
-    return counts
-
-
 def m_degrees(g: Graph, m: int, budget: int | None = 50_000_000) -> DegreeProfile:
     """Exact D^(1..m) for every vertex.
 
-    Orders up to 3 use closed forms; higher orders fall back to DFS whose
-    step count is budget-guarded (work grows like n * mean_degree^m).  A
-    graph with no vertices has (0, m) counts and mean degree 0.
+    Orders up to 3 use closed forms; each higher order j is the rooted
+    search of the j-edge path from an endpoint (``counting.embeddings``),
+    and one budget bounds the search nodes of all of them (work grows like
+    n * mean_degree^(m-1)).  A graph with no vertices has (0, m) counts and
+    mean degree 0.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    if m <= 3:
-        cols = [g.stats.d]
-        if m >= 2:
-            cols.append(g.stats.d2)
-        if m == 3:
-            cols.append(_paths_order3(g))
-        counts = np.column_stack(cols)
-    else:
-        counts = _paths_dfs(g, m, budget)
+    cols = [g.stats.d]
+    if m >= 2:
+        cols.append(g.stats.d2)
+    if m >= 3:
+        cols.append(_paths_order3(g))
+    steps = Budget(budget, f"D^({m})")
+    for j in range(4, m + 1):
+        path = adjacency(j + 1, [(v, v + 1) for v in range(j)])
+        cols.append(np.array(embeddings(g, path, steps, root=True), dtype=np.int64))
+    counts = np.column_stack(cols)
     return DegreeProfile(counts=counts, mean_degree=average_degree(g) if g.n else 0.0)
 
 

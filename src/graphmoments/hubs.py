@@ -9,14 +9,16 @@ the subsampling bootstrap consume.
 
 Fast paths:
   * k = 1:               binomial(degree, l)
-  * l = 1:               order-k degrees (path counts)
+  * l = 1, k <= 3:       order-k degrees (path counts)
   * k = 2, l in {2, 3}:  closed-form independent-set counts in the
                          conflict graph of 2-paths, with no Python loops
   * ((1,l),(k,1)), k in {2, 3}, any l: one k-spoke and l 1-spokes, from the
                          k-paths split by how many of their vertices are
                          neighbours of the hub
-Everything else runs an exact per-hub enumeration whose budget bounds the
-key's total work over all hubs.
+Everything else runs the rooted search of ``counting.embeddings`` on the
+wheel's layout: the hub is pinned to each vertex in turn and equal-length
+spokes are ordered by their first vertex, so each copy is visited once,
+and one budget bounds the key's search nodes over all hubs.
 
 The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``): the sums
 of (A^2)_ik^2 and (A^2)_ik^3 from its memoised pass over the row blocks of
@@ -27,17 +29,16 @@ Closed-form columns are memoised per graph.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .counting import triangles_per_vertex
+from .counting import Budget, embeddings, triangles_per_vertex
 from .degrees import falling_factorial_column, m_degrees
-from .errors import BudgetExceededError, InvariantError
+from .errors import InvariantError
 from .graph import Graph
 from .graphstats import _INT64_LIMIT, _k2_dtype, row_sums
-from .patterns import WheelSpec, hub_multiplicity, wheel_rooted_count
+from .patterns import WheelSpec, adjacency, hub_multiplicity, wheel_layout, wheel_rooted_count
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -161,80 +162,6 @@ def _hub_counts_mixed(g: Graph, k: int, l: int) -> np.ndarray:
     return sum(p.astype(dtype) * choose[r].astype(dtype) for r, p in paths.items())
 
 
-def _paths_from_hub(g: Graph, hub: int, k: int, spend) -> list[frozenset]:
-    """All loopless k-edge paths from hub, as frozensets of non-hub vertices."""
-    out: list[frozenset] = []
-    stack: list[int] = []
-
-    def walk(v: int, depth: int):
-        for u in g.neighbors(v):
-            if u == hub or u in stack:
-                continue
-            spend()
-            if depth == k:
-                out.append(frozenset(stack + [u]))
-            else:
-                stack.append(u)
-                walk(u, depth + 1)
-                stack.pop()
-
-    walk(hub, 1)
-    return out
-
-
-def _count_disjoint_selections(groups: list[tuple[list[frozenset], int]], spend) -> int:
-    """Number of ways to pick l_j paths from group j, all pairwise disjoint."""
-
-    def rec(gi: int, start: int, need: int, used: frozenset) -> int:
-        spend()
-        if need == 0:
-            if gi + 1 == len(groups):
-                return 1
-            return rec(gi + 1, 0, groups[gi + 1][1], used)
-        paths = groups[gi][0]
-        remaining = len(paths) - start
-        if remaining < need:
-            return 0
-        total = 0
-        for idx in range(start, len(paths)):
-            ps = paths[idx]
-            if used & ps:
-                continue
-            total += rec(gi, idx + 1, need - 1, used | ps)
-        return total
-
-    if not groups:
-        return 1
-    return rec(0, 0, groups[0][1], frozenset())
-
-
-def _hub_counts_generic(g: Graph, spec: WheelSpec, budget: int | None) -> np.ndarray:
-    counts = np.zeros(g.n, dtype=object)
-    order = sorted(zip(spec.ks, spec.ls), key=lambda kl: -kl[0])
-    # every hub's path walks and disjoint-selection searches spend from one budget
-    limit = math.inf if budget is None else budget
-    steps = itertools.count(1)
-
-    def spend():
-        if next(steps) > limit:
-            raise BudgetExceededError(f"enumerating {spec.name()} exceeded the budget of "
-                                      f"{budget} steps")
-
-    for i in range(g.n):
-        groups = []
-        feasible = True
-        for k, l in order:
-            paths = _paths_from_hub(g, i, k, spend)
-            if len(paths) < l:
-                feasible = False
-                break
-            groups.append((paths, l))
-        counts[i] = _count_disjoint_selections(groups, spend) if feasible else 0
-    if g.n == 0 or max(int(c) for c in counts) < 2**63:
-        return counts.astype(np.int64)
-    return counts
-
-
 def _closed_form(g: Graph, k: int, l: int) -> np.ndarray:
     if k == 1:
         return falling_factorial_column(g.degrees, l) // math.factorial(l)
@@ -269,22 +196,22 @@ def wheel_counts_per_hub(
 
     Dispatches to closed forms where available (``has_closed_form``); each
     is computed once per graph, memoised in ``g.stats`` and returned as a
-    copy.  Other keys run the budget-guarded exact enumerators ((k,1) for
-    k >= 4 by path DFS), where the budget caps the steps of the whole key,
-    not of one hub; they are recomputed on every call, so a smaller budget
-    still raises.  Returns int64 when safe, Python ints (object
+    copy.  Other keys, (k,1) for k >= 4 among them, run the rooted search of
+    the wheel's layout, where the budget caps the search nodes of the whole
+    key, not of one hub; they are recomputed on every call, so a smaller
+    budget still raises.  Returns int64 when safe, Python ints (object
     dtype) when counts could overflow.
     """
-    k, l = spec.ks[0], spec.ls[0]
     if has_closed_form(spec):
         memo = g.stats.hub_columns
         if spec not in memo:
-            memo[spec] = (_closed_form(g, k, l) if spec.is_simple
+            memo[spec] = (_closed_form(g, spec.ks[0], spec.ls[0]) if spec.is_simple
                           else _hub_counts_mixed(g, *_mixed_spokes(spec)))
         return memo[spec].copy()
-    if spec.is_simple and l == 1:
-        return m_degrees(g, k, budget=budget).counts[:, k - 1].copy()
-    return _hub_counts_generic(g, spec, budget)
+    edges, pairs = wheel_layout(spec)
+    counts = embeddings(g, adjacency(spec.p, edges), Budget(budget, spec.name()),
+                        root=True, pairs=pairs)
+    return np.array(counts, dtype=np.int64 if max(counts, default=0) < 2**63 else object)
 
 
 def wheel_total(counts, spec: WheelSpec, n: int) -> tuple[int, int]:

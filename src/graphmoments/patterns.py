@@ -72,11 +72,7 @@ class PatternGraph:
 
     @cached_property
     def adjacency(self) -> tuple[frozenset, ...]:
-        adj = [set() for _ in range(self.p)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(a) for a in adj)
+        return adjacency(self.p, self.edges)
 
     @cached_property
     def degree_sequence(self) -> tuple[int, ...]:
@@ -148,24 +144,45 @@ class WheelSpec:
         return f"wheel:k={ks},l={ls}"
 
 
-def wheel_to_pattern(spec: WheelSpec) -> PatternGraph:
-    """Lay out a wheel as a PatternGraph: hub is vertex 0, spokes follow.
+def adjacency(p: int, edges) -> tuple[frozenset, ...]:
+    """Neighbour sets of the graph on vertices 0..p-1 with the given edges."""
+    adj = [set() for _ in range(p)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return tuple(frozenset(a) for a in adj)
 
-    Only available while the total order stays within the pattern bound;
-    counting machinery accepts WheelSpec directly for larger wheels.
+
+def wheel_layout(spec: WheelSpec) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """A wheel's edges, hub at vertex 0 and spokes one after another, and the
+    pairs (u, v) of first vertices of consecutive equal-length spokes.
+
+    Asking image[u] < image[v] of every pair picks one of the prod(l_j!)
+    spoke orders of each copy, so a rooted search visits each copy once.
     """
-    if spec.p > MAX_PATTERN_ORDER:
-        raise CapabilityError(f"wheel order {spec.p} exceeds pattern bound {MAX_PATTERN_ORDER}")
-    edges = []
+    edges, pairs = [], []
     nxt = 1
     for k, l in zip(spec.ks, spec.ls):
-        for _ in range(l):
+        for s in range(l):
+            if s:
+                pairs.append((nxt - k, nxt))
             prev = 0
             for _ in range(k):
                 edges.append((prev, nxt))
                 prev = nxt
                 nxt += 1
-    return PatternGraph(p=spec.p, edges=tuple(edges))
+    return edges, pairs
+
+
+def wheel_to_pattern(spec: WheelSpec) -> PatternGraph:
+    """Lay out a wheel as a PatternGraph (``wheel_layout``'s edges).
+
+    Only available while the total order stays within the pattern bound;
+    per-hub counts search the layout itself, so larger wheels still count.
+    """
+    if spec.p > MAX_PATTERN_ORDER:
+        raise CapabilityError(f"wheel order {spec.p} exceeds pattern bound {MAX_PATTERN_ORDER}")
+    return PatternGraph(p=spec.p, edges=tuple(wheel_layout(spec)[0]))
 
 
 def quotient_by_automorphisms(labelings: int, automorphisms: int) -> int:

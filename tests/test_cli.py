@@ -455,6 +455,23 @@ def test_moments_without_budget_stops_at_the_default_budget(graph_path, monkeypa
     assert "exceeded" in capsys.readouterr().err
 
 
+def test_budget_bounds_the_degree_profiles_of_moments_and_sweep(tmp_path, graph_path,
+                                                               model_path, capsys):
+    # D^(5) is enumerated, so --budget and a sweep's "budget" bound it
+    argv = ["moments", graph_path, "--approx", "degree", "--pattern", "wheel:k=5,l=1"]
+    assert main(argv + ["--budget", "10"]) == 4
+    assert "D^(5)" in capsys.readouterr().err
+    cfg, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
+    cfg.write_text(json.dumps({"models": [{"name": "ref", "path": model_path}], "n": [60],
+                               "replicates": 2, "metrics": ["rho_hat", "coupling:m=5"],
+                               "budget": 10}))
+    assert main(["sweep", str(cfg), "--seed", "7", "--out", str(out), "--threads", "1"]) == 0
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(recs) == 2
+    assert all(r["error"].startswith("BudgetExceededError: ") for r in recs)
+    assert all("rho_hat" in r["metrics"] for r in recs)
+
+
 def test_sweep_rejects_malformed_config_shapes_before_any_cell(tmp_path, capsys):
     cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
     good = {"models": [{"name": "m", "model": REF.to_json()}], "n": [50], "replicates": 1,

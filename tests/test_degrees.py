@@ -70,13 +70,19 @@ def test_cycle_and_path_examples():
 
 
 def test_closed_forms_match_dfs():
+    # the reference is the rooted search of the j-edge path from an endpoint
+    from graphmoments.counting import Budget, embeddings
+    from graphmoments.patterns import adjacency
+
     rng = np.random.default_rng(21)
     for _ in range(6):
         g = graph_from_dense(random_dense(int(rng.integers(8, 20)), 0.35, rng))
         fast = m_degrees(g, 3)
-        from graphmoments.degrees import _paths_dfs
-
-        slow = _paths_dfs(g, 3, None)
+        slow = np.column_stack([
+            embeddings(g, adjacency(j + 1, [(v, v + 1) for v in range(j)]), Budget(None, "D"),
+                       root=True)
+            for j in (1, 2, 3)
+        ])
         assert np.array_equal(fast.counts, slow)
 
 

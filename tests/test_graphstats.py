@@ -81,6 +81,15 @@ def test_triangles_and_third_degrees_match_oracles(g):
     assert m_degrees(g, 3).counts[:, 2].tolist() == [oracle_mdegree(a, i, 3) for i in range(g.n)]
 
 
+@settings(max_examples=40, deadline=None)
+@given(graphs(), st.sampled_from([5, 6]))
+def test_searched_degrees_match_oracle(g, m):
+    a = dense_adj(g)
+    counts = m_degrees(g, m, budget=None).counts
+    for j in range(4, m + 1):
+        assert counts[:, j - 1].tolist() == [oracle_mdegree(a, i, j) for i in range(g.n)], j
+
+
 @settings(max_examples=80, deadline=None)
 @given(graphs())
 def test_k2_wheels_match_oracle(g):

@@ -25,9 +25,11 @@ SPECS = [
     WheelSpec.simple(2, 3),
     WheelSpec.simple(3, 1),
     WheelSpec.simple(3, 2),
+    WheelSpec.simple(2, 4),
     WheelSpec.simple(4, 1),
     WheelSpec(ks=(1, 2), ls=(1, 1)),
     WheelSpec(ks=(1, 2), ls=(2, 1)),
+    WheelSpec(ks=(1, 2), ls=(1, 2)),
     WheelSpec(ks=(1, 3), ls=(1, 1)),
     WheelSpec(ks=(2, 3), ls=(1, 1)),
     WheelSpec(ks=(1, 2, 3), ls=(1, 1, 1)),
@@ -46,6 +48,15 @@ def test_per_hub_counts_match_oracle():
             got = wheel_counts_per_hub(g, spec, budget=None)
             for i in range(n):
                 assert int(got[i]) == oracle_hub_count(a, spec, i), (trial, spec.name(), i)
+
+
+def test_per_hub_counts_past_the_pattern_bound_match_oracle():
+    # (2,5) has order 11, past PatternGraph's bound; its layout still counts
+    spec = WheelSpec.simple(2, 5)
+    a = random_dense(40, 4 / 39, np.random.default_rng(8))
+    got = wheel_counts_per_hub(graph_from_dense(a), spec, budget=None)
+    want = [oracle_hub_count(a, spec, i) for i in range(40)]
+    assert any(want) and [int(c) for c in got] == want
 
 
 def test_triangle_paths_counted_separately():

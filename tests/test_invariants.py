@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import graphmoments
@@ -16,6 +17,19 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_budget_errors_come_from_the_one_search():
+    # every enumeration spends its budget in counting.embeddings; moments'
+    # induced-count hint and blockfit's D^(K) message only re-raise its error
+    root = Path(graphmoments.__file__).parent
+    sites = Counter(
+        path.name
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BudgetExceededError"
+    )
+    assert sites == {"counting.py": 1, "moments.py": 1, "blockfit.py": 1}
 
 
 def test_exports_are_exactly_the_imported_names():
