@@ -34,10 +34,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .degrees import degree_moment_approx, m_degrees
 from .errors import (
     AtomSeparationError,
-    BudgetExceededError,
     DomainError,
     HankelIllPosedError,
     IdentifiabilityError,
@@ -63,16 +61,18 @@ _NLS_TOL = 1e-14  # xtol, ftol and gtol: runs stop at _NLS_MAX_NFEV or at machin
 class FitConfig:
     """Configuration for the moment-based fit.
 
-    The moment keys are derived from K: all (k, l) with 1 <= k <= K and
-    1 <= l <= 2K-1 (the k >= 2 rows are the (K-1)(2K-1) identifying keys;
-    the k=1 row feeds the first-stage moment problem).  The mixed keys
-    ((1,l),(k,1)), 2 <= k <= K and 1 <= l <= K-1, feed only the direct
-    estimate's solve for v^(k).
+    The moment keys are derived from K.  For K != 3 they are all (k, l)
+    with 1 <= k <= K and 1 <= l <= 2K-1 (the k >= 2 rows are the
+    (K-1)(2K-1) identifying keys; the k=1 row feeds the first-stage moment
+    problem).  For K = 3 they are the keys with a closed form: (1,1)..(1,5),
+    (2,1), (2,2), (2,3) and (3,1), then the mixed ((1,l),(k,1)) for
+    k in {2, 3} and l = 1..4.  The mixed keys ((1,l),(k,1)), 2 <= k <= K and
+    1 <= l <= K-1, feed the direct estimate's solve for v^(k); for K = 3
+    they are among the fit's keys as well.
 
     weights, when given, maps keys (WheelSpec, (k,l) tuple, or name) to
     residual weights w_kl > 0, e.g. 1/sigma^2 from the bootstrap.  budget is
-    the enumeration budget of the exact counts and of the D^(K) a degree
-    fallback needs; None means no budget.  The
+    the enumeration budget of the exact counts; None means no budget.  The
     stage and solver thresholds are module constants (see the module
     docstring), not fields.
     """
@@ -96,6 +96,10 @@ class FitConfig:
                 raise DomainError(f"weight {w!r} of {key!r} must be positive and finite")
 
     def keys(self) -> list[WheelSpec]:
+        if self.K == 3:
+            simple = [(1, l) for l in range(1, 6)] + [(2, 1), (2, 2), (2, 3), (3, 1)]
+            return ([WheelSpec.simple(k, l) for k, l in simple]
+                    + [WheelSpec((1, k), (l, 1)) for k in (2, 3) for l in range(1, 5)])
         return [
             WheelSpec.simple(k, l)
             for k in range(1, self.K + 1)
@@ -457,15 +461,14 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
     """Full pipeline: wheel moments -> stage recovery -> NLS projection.
 
     Wheel moments are the noninduced Q_check estimates of cfg.keys() and,
-    for the direct estimate, cfg.mixed_keys(); the refinement fits
-    cfg.keys() only.  K = 1 has nothing to estimate (tau_(1,1) = 1 on every
-    graph) and returns pi = [1], S = [[1]] at once.  Each key whose exact
-    count exceeds the budget takes the falling-factorial degree
-    approximation instead; diagnostics["approximated_keys"] names those keys
-    and diagnostics["approximation"] is then "degree".  Stage
-    errors (ill-posed Hankel or atoms, unidentifiable iterates) propagate
-    unless cfg.on_stage_error == "fallback", which starts the least-squares
-    refinement from a neutral point instead.
+    for the direct estimate, cfg.mixed_keys(), counted exactly in one call;
+    the refinement fits cfg.keys() only.  A key whose count exceeds
+    cfg.budget raises the search's BudgetExceededError, which names it.
+    K = 1 has nothing to estimate (tau_(1,1) = 1 on every graph) and
+    returns pi = [1], S = [[1]] at once.  Stage errors (ill-posed Hankel or
+    atoms, unidentifiable iterates) propagate unless cfg.on_stage_error ==
+    "fallback", which starts the least-squares refinement from a neutral
+    point instead.
     """
     rho = rho_hat(g)
     if rho <= 0:
@@ -475,32 +478,12 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
             K=1, pi=np.ones(1), S=np.ones((1, 1)), rho=rho, residual=0.0, residual_init=0.0,
             converged=True, pi_direct=np.ones(1), S_direct=np.ones((1, 1)), atoms=np.ones((1, 1)),
             tau_hat={WheelSpec.simple(1, 1): 1.0},
-            diagnostics={"approximation": None, "approximated_keys": []},
         )
 
     keys = cfg.keys()
-    found, approximated = {}, []
-    for key in keys + cfg.mixed_keys():  # each key may fall back alone
-        try:
-            found.update(wheel_moment_estimates(g, [key], budget=cfg.budget))
-        except BudgetExceededError:
-            approximated.append(key)
-    if approximated:
-        try:
-            profile = m_degrees(g, cfg.K, budget=cfg.budget)
-        except BudgetExceededError as exc:
-            names = ", ".join(k.name() for k in approximated)
-            raise BudgetExceededError(
-                f"the exact counts of {names} exceeded the budget, and their degree "
-                f"approximation needs D^({cfg.K}): {exc}"
-            ) from exc
-        found.update({k: degree_moment_approx(profile, k) for k in approximated})
+    found = wheel_moment_estimates(g, dict.fromkeys(keys + cfg.mixed_keys()), budget=cfg.budget)
     taus = {k: found[k] for k in keys}
-    diagnostics: dict = {
-        "approximation": "degree" if approximated else None,
-        "approximated_keys": [k.name() for k in approximated],
-        "stages": [],
-    }
+    diagnostics: dict = {"stages": []}
 
     atoms_matrix = None
     try:

@@ -219,14 +219,12 @@ def cmd_moments(args) -> int:
 
 
 def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int) -> dict:
-    """1/sigma^2 of each key from seed + its index; a key whose count exceeds
-    the budget is left out, as the fit approximates it with weight 1."""
+    """1/sigma^2 of each key of the fit, key i from seed + i, all from one
+    cache of per-hub counts."""
+    keys = cfg.keys()
+    cache = HubCountCache.build(g, keys, cfg.budget)
     weights = {}
-    for i, key in enumerate(cfg.keys()):
-        try:
-            cache = HubCountCache.build(g, [key], cfg.budget)
-        except BudgetExceededError:
-            continue
+    for i, key in enumerate(keys):
         res = bootstrap_variance(g, cache, key, seed=seed + i)
         weights[key] = 1.0 / max(res.sigma2_hat, 1e-300)
     return weights
@@ -243,13 +241,6 @@ def cmd_fit(args) -> int:
         cfg = replace(cfg, weights=weights)
     result = fit_block_model(g, cfg)
     manifest.wall_clock_s = time.monotonic() - t0
-    if result.diagnostics.get("approximated_keys"):
-        names = ", ".join(result.diagnostics["approximated_keys"])
-        print(
-            f"warning: exact counting exceeded the budget; {names} fell back to the "
-            f"{result.diagnostics['approximation']} approximation",
-            file=sys.stderr,
-        )
     payload = result.to_json()
     if not args.report_stages:
         payload["diagnostics"].pop("stages", None)

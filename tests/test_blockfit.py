@@ -390,16 +390,36 @@ def test_nls_refine_runs_k1_on_the_general_path():
     assert len(res.diagnostics["nls_nfev"]) == 2
 
 
-def test_fit_names_the_approximated_keys_when_the_degree_fallback_fails():
+def test_fit_over_budget_fails_fast_and_names_the_key():
     from graphmoments import BudgetExceededError
 
-    # the fit's budget also bounds the D^(4) the fallback needs
+    # K = 4 asks for (2,4), which has no closed form; the fit counts it and
+    # raises the search's own error rather than approximate it
     g = sample_block_model(BlockModel(pi=REF.pi, S=REF.S, rho=0.05), 60, seed=2).graph
-    with pytest.raises(BudgetExceededError) as exc:
+    with pytest.raises(BudgetExceededError,
+                       match="counting wheel:k=2,l=4 exceeded the budget of 10 search nodes"):
         fit_block_model(g, FitConfig(K=4, budget=10, on_stage_error="fallback"))
-    message = str(exc.value)
-    assert "wheel:k=4,l=7" in message and "D^(4)" in message
-    assert "approximation" not in str(exc.value.__cause__)
+
+
+def test_k3_fits_read_only_closed_form_keys():
+    from graphmoments import wheel_moment_estimates
+    from graphmoments.hubs import has_closed_form
+
+    cfg = FitConfig(K=3, budget=0)  # nothing may enumerate
+    keys = cfg.keys()
+    assert len(keys) == 17 and all(has_closed_form(k) for k in keys)
+    assert set(cfg.mixed_keys()) <= set(keys)
+    pi = np.array([0.25, 0.35, 0.4])
+    s = np.array([[6.0, 1.0, 0.5], [1.0, 2.5, 0.5], [0.5, 0.5, 0.8]])
+    model = BlockModel(pi=pi, S=s / (pi @ s @ pi), rho=30 / 4999)
+    pc, _ = canonical(model)
+    for seed in (1, 2):
+        g = sample_block_model(model, 5000, seed=seed).graph
+        res = fit_block_model(g, cfg)
+        assert np.max(np.abs(res.pi - pc)) < 0.05, seed
+        # the refinement reads the exact estimates, in the config's key order
+        assert res.tau_hat == wheel_moment_estimates(g, keys, budget=None)
+        assert list(res.tau_hat) == keys
 
 
 def test_fit_empty_graph_raises():
@@ -434,35 +454,6 @@ def test_fit_config_rejects_nonpositive_or_nonfinite_weights():
         with pytest.raises(DomainError, match="positive and finite"):
             FitConfig(K=2, weights={(2, 1): 1.0, (2, 2): bad})
     assert FitConfig(K=2, weights={(2, 1): 1e-3, "wheel:k=2,l=2": 4.0}).weights
-
-
-def test_fit_falls_back_only_for_keys_over_budget():
-    from graphmoments import BudgetExceededError, wheel_moment_estimates
-    from graphmoments.hubs import has_closed_form
-
-    g = sample_block_model(BlockModel(pi=REF.pi, S=REF.S, rho=0.02), 120, seed=11).graph
-    # a budget bounds each key's total work over all hubs: at 30000, (2,4), (2,5)
-    # and (3,2) stay exact and (3,3), (3,4), (3,5) go over
-    cfg = FitConfig(K=3, multistart=1, budget=30000, on_stage_error="fallback")
-    over = []
-    for key in cfg.keys():
-        try:
-            wheel_moment_estimates(g, [key], budget=cfg.budget)
-        except BudgetExceededError:
-            over.append(key)
-    # the case must have enumerated keys on both sides of the budget
-    assert over and not any(has_closed_form(k) for k in over)
-    assert any(not has_closed_form(k) and k not in over for k in cfg.keys())
-    res = fit_block_model(g, cfg)
-    assert res.diagnostics["approximation"] == "degree"
-    assert res.diagnostics["approximated_keys"] == [k.name() for k in over]
-    exact = wheel_moment_estimates(g, [k for k in cfg.keys() if k not in over], budget=None)
-    for key, value in exact.items():
-        assert res.tau_hat[key] == value
-    assert list(res.tau_hat) == cfg.keys()
-    fit2 = fit_block_model(g, FitConfig(K=2, on_stage_error="fallback"))
-    assert fit2.diagnostics["approximation"] is None
-    assert fit2.diagnostics["approximated_keys"] == []
 
 
 def test_fit_settings_are_the_ones_callers_set():

@@ -200,49 +200,38 @@ def test_fit_k1_prints_the_one_block_model(graph_path, capsys):
     assert obj["residual"] == 0.0 and obj["converged"] is True
 
 
-def test_fit_warns_on_stderr_when_counts_fall_back(graph_path, capsys):
-    argv = ["fit", graph_path, "--K", "3", "--multistart", "1", "--on-stage-error", "fallback"]
-    # keys past the closed forms, such as (3,2), are enumerated under the budget
-    assert main(argv + ["--budget", "10"]) == 0
+def test_fits_write_nothing_to_stderr(graph_path, capsys):
+    for K in ("2", "3"):
+        argv = ["fit", graph_path, "--K", K, "--multistart", "1", "--on-stage-error", "fallback"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["K"] == int(K)
+        assert captured.err == ""
+
+
+def test_fit_over_budget_exits_4_and_names_the_key(graph_path, capsys):
+    # (2,4), the first K = 4 key without a closed form, is counted and fails
+    assert main(["fit", graph_path, "--K", "4", "--budget", "10"]) == 4
     captured = capsys.readouterr()
-    obj = json.loads(captured.out)
-    assert obj["diagnostics"]["approximation"] == "degree"
-    warning = captured.err.strip().splitlines()
-    assert len(warning) == 1 and warning[0].startswith("warning: ")
-    assert "wheel:k=3,l=2" in warning[0] and "degree approximation" in warning[0]
-    assert main(["fit", graph_path, "--K", "2", "--on-stage-error", "fallback"]) == 0
-    assert capsys.readouterr().err == ""
+    assert captured.out == ""
+    assert captured.err == (
+        "error: counting wheel:k=2,l=4 exceeded the budget of 10 search nodes\n")
 
 
-def test_fit_warning_names_only_the_approximated_keys(graph_path, capsys):
-    argv = ["fit", graph_path, "--K", "3", "--multistart", "1", "--on-stage-error", "fallback"]
-    assert main(argv + ["--budget", "10"]) == 0
-    captured = capsys.readouterr()
-    approximated = json.loads(captured.out)["diagnostics"]["approximated_keys"]
-    # only enumerated keys can exceed a budget; the closed forms stay exact
-    assert approximated and len(approximated) < len(FitConfig(K=3).keys())
-    assert "wheel:k=2,l=3" not in approximated and "wheel:k=1,l=5" not in approximated
-    names = captured.err.split("budget; ", 1)[1].split(" fell back", 1)[0]
-    assert names.split(", ") == approximated
-
-
-def test_bootstrap_weights_skip_the_keys_that_fall_back(graph_path, capsys):
+def test_bootstrap_weights_give_key_i_the_weight_of_seed_plus_i(graph_path, capsys):
     argv = ["fit", graph_path, "--K", "3", "--multistart", "1", "--on-stage-error", "fallback",
             "--budget", "10", "--seed", "3"]
     assert main(argv + ["--weights", "bootstrap"]) == 0
-    captured = capsys.readouterr()
-    approximated = json.loads(captured.out)["diagnostics"]["approximated_keys"]
-    assert approximated and captured.err.startswith("warning: ")
-    # the approximated keys keep the default weight; every other key keeps
-    # the weight of its own seed, seed + its index among the fit's keys
+    assert capsys.readouterr().err == ""
+    # every K = 3 key has a closed form, so each gets the weight of its own
+    # seed, seed + its index among the fit's keys, whatever the budget
     g = load_edge_list(graph_path)
     cfg = FitConfig(K=3, budget=10)
     weights = cli._bootstrap_weights(g, cfg, 3)
-    assert sorted(k.name() for k in set(cfg.keys()) - set(weights)) == sorted(approximated)
+    assert list(weights) == cfg.keys() and len(weights) == 17
     for i, key in enumerate(cfg.keys()):
-        if key in weights:
-            res = bootstrap_variance(g, HubCountCache.build(g, [key], None), key, seed=3 + i)
-            assert weights[key] == 1.0 / res.sigma2_hat
+        res = bootstrap_variance(g, HubCountCache.build(g, [key], None), key, seed=3 + i)
+        assert weights[key] == 1.0 / res.sigma2_hat
 
 
 def test_malformed_model_json_is_input_error(tmp_path, capsys):

@@ -21,7 +21,7 @@ def test_package_has_no_assert_statements():
 
 def test_budget_errors_come_from_the_one_search():
     # every enumeration spends its budget in counting.embeddings; moments'
-    # induced-count hint and blockfit's D^(K) message only re-raise its error
+    # induced-count hint only re-raises its error
     root = Path(graphmoments.__file__).parent
     sites = Counter(
         path.name
@@ -29,7 +29,7 @@ def test_budget_errors_come_from_the_one_search():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BudgetExceededError"
     )
-    assert sites == {"counting.py": 1, "moments.py": 1, "blockfit.py": 1}
+    assert sites == {"counting.py": 1, "moments.py": 1}
 
 
 def test_exports_are_exactly_the_imported_names():
