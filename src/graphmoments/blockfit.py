@@ -343,6 +343,11 @@ def nls_refine(tau_hat, init, cfg: FitConfig) -> FitResult:
     stopped on a tolerance rather than on the evaluation cap.  The result
     holds only what the refinement computes: rho is 0.0, atoms None and the
     diagnostics the solver's own; ``fit_block_model`` adds the graph's.
+
+    A flat S (all entries equal) is a stationary point: every first-order
+    change of tau vanishes there, so a run started at one stops at its
+    first evaluation and returns it unchanged.  Only the jittered starts of
+    multistart > 1 leave it.
     """
     taus = {WheelSpec.coerce(k): float(v) for k, v in tau_hat.items()}
     keys = sorted(taus, key=lambda s: (s.ks, s.ls))

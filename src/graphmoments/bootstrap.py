@@ -23,7 +23,7 @@ import numpy as np
 from . import graphstats
 from .errors import DomainError, NormalizationError
 from .graph import Graph
-from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub, wheel_total
+from .hubs import DEFAULT_BUDGET, wheel_counts, wheel_total
 from .moments import SCHEMA_VERSION
 from .patterns import WheelSpec
 
@@ -46,7 +46,7 @@ class HubCountCache:
     @classmethod
     def build(cls, g: Graph, keys, budget: int | None = DEFAULT_BUDGET) -> "HubCountCache":
         specs = tuple(WheelSpec.coerce(k) for k in keys)
-        counts = {spec: wheel_counts_per_hub(g, spec, budget) for spec in specs}
+        counts = wheel_counts(g, specs, budget)
         return cls(n=g.n, keys=specs, counts=counts, degrees=g.degrees.copy())
 
     def get(self, key) -> np.ndarray:

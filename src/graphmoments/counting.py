@@ -185,9 +185,13 @@ def embeddings(g: Graph, padj, budget: Budget, induced: bool = False, root: bool
 
 
 def automorphism_count(r: PatternGraph) -> int:
-    """|Aut(R)|: the induced embeddings of R into itself."""
-    return embeddings(Graph.from_edges(r.edges, r.p), r.adjacency, Budget(None, r.name()),
-                      induced=True)
+    """|Aut(R)|: the induced embeddings of R into itself, searched once per
+    pattern and kept on it, as ``cached_property`` keeps its values."""
+    memo = vars(r)  # a frozen dataclass's own dict, which no field lives in
+    if "automorphisms" not in memo:
+        memo["automorphisms"] = embeddings(Graph.from_edges(r.edges, r.p), r.adjacency,
+                                           Budget(None, r.name()), induced=True)
+    return memo["automorphisms"]
 
 
 def count_isomorphism_classes(r: PatternGraph) -> int:

@@ -6,19 +6,25 @@ with the CSR entries, triangles per vertex, the k = 2 sums over A^2 and the
 memoised per-hub columns of closed-form wheel keys (filled by ``hubs``).
 Only the A^2 passes build a scipy matrix (``adjacency``); the rest is numpy.
 
-The k = 2 sums come from one pass over the row blocks of A^2 (``a2_sums``),
-which forms each pair {i, k} of two row bands once and also reads B if
-nothing has cached it yet.  Otherwise B comes from a triangle listing
-(Latapy, TCS 2008; Chiba & Nishizeki, SIAM J. Comput. 1985): edges point
-to the endpoint of higher (degree, id) rank, so each triangle is one wedge
-of forward edges at its lowest vertex, closed by ``searchsorted`` in the
-sorted CSR keys i*n + j, and each count is added to the reverse entry.
-Triangle counts and D^(3) list only when no k = 2 wheel came first.
-(2,3)'s cross sum (``a2_cross``) reads ``a2_sums`` first and then forms the
-row blocks of (A ∘ X) A, so in any key order each row block's two products
-are formed once.  Its clique terms list again, but pair only triangle
-edges (B >= 1) and extend a triangle to K4s only along edges in two
-triangles or more.
+B comes from a triangle listing (Latapy, TCS 2008; Chiba & Nishizeki,
+SIAM J. Comput. 1985) or from an A^2 pass.  Edges point to the endpoint of
+higher (degree, id) rank, so each triangle is one wedge (u, v, w) of
+forward edges at its lowest vertex.  A hashed bitmap of the edge keys
+(``_edge_filter``; Bloom, CACM 1970) rejects most open wedges, and only
+the rest are looked up by ``searchsorted`` in the sorted CSR keys i*n + j;
+the bitmap has no false negatives, so the listing is exact.  Each count is
+added to the reverse entry.  Triangle counts and D^(3) list only when no
+k = 2 wheel came first.
+
+The k = 2 sums s2, s3 over (A^2)_ik^2, (A^2)_ik^3 come from one of two
+passes.  (2,2) asked first runs ``a2_sums``, which forms each pair {i, k}
+of two row bands of A^2 once and reads B too if nothing cached it.  (2,3)
+asked first (fits and caches ask it first, ``hubs.wheel_counts``) lists
+B on sparse graphs and forms only the packed (A ∘ X) A, whose low bits
+are A^2: one pass gives its cross sum pq, s2 and s3 (``a2_cross``).  So
+in any key order each row block of each product is formed at most once.
+(2,3)'s clique terms list again, but pair only triangle edges (B >= 1)
+and extend a triangle to K4s only along edges in two triangles or more.
 
 Each block's product is one call of scipy's compiled kernel
 ``_sparsetools.csr_matmat`` (``_product``), the one ``@`` calls after a
@@ -60,7 +66,7 @@ from .errors import CountOverflowError, InvariantError
 
 BLOCK_BYTES = 1 << 25  # bytes of temporaries one chunk of a kernel may hold
 # bytes of temporaries per item, measured with tracemalloc
-_WEDGE_BYTES = 96  # a wedge being closed, or a triangle being extended
+_WEDGE_BYTES = 96  # a triangle being extended (92 on K_100), or a wedge being closed (34-57)
 _K4_BYTES = 112  # a K4 candidate
 _A2_BYTES = 32  # an entry of a row block's product with A, A^2 or (A ∘ X) A
 _INT64_LIMIT = 2**62  # headroom below 2^63 for one more addition
@@ -68,6 +74,12 @@ _INT64_LIMIT = 2**62  # headroom below 2^63 for one more addition
 # between 0.07 and 0.12 on Erdos-Renyi graphs from n = 5000 to 200000
 _SORT_SHARE = 0.08
 _BANDS = 8  # row bands of the A^2 pass; a band's rows form only the columns from its start on
+_FILTER_BITS = 16  # bits of the edge filter per CSR entry, before rounding up to a power of two
+_HASH = 0x9E3779B97F4A7C15  # the filter's multiplier, odd: 2^64 over the golden ratio
+_BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))  # bit r of a byte
+# forward wedges per 2-walk bound up to which (2,3) lists B: on Erdos-Renyi graphs
+# listing won by 12-29 % from 0.13 to 0.27, and the two tied within 6 % from 0.24 to 0.76
+_LIST_SHARE = 0.3
 
 
 def _k2_dtype(d: np.ndarray, d2: np.ndarray):
@@ -174,6 +186,7 @@ class GraphStats:
         self.d = g.degrees.astype(np.int64)
         self.src = np.repeat(np.arange(g.n, dtype=np.int64), self.d)  # row of each entry
         self.hub_columns: dict = {}
+        self.path_splits: dict = {}  # k -> (D^(k), {r: k-paths with r vertices in N(i)})
 
     @cached_property
     def d2(self) -> np.ndarray:
@@ -247,21 +260,48 @@ class GraphStats:
         edges uv and uw are among the forward entries fwd, u the
         lowest-ranked vertex."""
         fsrc = self.src[fwd]
-        later = np.searchsorted(fsrc, fsrc, side="right") - np.arange(fwd.size) - 1
+        later = np.cumsum(np.bincount(fsrc, minlength=self.n))[fsrc] - np.arange(fwd.size) - 1
+        # the filter's hash of a key v * n + w is v * (n H) + w * H mod 2^64
+        hw = self.indices[fwd].astype(np.uint64) * np.uint64(_HASH)
+        hv = hw * np.uint64(self.n)
         for lo, hi in _chunks(later * _WEDGE_BYTES, cap):
-            yield self._close(fwd, lo, later[lo:hi])
+            yield self._close(fwd, lo, later[lo:hi], hv, hw)
 
-    def _close(self, fwd: np.ndarray, lo: int, later: np.ndarray):
-        """Pair forward entry lo + r with each of the later[r] forward entries
-        after it in its row; return (uv, uw, vw) of the pairs that close."""
+    @cached_property
+    def _edge_filter(self) -> tuple[np.ndarray, int]:
+        """(bitmap, shift): the bit (key * _HASH mod 2^64) >> shift is set for
+        the key i * n + j, i < j, of each edge (Bloom, CACM 1970, one hash),
+        so a clear bit proves a pair not adjacent.  _FILTER_BITS bits per CSR
+        entry, rounded up to a power of two: at most 4 bytes.  Built in
+        slices of at most BLOCK_BYTES of temporaries."""
+        shift = 64 - max(6, (_FILTER_BITS * self.indices.size - 1).bit_length())
+        bitmap = np.zeros(1 << (61 - shift), np.uint8)
+        step = max(1, BLOCK_BYTES // _WEDGE_BYTES)  # a key holds less than a wedge
+        for e in (slice(e0, e0 + step) for e0 in range(0, self.indices.size, step)):
+            h = self._keys[e][self.src[e] < self.indices[e]].view(np.uint64) * np.uint64(_HASH)
+            h = (h >> np.uint64(shift)).view(np.int64)
+            np.bitwise_or.at(bitmap, h >> 3, _BIT[h & 7])
+        return bitmap, shift
+
+    def _close(self, fwd: np.ndarray, lo: int, later: np.ndarray, hv, hw):
+        """Pair forward entry lo + r, (u, v), with each of the later[r] forward
+        entries (u, w) after it in its row, v < w; return (uv, uw, vw) of the
+        pairs that close.  Only keys v * n + w that pass ``_edge_filter`` are
+        looked up: hv and hw hold each forward entry's column times n H and
+        times H, mod 2^64, whose sum is the key's hash."""
         # in place where possible: a wedge's temporaries are _WEDGE_BYTES
-        item, off = _expand(later)
-        item += lo
-        uv = fwd[item]
-        off += item
-        off += 1
-        uw = fwd[off]
-        del item, off
+        first, second = _expand(later)
+        first += lo
+        second += first
+        second += 1
+        bitmap, shift = self._edge_filter
+        h = hv[first]
+        h += hw[second]
+        h = (h >> np.uint64(shift)).view(np.int64)
+        passed = np.flatnonzero(bitmap[h >> 3] & _BIT[h & 7])
+        del h
+        uv, uw = fwd[first[passed]], fwd[second[passed]]
+        del first, second, passed
         vw = self._find(self.indices[uv], self.indices[uw])
         hit = vw >= 0
         return uv[hit], uw[hit], vw[hit]
@@ -274,7 +314,9 @@ class GraphStats:
         # each triangle lists one direction of each of its edges; add the
         # counts to the reverse entries of the edges some triangle hit
         b = np.zeros(self.indices.size, dtype=np.int64)
-        for tri in self._triangles(self._forward[1], BLOCK_BYTES):
+        # chunks of BLOCK_BYTES / 8: with larger ones, which the heap kept, a K = 2 fit
+        # at n = 4000 peaked 2.5 MiB above the A^2 pass that the listing replaced
+        for tri in self._triangles(self._forward[1], BLOCK_BYTES // 8):
             for e in tri:
                 np.add.at(b, e, 1)
         self._to_reverse(b, np.flatnonzero(b))
@@ -397,6 +439,9 @@ class GraphStats:
         the 2-walk bound fills at least half of A^2, else through the
         block's elementwise product with A.  An entry left of its band takes
         B from its reverse entry after the pass.
+
+        When (2,3) comes first on a sparse graph, ``a2_cross`` caches s2 and
+        s3 from its own pass instead, and this one never runs.
         """
         _k2_dtype(self.d, self.d2)  # raises before the first block if a sum could wrap
         n, d, a, walks = self.n, self.d, self.adjacency, self._walks
@@ -467,16 +512,24 @@ class GraphStats:
     @cached_property
     def a2_cross(self) -> np.ndarray:
         """pq: per vertex i, the sum over k of (A^2)_ik Q_ik, with Q = (A ∘ X) A
-        and X_ij = d_j - 2 + B_ij.
+        and X_ij = d_j - 2 + B_ij, from one pass over the row blocks of the
+        packed (A ∘ X) A after the k = 2 int64 guard.
 
-        It reads ``a2_sums`` first, which guards int64 and caches B, and then
-        forms only the row blocks of (A ∘ X) A, so any order of asking forms
-        each block's A^2 and (A ∘ X) A products once.  Each entry packs
-        (A^2)_ik into its low bits, below 2^shift as (A^2)_ik <= max degree,
-        and Q_ik above them; no entry is dropped, as it is zero only where
-        (A^2)_ik is.
+        Each entry packs (A^2)_ik into its low bits, below 2^shift as (A^2)_ik
+        <= max degree, and Q_ik above them; no entry is dropped, as it is zero
+        only where (A^2)_ik is.  If ``a2_sums`` is not cached and either B is
+        or the forward wedges, sum C(out, 2), are at most _LIST_SHARE of the
+        2-walk bound, B is listed if need be and the pass also reads s2 and
+        s3 off the low bits and caches them as ``a2_sums``: no A^2 block is
+        formed.  Otherwise ``a2_sums`` gives B first, banded as for (2,2).
         """
-        self.a2_sums  # the int64 guard, and B
+        _k2_dtype(self.d, self.d2)  # raises before any listing or block
+        sums = "a2_sums" not in self.__dict__
+        if sums and "edge_triangles" not in self.__dict__:
+            out = np.bincount(self.src[self._forward[1]], minlength=self.n)  # forward degrees
+            sums = int((out * (out - 1) // 2).sum()) <= _LIST_SHARE * int(self._walks.sum())
+        if not sums:
+            self.a2_sums  # B with s2 and s3, through the banded pass
         d, b, shift = self.d, self.edge_triangles, int(self.d.max(initial=0)).bit_length()
 
         def packed(lo, hi):  # rows lo..hi-1 of A ∘ X, shifted, plus 1 at each entry
@@ -486,12 +539,20 @@ class GraphStats:
             return self._rows(lo, hi, x)
 
         pq = np.zeros(self.n, dtype=np.int64)
+        s2, s3 = -d * d, -(d**3)  # drop k = i, where (A^2)_ii = d_i
 
-        def block(lo, hi, q):
+        def block(lo, hi, q):  # the powers in place in q.data: no other per-entry array
             walks = q.data & ((1 << shift) - 1)
             q.data >>= shift
-            walks *= q.data
-            pq[lo:hi] = row_sums(q.indptr, walks)
+            q.data *= walks
+            pq[lo:hi] = row_sums(q.indptr, q.data)
+            if sums:
+                np.multiply(walks, walks, out=q.data)
+                s2[lo:hi] += row_sums(q.indptr, q.data)
+                q.data *= walks
+                s3[lo:hi] += row_sums(q.indptr, q.data)
 
         self.a2_map(block, _A2_BYTES, left=packed)
+        if sums:
+            self.__dict__["a2_sums"] = s2, s3
         return pq

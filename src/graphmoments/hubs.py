@@ -20,11 +20,11 @@ wheel's layout: the hub is pinned to each vertex in turn and equal-length
 spokes are ordered by their first vertex, so each copy is visited once,
 and one budget bounds the key's search nodes over all hubs.
 
-The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``): the sums
-of (A^2)_ik^2 and (A^2)_ik^3 from its memoised pass over the row blocks of
-A^2, with B unless a triangle count listed it first, and for (2,3) the
-cross sum over (A∘X)·A and the triangles and K4s over triangle edges.
-Closed-form columns are memoised per graph.
+The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``): B, the
+sums of (A^2)_ik^2 and (A^2)_ik^3, and for (2,3) the cross sum over
+(A∘X)·A and the triangles and K4s over triangle edges.  ``wheel_counts``
+asks (2,3) first, so that on sparse graphs one pass over (A∘X)·A gives
+all three sums.  Closed-form columns are memoised per graph.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .graphstats import _INT64_LIMIT, _k2_dtype, row_sums
 from .patterns import WheelSpec, adjacency, hub_multiplicity, wheel_layout, wheel_rooted_count
 
 DEFAULT_BUDGET = 1_000_000
+_K23 = WheelSpec.simple(2, 3)
 
 
 def _hub_counts_k2_l2(g: Graph) -> np.ndarray:
@@ -88,7 +89,7 @@ def _hub_counts_k2_l3(g: Graph) -> np.ndarray:
     st = g.stats
     d, m = st.d, st.d2
     dtype = _k2_dtype(d, m)
-    pq = st.a2_cross  # reads a2_sums first, which also caches B
+    pq = st.a2_cross  # caches B and the sums of a2_sums too
     s2, s3 = st.a2_sums
     t = triangles_per_vertex(g)
     b = st.edge_triangles
@@ -144,11 +145,14 @@ def _hub_counts_mixed(g: Graph, k: int, l: int) -> np.ndarray:
       sum_{m≁i, m≠i} (A^2)_im ((A^2)_im - 1);
     * P(1) = D^(3) - P(2) - P(3).
 
-    Each P(r) is at most D^(k), under D^(3)'s and the k = 2 guards.
+    Each P(r) is at most D^(k), under D^(3)'s and the k = 2 guards.  D^(k)
+    and the P(r) are computed once per graph, in ``g.stats.path_splits``.
     """
     st = g.stats
     d, t = st.d, triangles_per_vertex(g)
-    if k == 2:
+    if k in st.path_splits:
+        dk, paths = st.path_splits[k]
+    elif k == 2:
         dk, paths = st.d2, {2: 2 * t, 1: st.d2 - 2 * t}
     else:
         dk = m_degrees(g, 3).counts[:, 2]
@@ -157,6 +161,7 @@ def _hub_counts_mixed(g: Graph, k: int, l: int) -> np.ndarray:
         p3 = row_sums(g.indptr, b * (b - 1))
         p2 = row_sums(g.indptr, b * (d[g.indices] - 1 - b)) + s2 - st.d2 - p3
         paths = {3: p3, 2: p2, 1: dk - p2 - p3}
+    st.path_splits[k] = dk, paths
     dtype, lfact = _mixed_dtype(d, dk, l), math.factorial(l)
     choose = {r: falling_factorial_column(np.maximum(d - r, 0), l) // lfact for r in paths}
     return sum(p.astype(dtype) * choose[r].astype(dtype) for r, p in paths.items())
@@ -212,6 +217,12 @@ def wheel_counts_per_hub(
     counts = embeddings(g, adjacency(spec.p, edges), Budget(budget, spec.name()),
                         root=True, pairs=pairs)
     return np.array(counts, dtype=np.int64 if max(counts, default=0) < 2**63 else object)
+
+
+def wheel_counts(g: Graph, specs, budget: int | None = DEFAULT_BUDGET) -> dict:
+    """{spec: ``wheel_counts_per_hub(g, spec, budget)``}, counting (2,3) first:
+    then its pass also gives the sums (2,2) reads (``GraphStats.a2_cross``)."""
+    return {s: wheel_counts_per_hub(g, s, budget) for s in sorted(specs, key=lambda s: s != _K23)}
 
 
 def wheel_total(counts, spec: WheelSpec, n: int) -> tuple[int, int]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .counting import count_induced, count_isomorphism_classes, count_noninduced
 from .errors import BudgetExceededError, CapabilityError, DomainError, NormalizationError
 from .graph import Graph, rho_hat
-from .hubs import DEFAULT_BUDGET, wheel_counts_per_hub, wheel_total
+from .hubs import DEFAULT_BUDGET, wheel_counts, wheel_total
 from .patterns import (
     MAX_PATTERN_ORDER,
     PatternGraph,
@@ -177,7 +177,7 @@ def moment_table(
             f"{MAX_PATTERN_ORDER}); the noninduced estimator (qcheck) has no such limit"
         )
     wheels = [item for item in items if isinstance(item, WheelSpec)]
-    counts = {w: wheel_counts_per_hub(g, w, budget) for w in wheels} if mode != "induced" else {}
+    counts = wheel_counts(g, wheels, budget) if mode != "induced" else {}
 
     def checked(value, q):  # the density-free moment, when there is a density
         return value * rho**-q if value is not None and rho > 0 else None

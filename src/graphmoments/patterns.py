@@ -74,10 +74,6 @@ class PatternGraph:
     def adjacency(self) -> tuple[frozenset, ...]:
         return adjacency(self.p, self.edges)
 
-    @cached_property
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
-
     def name(self) -> str:
         return "edges:" + ",".join(f"{u}-{v}" for u, v in self.edges)
 

@@ -85,3 +85,26 @@ def test_supergraph_enumeration_matches_inversion_identity():
         for s in supergraphs_on_same_vertices(r):
             total += hist.induced_tuples(s)
         assert total == hist.noninduced_tuples(r)
+
+
+def test_automorphisms_are_searched_once_per_pattern(monkeypatch):
+    from graphmoments import automorphism_count, count_isomorphism_classes, counting
+
+    searches = []
+    search = counting.embeddings
+
+    def counted(*args, **kwargs):
+        searches.append(kwargs.get("induced"))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "embeddings", counted)
+    c4 = PatternGraph(p=4, edges=((0, 1), (1, 2), (2, 3), (0, 3)))
+    assert [automorphism_count(c4) for _ in range(3)] == [8, 8, 8]
+    assert count_isomorphism_classes(c4) == 3
+    assert searches == [True]
+    # a copy's count is its own, and equal to the first's
+    twin = PatternGraph(p=4, edges=c4.edges)
+    assert automorphism_count(twin) == 8 and searches == [True, True]
+    # counting in a graph reuses the pattern's count
+    g = graph_from_dense(np.ones((6, 6), bool) & ~np.eye(6, dtype=bool))
+    assert count_noninduced(g, c4) == 45 and searches == [True, True, False]

@@ -111,25 +111,33 @@ def test_mixed_wheels_match_oracle(g, k, l):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(graphs(), graphs(["clique_paths"], (5, 7))), st.booleans())
-def test_clique_terms_match_oracle(g, b_cached):
+@given(st.one_of(graphs(), graphs(["clique_paths"], (5, 7))), st.booleans(),
+       st.sampled_from([None, 1]))
+def test_clique_terms_match_oracle(g, b_cached, filter_bits):
     # K5-K7 with pendant paths give many K4s next to edges in no triangle,
-    # which the listing must skip; G(n, p) adds edges in exactly one triangle
+    # which the listing must skip; G(n, p) adds edges in exactly one triangle.
+    # One filter bit per CSR entry lets many open wedges through to the search
     a = dense_adj(g)
-    if b_cached:
-        g.stats.a2_sums  # the pass caches B, so the listing pairs only triangle edges
-    got = zip(*(column.tolist() for column in g.stats.clique_terms()))
+    with pytest.MonkeyPatch.context() as mp:
+        if filter_bits is not None:
+            mp.setattr(graphstats, "_FILTER_BITS", filter_bits)
+        if b_cached:
+            g.stats.a2_sums  # the pass caches B, so the listing pairs only triangle edges
+        got = zip(*(column.tolist() for column in g.stats.clique_terms()))
     assert list(got) == [oracle_clique_terms(a, i) for i in range(g.n)]
 
 
 @settings(max_examples=80, deadline=None)
-@given(graphs(), st.sampled_from([None, 1]))
-def test_listed_b_matches_oracle_before_any_a2_pass(g, block_bytes):
-    # B from the triangle listing alone: each entry's reverse is marked where a triangle hit
+@given(graphs(), st.sampled_from([None, 1]), st.sampled_from([None, 1]))
+def test_listed_b_matches_oracle_before_any_a2_pass(g, block_bytes, filter_bits):
+    # B from the triangle listing alone: each entry's reverse is marked where a
+    # triangle hit, with the default edge filter or one bit per CSR entry
     a = dense_adj(g)
     with pytest.MonkeyPatch.context() as mp:
         if block_bytes is not None:
             mp.setattr(graphstats, "BLOCK_BYTES", block_bytes)
+        if filter_bits is not None:
+            mp.setattr(graphstats, "_FILTER_BITS", filter_bits)
         b = g.stats.edge_triangles
     assert "a2_sums" not in g.stats.__dict__
     want = [oracle_edge_triangles(a, i, j) for i in range(g.n) for j in g.neighbors(i)]
@@ -212,6 +220,36 @@ def test_b_from_the_a2_pass_matches_the_listing(g, block_bytes):
         assert _outputs(_fresh(g), "k22") == _outputs(_fresh(g), "triangles")
 
 
+def _dense_sums(a: np.ndarray) -> list:
+    """s2, s3, B (in CSR order) and pq from the dense adjacency a."""
+    a = a.astype(np.int64)
+    a2 = a @ a
+    off = a2 - np.diag(np.diag(a2))
+    x = a * (a.sum(axis=1)[None, :] - 2 + a2)  # X_ij = d_j - 2 + B_ij on the edges
+    return [(off**2).sum(axis=1), (off**3).sum(axis=1), a2[a > 0], (a2 * (x @ a)).sum(axis=1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+@example(Graph.from_edges(np.zeros((0, 2), np.int64), 0))
+@example(Graph.from_edges([(0, 1)]))
+@example(_spread(_K5, 20, 3))
+def test_a2_sums_and_cross_match_on_both_sides_of_the_list_share(g):
+    # (2,3) first: share 0 takes B and s2, s3 from the banded A^2 pass (unless
+    # there is no wedge), share inf lists B and reads s2, s3 off the packed pass
+    want = [x.tolist() for x in _dense_sums(dense_adj(g))]
+    routes = set()
+    for share in (0.0, np.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphstats, "_LIST_SHARE", share)
+            st_ = _fresh(g).stats
+            pq = st_.a2_cross
+            got = [*st_.a2_sums, st_.edge_triangles, pq]
+        assert [x.tolist() for x in got] == want, share
+        routes.add(tuple(x.dtype.str + x.tobytes().hex() for x in got))
+    assert len(routes) == 1  # bit-identical
+
+
 def _a2_spans(g: Graph) -> list:
     """The row ranges of the A^2 blocks a pass over g forms, in row order."""
     spans = []
@@ -288,31 +326,41 @@ def test_k22_first_forms_each_a2_block_once_and_lists_no_triangles(monkeypatch):
 def test_k2_fit_forms_each_a2_block_once_and_lists_only_triangle_edges(monkeypatch):
     blocks, crosses, listings = _record_a2_blocks_and_listings(monkeypatch)
     cfg = FitConfig(K=2, on_stage_error="fallback")
-    # each order of asking, with the wedge listings it runs: (2,3)'s clique
-    # terms over triangle edges, after the triangle count's full listing if any
+    # each order of asking, with, at lambda = 6 (forward wedges 0.09 of the
+    # 2-walk bound) and at lambda = 90 (3.6): whether it forms the banded A^2
+    # blocks, and the wedge listings it runs.  A full listing pairs every
+    # forward edge, a clique-term listing only triangle edges.  (2,3) lists B
+    # at lambda = 6 and reads the A^2 pass at lambda = 90, unless (2,2) ran
+    # that pass first or a triangle count listed B
+    full, terms = False, True
+    one_pass, banded = (False, [full, terms]), (True, [terms])
     orders = {
-        "(2,2), (2,3)": (lambda h: [wheel_counts_per_hub(h, k) for k in (K22, K23)], [True]),
-        "(2,3), (2,2)": (lambda h: [wheel_counts_per_hub(h, k) for k in (K23, K22)], [True]),
+        "(2,2), (2,3)": (lambda h: [wheel_counts_per_hub(h, k) for k in (K22, K23)],
+                         banded, banded),
+        "(2,3), (2,2)": (lambda h: [wheel_counts_per_hub(h, k) for k in (K23, K22)],
+                         one_pass, banded),
         "triangles, (2,3)": (lambda h: (triangle_count(h), wheel_counts_per_hub(h, K23)),
-                             [False, True]),
-        "fit": (lambda h: fit_block_model(h, cfg), [True]),
-        "cache": (lambda h: HubCountCache.build(h, cfg.keys()), [True]),
+                             one_pass, one_pass),
+        "fit": (lambda h: fit_block_model(h, cfg), one_pass, banded),
+        "cache": (lambda h: HubCountCache.build(h, cfg.keys()), one_pass, banded),
         # fit --weights bootstrap: the cache, then the fit on the same graph
         "cache, fit": (lambda h: (HubCountCache.build(h, cfg.keys()), fit_block_model(h, cfg)),
-                       [True]),
+                       one_pass, banded),
     }
-    for n, lam in ((300, 90.0), (2000, 6.0)):  # dense row buffer, product with A
+    for n, lam in ((2000, 6.0), (300, 90.0)):  # product with A, dense row buffer
         model = BlockModel(pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]),
                            rho=lam / (n - 1))
         g = sample_block_model(model, n, seed=5).graph
         columns: dict = {}  # the distinct per-hub columns of each key over the orders
-        for name, (run, listed) in orders.items():
+        for name, (run, *routes) in orders.items():
+            forms_a2, listed = routes[lam > 10]
             blocks.clear()
             crosses.clear()
             listings.clear()
             h = _fresh(g)
             run(h)
-            assert _each_row_once(blocks, n) and _each_row_once(crosses, n), (n, name)
+            assert (_each_row_once(blocks, n) if forms_a2 else blocks == []), (n, name)
+            assert _each_row_once(crosses, n), (n, name)
             assert listings == listed, (n, name)
             for key in set(h.stats.hub_columns) & {K22, K23}:
                 col = h.stats.hub_columns[key]
@@ -321,10 +369,45 @@ def test_k2_fit_forms_each_a2_block_once_and_lists_only_triangle_edges(monkeypat
         assert {key: len(cols) for key, cols in columns.items()} == {K22: 1, K23: 1}, n
 
 
+def test_the_edge_filter_leaves_few_wedges_to_the_search(monkeypatch):
+    # on G(2000, 0.003) about 1 wedge in 200 closes, and one hash over 32 to 64
+    # bits per edge lets a few % of the others through; the rest never reach _find
+    searched, closing = [], []
+    find, close = graphstats.GraphStats._find, graphstats.GraphStats._close
+
+    def counting_find(self, i, j):
+        if closing:
+            searched.append(i.size)
+        return find(self, i, j)
+
+    def counting_close(self, *args):
+        closing.append(True)
+        try:
+            return close(self, *args)
+        finally:
+            closing.pop()
+
+    monkeypatch.setattr(graphstats.GraphStats, "_find", counting_find)
+    monkeypatch.setattr(graphstats.GraphStats, "_close", counting_close)
+    rng = np.random.default_rng(34)
+    g = Graph.from_edges(np.argwhere(np.triu(rng.random((2000, 2000)) < 0.003, 1)), 2000)
+    triangles = triangle_count(g)
+    out = np.bincount(g.stats.src[g.stats._forward[1]], minlength=g.n)
+    wedges = int((out * (out - 1) // 2).sum())
+    assert wedges > 5000 and triangles <= sum(searched) <= 0.1 * wedges
+    assert g.stats._edge_filter[0].nbytes <= 4 * g.indices.size
+
+
 def _a2_outputs(g: Graph) -> list:
-    """s2, s3, B and pq of a fresh copy of g, as bytes."""
-    st = _fresh(g).stats
-    return [x.tobytes() for x in (*st.a2_sums, st.edge_triangles, st.a2_cross)]
+    """s2, s3, B and pq of fresh copies of g, as bytes, with the sums asked
+    first (the banded pass) and with pq asked first (on a sparse graph, the
+    packed pass alone)."""
+    out = []
+    for first in ("a2_sums", "a2_cross"):
+        st_ = _fresh(g).stats
+        getattr(st_, first)
+        out += [x.tobytes() for x in (*st_.a2_sums, st_.edge_triangles, st_.a2_cross)]
+    return out
 
 
 def test_concurrent_blocks_match_one_worker(monkeypatch):
@@ -571,7 +654,11 @@ def test_k2_guard_raises_before_any_a2_block(monkeypatch):
     def no_blocks(self, *args, **kwargs):
         raise AssertionError("an A^2 row block was formed")
 
+    def no_listing(self, *args, **kwargs):
+        raise AssertionError("a wedge listing ran")
+
     monkeypatch.setattr(graphstats.GraphStats, "a2_map", no_blocks)
+    monkeypatch.setattr(graphstats.GraphStats, "_triangles", no_listing)
     leaves = 2**19 + 1
     star = Graph.from_edges(np.column_stack([np.zeros(leaves, np.int64), np.arange(1, leaves + 1)]),
                             leaves + 1)
@@ -680,6 +767,25 @@ def test_closed_form_keys_are_counted_once_per_graph(monkeypatch):
     # memoised columns come back as copies
     cache.get((2, 3))[:] = -1
     assert wheel_counts_per_hub(g, K23).min() >= 0
+
+
+def test_mixed_k3_columns_share_one_path_split(monkeypatch):
+    # D^(3) and P(1..3) once per graph for the four k = 3 mixed keys of a K = 3 fit
+    calls = Counter()
+    m_degrees_ = hubs.m_degrees
+
+    def counting(g, m, *args, **kwargs):
+        calls[m] += 1
+        return m_degrees_(g, m, *args, **kwargs)
+
+    monkeypatch.setattr(hubs, "m_degrees", counting)
+    rng = np.random.default_rng(10)
+    g = Graph.from_edges(np.argwhere(np.triu(rng.random((40, 40)) < 0.2, 1)), 40)
+    specs = [WheelSpec((1, 3), (l, 1)) for l in range(1, 5)]
+    want = [wheel_counts_per_hub(_fresh(g), spec) for spec in specs]
+    calls.clear()
+    assert [wheel_counts_per_hub(g, spec).tolist() for spec in specs] == [w.tolist() for w in want]
+    assert calls == Counter({3: 1}) and set(g.stats.path_splits) == {3}
 
 
 def test_budgeted_keys_are_not_memoised():
