@@ -13,9 +13,9 @@ proceeds in stages:
      on the wheels (k,1) and ((1,l),(k,1)),
   3. recover_S: M = V2 V1^{-1} with V1 = [1, v^(1), .., v^(K-1)],
      V2 = [v^(1), .., v^(K)], then S = M diag(pi)^{-1} symmetrized,
-  4. nls_refine: Levenberg-Marquardt least squares (MINPACK) with the
-     closed-form Jacobian of tau, projecting the full moment vector onto
-     the model manifold, initialized at the direct estimate.
+  4. nls_refine: one Levenberg-Marquardt least-squares run (MINPACK) with
+     the closed-form Jacobian of tau, projecting the full moment vector onto
+     the model manifold, started at the direct estimate.
 
 Outputs are in canonical block order (ascending v^(1), ``models.canonical_order``).
 
@@ -24,7 +24,7 @@ constants: _HANKEL_COND_MAX and _VANDER_COND_MAX bound the condition numbers
 of stage 1's linear systems and _WEIGHT_FLOOR the recovered weights.  Stage
 2's matrix is that Vandermonde matrix times diag(pi), so they bound it too.
 _IDENTIFIABILITY_COND_MAX bounds the iterate matrix of stage 3, and
-_NLS_MAX_NFEV and _NLS_TOL stop each least-squares run of stage 4.
+_NLS_MAX_NFEV and _NLS_TOL stop stage 4's least-squares run.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ _VANDER_COND_MAX = 1e10
 _WEIGHT_FLOOR = 1e-8
 _IDENTIFIABILITY_COND_MAX = 1e10
 _NLS_MAX_NFEV = 400
-_NLS_TOL = 1e-14  # xtol, ftol and gtol: runs stop at _NLS_MAX_NFEV or at machine precision
+_NLS_TOL = 1e-14  # xtol, ftol and gtol: the run stops at _NLS_MAX_NFEV or at machine precision
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,6 @@ class FitConfig:
 
     K: int
     weights: dict | None = None
-    multistart: int = 4
-    seed: int = 0
     budget: int | None = DEFAULT_BUDGET
     on_stage_error: str = "raise"
 
@@ -89,8 +87,6 @@ class FitConfig:
             raise DomainError("K must be >= 1")
         if self.on_stage_error not in ("raise", "fallback"):
             raise DomainError(f"bad on_stage_error {self.on_stage_error!r}")
-        if self.multistart < 1:
-            raise DomainError("multistart must be >= 1")
         for key, w in (self.weights or {}).items():
             if not (math.isfinite(float(w)) and float(w) > 0):
                 raise DomainError(f"weight {w!r} of {key!r} must be positive and finite")
@@ -334,20 +330,19 @@ def nls_refine(tau_hat, init, cfg: FitConfig) -> FitResult:
     """Project the estimated moments onto the block-model manifold.
 
     Minimizes sum_keys w_kl (tau_hat_kl - tau_kl(pi, S))^2 over the
-    constraint set via an unconstrained reparameterization, with MINPACK's
-    Levenberg-Marquardt solver fed the closed-form Jacobian of tau in those
-    coordinates, taking the best of cfg.multistart runs started at `init`
-    and jittered copies of it.  Needs at least as many keys as coordinates,
-    K - 1 + K(K+1)/2.  Never returns a residual above the initialization's;
-    converged is whether the solver run that produced the returned point
-    stopped on a tolerance rather than on the evaluation cap.  The result
-    holds only what the refinement computes: rho is 0.0, atoms None and the
-    diagnostics the solver's own; ``fit_block_model`` adds the graph's.
+    constraint set via an unconstrained reparameterization, in one run of
+    MINPACK's Levenberg-Marquardt solver started at `init` and fed the
+    closed-form Jacobian of tau in those coordinates.  Needs at least as
+    many keys as coordinates, K - 1 + K(K+1)/2.  Never returns a residual
+    above the initialization's: when the run does not lower it, the result
+    is `init` itself.  converged is whether the run stopped on a tolerance
+    rather than on the evaluation cap.  The result holds only what the
+    refinement computes: rho is 0.0, atoms None and the diagnostics the
+    solver's own; ``fit_block_model`` adds the graph's.
 
     A flat S (all entries equal) is a stationary point: every first-order
-    change of tau vanishes there, so a run started at one stops at its
-    first evaluation and returns it unchanged.  Only the jittered starts of
-    multistart > 1 leave it.
+    change of tau vanishes there, so the run stops at its first evaluation
+    and a flat start comes back unchanged.
     """
     taus = {WheelSpec.coerce(k): float(v) for k, v in tau_hat.items()}
     keys = sorted(taus, key=lambda s: (s.ks, s.ls))
@@ -398,39 +393,24 @@ def nls_refine(tau_hat, init, cfg: FitConfig) -> FitResult:
         return float(r @ r)
 
     residual_init = sq(x0)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [x0]
-    for _ in range(cfg.multistart - 1):
-        jitter = rng.normal(size=x0.shape)
-        jitter[: K - 1] *= 0.3
-        jitter[K - 1 :] *= 0.15 * (np.abs(x0[K - 1 :]) + 0.1)
-        starts.append(x0 + jitter)
-
     # imported here so that commands which never fit skip scipy.optimize at start-up
     from scipy.optimize import least_squares
 
-    sols = [
-        least_squares(
-            lambda x: forward(x)[0],
-            x_start,
-            jac=lambda x: forward(x)[1],
-            method="lm",
-            xtol=_NLS_TOL,
-            ftol=_NLS_TOL,
-            gtol=_NLS_TOL,
-            max_nfev=_NLS_MAX_NFEV,
-        )
-        for x_start in starts
-    ]
-    # x0 stays the best point, with its own run's status, unless a start improves on it
-    best_x, best_val, best_status = x0, residual_init, sols[0].status
-    for sol in sols:
-        val = sq(sol.x)
-        if val < best_val:
-            best_x, best_val, best_status = sol.x, val, sol.status
-    converged = best_status > 0
+    sol = least_squares(
+        lambda x: forward(x)[0],
+        x0,
+        jac=lambda x: forward(x)[1],
+        method="lm",
+        xtol=_NLS_TOL,
+        ftol=_NLS_TOL,
+        gtol=_NLS_TOL,
+        max_nfev=_NLS_MAX_NFEV,
+    )
+    x_hat, residual = sol.x, sq(sol.x)
+    if not residual < residual_init:  # the run did not lower the residual: return x0
+        x_hat, residual = x0, residual_init
 
-    pi_hat, s_hat, _, _ = par.unpack(best_x)
+    pi_hat, s_hat, _, _ = par.unpack(x_hat)
     order = canonical_order(pi_hat, s_hat)
     pi_hat = pi_hat[order]
     s_hat = s_hat[np.ix_(order, order)]
@@ -440,17 +420,16 @@ def nls_refine(tau_hat, init, cfg: FitConfig) -> FitResult:
         pi=pi_hat,
         S=s_hat,
         rho=0.0,
-        residual=best_val,
-        converged=bool(converged),
+        residual=residual,
+        converged=bool(sol.status > 0),
         pi_direct=pi0,
         S_direct=s0,
         residual_init=residual_init,
         tau_hat=taus,
         diagnostics={
-            "nls_status": int(best_status),
-            "multistart": cfg.multistart,
-            "nls_nfev": [int(sol.nfev) for sol in sols],
-            "nls_njev": [int(sol.njev) for sol in sols],
+            "nls_status": int(sol.status),
+            "nls_nfev": int(sol.nfev),
+            "nls_njev": int(sol.njev),
         },
     )
 

@@ -233,8 +233,7 @@ def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int) -> dict:
 def cmd_fit(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
     manifest = _manifest("fit", args, [args.graph], [args.out] if args.out else [])
-    cfg = FitConfig(K=args.K, multistart=args.multistart, seed=args.seed, budget=_budget(args),
-                    on_stage_error=args.on_stage_error)
+    cfg = FitConfig(K=args.K, budget=_budget(args), on_stage_error=args.on_stage_error)
     t0 = time.monotonic()
     if args.weights == "bootstrap":
         weights = _bootstrap_weights(g, cfg, args.seed)
@@ -332,6 +331,7 @@ def _lambda_for(rule, n: int, fallback_rho: float | None) -> tuple[float, float]
 # each sweep metric and the parameters it takes, all positive integers
 _METRICS = {"rho_hat": (), "lambda_hat": (), "edges": (), "tau_check": ("k", "l"),
             "tau_error": ("k", "l"), "approx_gap": ("k", "l"), "coupling": ("m",), "fit": ("K",)}
+_WHEEL_METRICS = ("tau_check", "tau_error", "approx_gap")
 
 
 def _metric_params(spec: str) -> tuple[str, dict]:
@@ -365,19 +365,25 @@ def _sweep_cell(task: dict) -> dict:
         sample = _sample(model, task["rho"], task["n"], task["seed"], need_latents)
         g = sample.graph
         budget = task["budget"]
-        estimator = task["estimator"]
         metrics = record["metrics"]
-        for spec in task["metrics"]:
-            name, params = _metric_params(spec)
+        parsed = [(spec, *_metric_params(spec)) for spec in task["metrics"]]
+        # every wheel metric of the cell in one count, made at the first of them
+        wheel_keys = dict.fromkeys(WheelSpec.simple(params["k"], params["l"])
+                                   for _, name, params in parsed if name in _WHEEL_METRICS)
+        wheel = None
+        for spec, name, params in parsed:
             if name == "rho_hat":
                 metrics[spec] = rho_hat(g)
             elif name == "lambda_hat":
                 metrics[spec] = lambda_hat(g)
             elif name == "edges":
                 metrics[spec] = g.edge_count
-            elif name in ("tau_check", "tau_error", "approx_gap"):
+            elif name in _WHEEL_METRICS:
+                if wheel is None:
+                    wheel = wheel_moment_estimates(g, wheel_keys, estimator=task["estimator"],
+                                                   budget=budget)
                 key = WheelSpec.simple(params["k"], params["l"])
-                val = wheel_moment_estimates(g, [key], estimator=estimator, budget=budget)[key]
+                val = wheel[key]
                 if name == "approx_gap":
                     profile = m_degrees(g, params["k"], budget=budget)
                     val = abs(degree_moment_approx(profile, key) - val)
@@ -597,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--report-stages", action="store_true",
                    help="keep stage 1's and the iterate solve's diagnostics in output")
-    p.add_argument("--multistart", type=int, default=FitConfig.multistart)
     p.add_argument(
         "--on-stage-error",
         choices=("raise", "fallback"),

@@ -17,6 +17,7 @@ from graphmoments import (
     FitConfig,
     Graphon,
     HubCountCache,
+    WheelSpec,
     blockmodel_to_graphon,
     bootstrap_variance,
     erdos_renyi_model,
@@ -25,6 +26,7 @@ from graphmoments import (
     m_degrees,
     sample_block_model,
     save_model,
+    wheel_moment_estimates,
     write_edge_list,
 )
 from graphmoments import cli, graphstats
@@ -151,10 +153,12 @@ def test_default_fit_exits_0_on_a_graph_whose_stages_once_disagreed(tmp_path, ca
 
 
 def test_fit_has_no_stage_tolerance(graph_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["fit", graph_path, "--K", "2", "--stage-tol", "0.1"])
-    assert exc.value.code == 2
-    assert "--stage-tol" in capsys.readouterr().err
+    # nor a count of refinement starts: a fit runs its solver once
+    for flag, value in (("--stage-tol", "0.1"), ("--multistart", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", graph_path, "--K", "2", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_sweep_rejects_a_stage_tolerance_before_any_cell(tmp_path, model_path, capsys):
@@ -202,7 +206,7 @@ def test_fit_k1_prints_the_one_block_model(graph_path, capsys):
 
 def test_fits_write_nothing_to_stderr(graph_path, capsys):
     for K in ("2", "3"):
-        argv = ["fit", graph_path, "--K", K, "--multistart", "1", "--on-stage-error", "fallback"]
+        argv = ["fit", graph_path, "--K", K, "--on-stage-error", "fallback"]
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out)["K"] == int(K)
@@ -219,8 +223,8 @@ def test_fit_over_budget_exits_4_and_names_the_key(graph_path, capsys):
 
 
 def test_bootstrap_weights_give_key_i_the_weight_of_seed_plus_i(graph_path, capsys):
-    argv = ["fit", graph_path, "--K", "3", "--multistart", "1", "--on-stage-error", "fallback",
-            "--budget", "10", "--seed", "3"]
+    argv = ["fit", graph_path, "--K", "3", "--on-stage-error", "fallback", "--budget", "10",
+            "--seed", "3"]
     assert main(argv + ["--weights", "bootstrap"]) == 0
     assert capsys.readouterr().err == ""
     # every K = 3 key has a closed form, so each gets the weight of its own
@@ -503,7 +507,7 @@ def test_sweep_fit_section_takes_fit_config_fields_only(tmp_path, model_path, ca
         "replicates": 2,
         "lambda": {"kind": "fixed", "value": 8.0},
         "metrics": ["fit:K=2"],
-        "fit": {"on_stage_error": "fallback", "multistart": 2},
+        "fit": {"on_stage_error": "fallback"},
     }
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -513,7 +517,7 @@ def test_sweep_fit_section_takes_fit_config_fields_only(tmp_path, model_path, ca
     assert main(["sweep", str(cfg_path), "--out", str(out2), "--threads", "2"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     # each record is the library fit of its cell's graph under the section's settings
-    fit_cfg = FitConfig(K=2, on_stage_error="fallback", multistart=2)
+    fit_cfg = FitConfig(K=2, on_stage_error="fallback")
     for rec in map(json.loads, out1.read_text().splitlines()):
         assert rec["error"] is None
         g = sample_block_model(REF.with_rho(rec["rho"]), rec["n"], rec["seed"]).graph
@@ -530,7 +534,7 @@ def test_sweep_fit_section_takes_fit_config_fields_only(tmp_path, model_path, ca
     assert main(["sweep", str(cfg_path), "--out", str(out3), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert "xtol" in err
-    assert "weights, multistart, seed, on_stage_error" in err
+    assert "accepted keys: weights, on_stage_error" in err
     assert not out3.exists()
 
 
@@ -541,14 +545,48 @@ def test_sweep_rejects_a_bad_fit_value_before_any_cell(tmp_path, model_path, cap
         "replicates": 1,
         "lambda": {"kind": "fixed", "value": 8.0},
         "metrics": ["fit:K=2"],
-        "fit": {"multistart": 0},
+        "fit": {"on_stage_error": "retry"},
     }
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "s.jsonl"
     assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
-    assert "multistart must be >= 1" in capsys.readouterr().err
+    assert "bad on_stage_error 'retry'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_cell_counts_its_wheel_metrics_in_one_pass(tmp_path, model_path, monkeypatch):
+    # asked one by one, (2,2) before (2,3) ran the banded A^2 pass and then
+    # the packed (A ∘ X) A pass; counted together, (2,3) goes first and its
+    # packed pass gives (2,2) too
+    passes = []
+    a2_map = graphstats.GraphStats.a2_map
+
+    def recording_map(self, fn, entry_bytes, row_bytes=0, left=None, bands=None):
+        passes.append("banded" if left is None else "packed")
+        a2_map(self, fn, entry_bytes, row_bytes, left, bands)
+
+    monkeypatch.setattr(graphstats.GraphStats, "a2_map", recording_map)
+    metrics = ["rho_hat", "tau_check:k=2,l=2", "approx_gap:k=2,l=2", "tau_error:k=2,l=3"]
+    cfg = {"models": [{"name": "ref", "path": model_path}], "n": [2000], "replicates": 1,
+           "lambda": {"kind": "fixed", "value": 8.0}, "metrics": metrics}
+    cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 0
+    assert passes == ["packed"]
+    rec = json.loads(out.read_text())
+    assert rec["error"] is None and sorted(rec["metrics"]) == sorted(metrics)
+    g = sample_block_model(REF.with_rho(rec["rho"]), rec["n"], rec["seed"]).graph
+    key = WheelSpec.simple(2, 2)
+    assert rec["metrics"]["tau_check:k=2,l=2"] == wheel_moment_estimates(g, [key])[key]
+
+    # a failing count leaves the metrics listed before it recorded
+    cfg["metrics"] = ["rho_hat", "tau_check:k=2,l=1", "tau_check:k=2,l=4"]
+    cfg_path.write_text(json.dumps({**cfg, "budget": 10}))
+    assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 0
+    rec = json.loads(out.read_text())
+    assert list(rec["metrics"]) == ["rho_hat"]
+    assert "wheel:k=2,l=4 exceeded the budget" in rec["error"]
 
 
 def test_sweep_byte_identity_and_error_capture(tmp_path, model_path):
