@@ -164,10 +164,12 @@ def bootstrap_variance(
     full_rho = full_dbar / (n - 1)
     full_value = total / denom * full_rho**-spec.q
 
+    csum_dtype = graphstats.exact_sum_dtype(counts, m)
     sums = [
         pair
         for idx in _subsamples(n, m, np.random.SeedSequence(seed).spawn(B))
-        for pair in zip(degrees[idx].sum(axis=1).tolist(), counts[idx].sum(axis=1).tolist())
+        for pair in zip(degrees[idx].sum(axis=1).tolist(),
+                        counts[idx].sum(axis=1, dtype=csum_dtype).tolist())
     ]
     reps = np.empty(B)
     for b, (dsum, csum) in enumerate(sums):

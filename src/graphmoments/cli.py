@@ -18,8 +18,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
-from datetime import datetime, timezone
+from dataclasses import fields, replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -49,48 +49,8 @@ from .theory import tau
 # manifests
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: int | None
-    inputs: list
-    outputs: list
-    version: str
-    started_at: str
-    wall_clock_s: float | None = None
-
-    @property
-    def manifest_id(self) -> str:
-        blob = json.dumps(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "seed": self.seed,
-                "version": self.version,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def to_json(self, timing: bool = True) -> dict:
-        out = {
-            "manifest_id": self.manifest_id,
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-            "version": self.version,
-        }
-        if timing:
-            out["started_at"] = self.started_at
-            if self.wall_clock_s is not None:
-                out["wall_clock_s"] = self.wall_clock_s
-        return out
-
-
-def _manifest(command: str, args: argparse.Namespace, inputs, outputs) -> RunManifest:
+def _manifest(command: str, args: argparse.Namespace, inputs, outputs, **extra) -> dict:
+    """The run manifest: its id hashes exactly command, parameters, seed and version."""
     # threads is an execution detail: it cannot change results, so it must
     # not change the manifest identity
     skip = {"func", "out", "summary", "graph", "model", "config", "threads"}
@@ -99,21 +59,20 @@ def _manifest(command: str, args: argparse.Namespace, inputs, outputs) -> RunMan
         for k, v in sorted(vars(args).items())
         if k not in skip and not callable(v)
     }
-    return RunManifest(
-        command=command,
-        parameters=params,
-        seed=getattr(args, "seed", None),
-        inputs=[str(p) for p in inputs],
-        outputs=[str(p) for p in outputs],
-        version=__version__,
-        started_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
+    params.update(extra)
+    ident = {"command": command, "parameters": params,
+             "seed": getattr(args, "seed", None), "version": __version__}
+    blob = json.dumps(ident, sort_keys=True)
+    return {
+        "manifest_id": hashlib.sha256(blob.encode()).hexdigest()[:16],
+        **ident,
+        "inputs": [str(p) for p in inputs],
+        "outputs": [str(p) for p in outputs],
+    }
 
 
-def _emit_json(payload: dict, manifest: RunManifest, out: str | None) -> None:
-    payload = dict(payload)
-    payload["manifest"] = manifest.to_json(timing=False)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit_json(payload: dict, manifest: dict, out: str | None) -> None:
+    text = json.dumps({**payload, "manifest": manifest}, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -122,9 +81,14 @@ def _emit_json(payload: dict, manifest: RunManifest, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_sidecar(manifest: RunManifest, out: str) -> None:
+def _emit_sidecar(manifest: dict, out: str, t0: float) -> None:
+    """Write ``<out>.manifest.json``: the manifest plus the wall clock since monotonic t0."""
+    wall = time.monotonic() - t0
+    started = datetime.now(timezone.utc) - timedelta(seconds=wall)
+    timed = {**manifest, "started_at": started.isoformat(timespec="seconds"),
+             "wall_clock_s": wall}
     with open(f"{out}.manifest.json", "w") as fh:
-        json.dump(manifest.to_json(timing=True), fh, indent=2, sort_keys=True)
+        json.dump(timed, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -157,20 +121,17 @@ def _sample(model, rho, n: int, seed: int, latents: bool):
 
 def cmd_gen(args) -> int:
     model = _load(load_model, args.model, "model")
-    manifest = _manifest("gen", args, [args.model], [args.out])
+    lat_path = f"{args.out}.latents"
+    outputs = [args.out, lat_path] if args.latents else [args.out]
+    manifest = _manifest("gen", args, [args.model], outputs)
     t0 = time.monotonic()
     sample = _sample(model, args.rho, args.n, args.seed, args.latents)
     write_edge_list(sample.graph, args.out)
-    outputs = [args.out]
     if args.latents:
-        lat_path = f"{args.out}.latents"
         with open(lat_path, "w") as fh:
             for x in sample.xi:
                 fh.write("%.17g\n" % x)
-        outputs.append(lat_path)
-    manifest.outputs = outputs
-    manifest.wall_clock_s = time.monotonic() - t0
-    _emit_sidecar(manifest, args.out)
+    _emit_sidecar(manifest, args.out, t0)
     g = sample.graph
     print(
         f"wrote {args.out}: n={g.n} edges={g.edge_count} "
@@ -207,13 +168,11 @@ def cmd_moments(args) -> int:
     if not items:
         raise InputError("give at least one --pattern")
     manifest = _manifest("moments", args, [args.graph], [args.out] if args.out else [])
-    t0 = time.monotonic()
     if args.approx == "degree":
         table = _approx_table(g, items, _budget(args))
     else:
         mode = "both" if args.estimator == "pcheck" else "noninduced"
         table = moment_table(g, items, mode=mode, budget=_budget(args))
-    manifest.wall_clock_s = time.monotonic() - t0
     _emit_json(table.to_json(), manifest, args.out)
     return 0
 
@@ -234,12 +193,10 @@ def cmd_fit(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
     manifest = _manifest("fit", args, [args.graph], [args.out] if args.out else [])
     cfg = FitConfig(K=args.K, budget=_budget(args), on_stage_error=args.on_stage_error)
-    t0 = time.monotonic()
     if args.weights == "bootstrap":
         weights = _bootstrap_weights(g, cfg, args.seed)
         cfg = replace(cfg, weights=weights)
     result = fit_block_model(g, cfg)
-    manifest.wall_clock_s = time.monotonic() - t0
     payload = result.to_json()
     if not args.report_stages:
         payload["diagnostics"].pop("stages", None)
@@ -265,13 +222,12 @@ def cmd_degrees(args) -> int:
         profile = m_degrees(g, args.m)
     else:
         profile = m_degrees(g, args.m, budget=args.budget)
-    manifest.wall_clock_s = time.monotonic() - t0
     if args.out:
         header = ",".join(["vertex"] + [f"D{j}" for j in range(1, args.m + 1)])
         columns = [map(str, range(g.n))] + [map(str, col) for col in profile.counts.T.tolist()]
         with open(args.out, "w", newline="") as fh:  # csv's dialect: "\r\n" ends each row
             fh.write("\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n")
-        _emit_sidecar(manifest, args.out)
+        _emit_sidecar(manifest, args.out, t0)
         print(f"wrote {args.out}")
     columns = [{"order": j + 1, "quantiles": _quantile_dict(col)}
                for j, col in enumerate(profile.counts.T)]
@@ -293,11 +249,9 @@ def cmd_bootstrap(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
     key = WheelSpec.coerce(args.key)
     manifest = _manifest("bootstrap", args, [args.graph], [args.out] if args.out else [])
-    t0 = time.monotonic()
     cache = HubCountCache.build(g, [key], _budget(args))
     result = bootstrap_variance(g, cache, key, m=args.m, B=args.B, seed=args.seed,
                                 normalization=args.normalization)
-    manifest.wall_clock_s = time.monotonic() - t0
     _emit_json(result.to_json(), manifest, args.out)
     return 0
 
@@ -484,15 +438,9 @@ def cmd_sweep(args) -> int:
             raise InputError(f"model {name!r} needs 'model' or 'path'")
         models.append((name, obj, model))
 
-    manifest = _manifest(
-        "sweep",
-        args,
-        [args.config],
-        [args.out],
-    )
-    manifest.parameters["config"] = config
+    manifest = _manifest("sweep", args, [args.config], [args.out], config=config)
     shared = {
-        "manifest_id": manifest.manifest_id,
+        "manifest_id": manifest["manifest_id"],
         "metrics": config["metrics"],
         "estimator": estimator,
         "budget": budget,
@@ -531,8 +479,7 @@ def cmd_sweep(args) -> int:
     with open(args.out, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    manifest.wall_clock_s = time.monotonic() - t0
-    _emit_sidecar(manifest, args.out)
+    _emit_sidecar(manifest, args.out, t0)
     failures = sum(1 for r in records if r["error"])
     print(f"wrote {args.out}: {len(records)} lines, {failures} failed")
     return 0

@@ -22,7 +22,7 @@ import numpy as np
 from .counting import Budget, embeddings, triangles_per_vertex
 from .errors import CountOverflowError, DomainError, NormalizationError
 from .graph import Graph, average_degree
-from .graphstats import _INT64_LIMIT, row_sums
+from .graphstats import _INT64_LIMIT, exact_sum_dtype, row_sums
 from .patterns import WheelSpec, adjacency
 from .theory import iterate_operator
 
@@ -196,5 +196,5 @@ def degree_moment_approx(profile: DegreeProfile, key: WheelSpec | tuple) -> floa
     num = np.ones(profile.n, dtype=np.int64 if bound < 2**62 else object)
     for c in cols:
         num = num * c
-    total = sum(int(v) for v in num)
+    total = int(num.sum(dtype=exact_sum_dtype(num, num.size)))
     return total / (profile.n * profile.mean_degree ** spec.q)

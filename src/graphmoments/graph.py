@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DomainError, GraphFormatError
 from .graphstats import GraphStats
 
+_WRITE_EDGES = 1 << 16  # edges whose text write_edge_list builds at once
 # "# n=<count>" on a line of its own; [^\S\n] is whitespace within a line
 _N_HEADER = re.compile(r"^[^\S\n]*#[^\S\n]*n[^\S\n]*=[^\S\n]*(\d+)[^\S\n]*$", re.M)
 
@@ -246,14 +247,15 @@ def write_edge_list(g: Graph, sink) -> None:
     follows internal ids, which is the interning order) and no header,
     since its labels are not ids below the vertex count.
     """
-    src, dst = g.edges().T.tolist()  # two flat lists convert much faster than E pairs
-    header = f"# n={g.n}\n"
-    if g.labels is not None:
-        src, dst = [g.labels[i] for i in src], [g.labels[j] for j in dst]
-        header = ""
-    text = header + "".join([f"{i} {j}\n" for i, j in zip(src, dst)])
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sink.write(text)
+            write_edge_list(g, fh)
+        return
+    edges = g.edges()
+    sink.write("" if g.labels is not None else f"# n={g.n}\n")
+    # the text of _WRITE_EDGES edges at a time, so its strings never hold every edge
+    for lo in range(0, len(edges), _WRITE_EDGES):
+        src, dst = edges[lo : lo + _WRITE_EDGES].T.tolist()  # two flat lists convert fastest
+        if g.labels is not None:
+            src, dst = [g.labels[i] for i in src], [g.labels[j] for j in dst]
+        sink.write("".join([f"{i} {j}\n" for i, j in zip(src, dst)]))

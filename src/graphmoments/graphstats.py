@@ -98,6 +98,14 @@ def _k2_dtype(d: np.ndarray, d2: np.ndarray):
     return object if max(mmax**3, 2 * mmax**2 * dmax) >= _INT64_LIMIT else np.int64
 
 
+def exact_sum_dtype(values: np.ndarray, terms: int):
+    """Accumulator that sums any `terms` entries of values exactly: int64
+    while terms * max|value| < 2^63, else object (Python ints)."""
+    fits = values.dtype.kind == "i" and terms * max(
+        int(values.max(initial=0)), -int(values.min(initial=0))) < 2**63
+    return np.int64 if fits else object
+
+
 def _chunks(weights: np.ndarray, cap: int | None = None):
     """Consecutive (lo, hi) item ranges, each of total weight (bytes) at most
     cap, BLOCK_BYTES by default, unless a single item is heavier."""

@@ -37,7 +37,7 @@ from .counting import Budget, embeddings, triangles_per_vertex
 from .degrees import falling_factorial_column, m_degrees
 from .errors import InvariantError
 from .graph import Graph
-from .graphstats import _INT64_LIMIT, _k2_dtype, row_sums
+from .graphstats import _INT64_LIMIT, _k2_dtype, exact_sum_dtype, row_sums
 from .patterns import WheelSpec, adjacency, hub_multiplicity, wheel_layout, wheel_rooted_count
 
 DEFAULT_BUDGET = 1_000_000
@@ -228,15 +228,12 @@ def wheel_counts(g: Graph, specs, budget: int | None = DEFAULT_BUDGET) -> dict:
 def wheel_total(counts, spec: WheelSpec, n: int) -> tuple[int, int]:
     """(Per-hub total, C(n, p) p!/prod(ls!)): numerator and denominator of Q-hat.
 
-    The total of per-hub counts on an n-vertex graph is exact (an int64
-    sum when n max|c| < 2^63, else Python ints) and is
+    The total of per-hub counts on an n-vertex graph is exact and is
     hub_multiplicity(spec) times the noninduced copy count; the
     denominator is the hub-rooted labelings of every p-vertex set.
     """
     counts = np.asarray(counts)
-    fits = counts.dtype.kind == "i" and counts.size * max(
-        int(counts.max(initial=0)), -int(counts.min(initial=0))) < 2**63
-    total = int(counts.sum(dtype=np.int64)) if fits else sum(int(c) for c in counts)
+    total = int(counts.sum(dtype=exact_sum_dtype(counts, counts.size)))
     mult = hub_multiplicity(spec)
     if total % mult:
         raise InvariantError(f"per-hub total {total} not divisible by hub multiplicity {mult}")

@@ -106,32 +106,6 @@ class MomentTable:
             "entries": [e.to_json() for e in self.entries],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MomentTable":
-        entries = tuple(
-            MomentEntry(
-                name=e["pattern"],
-                p=e["p"],
-                q=e["q"],
-                n_isoclasses=e["N_R"],
-                induced_count=e["raw_count"]["induced"],
-                noninduced_count=e["raw_count"]["noninduced"],
-                p_hat=e["p_hat"],
-                q_hat=e["q_hat"],
-                p_check=e["p_check"],
-                q_check=e["q_check"],
-                tau=e.get("tau"),
-            )
-            for e in obj["entries"]
-        )
-        return cls(
-            n=obj["n"],
-            edge_count=obj["edge_count"],
-            rho=obj["rho_hat"],
-            entries=entries,
-            kind=obj.get("kind", "empirical"),
-        )
-
 
 def _as_item(item) -> PatternGraph | WheelSpec:
     if isinstance(item, (PatternGraph, WheelSpec)):

@@ -5,6 +5,7 @@ from graphmoments import (
     BlockModel,
     BootstrapResult,
     DomainError,
+    Graph,
     HubCountCache,
     WheelSpec,
     bootstrap_variance,
@@ -41,6 +42,17 @@ def test_m_equals_n_reproduces_full_sample_value_bit_for_bit():
     model = BlockModel(pi=np.array([1.0]), S=np.array([[1.0]]), rho=12 / 499)
     g = sample_block_model(model, 500, seed=1).graph
     key = WheelSpec.simple(2, 3)
+    res = bootstrap_variance(g, HubCountCache.build(g, [key]), key, m=g.n, B=2)
+    assert res.replicates.tolist() == [res.full_sample_value] * 2
+
+
+def test_replicate_sums_past_int64_stay_exact():
+    # on K_{1289,1289} each (1,6) count is C(1289, 6), about 6.3e15, and the
+    # n of them total 1.6e19 > 2^63: an int64 replicate sum would wrap
+    side = 1289
+    left, right = np.meshgrid(np.arange(side), np.arange(side, 2 * side))
+    g = Graph.from_edges(np.column_stack([left.ravel(), right.ravel()]), 2 * side)
+    key = WheelSpec.simple(1, 6)
     res = bootstrap_variance(g, HubCountCache.build(g, [key]), key, m=g.n, B=2)
     assert res.replicates.tolist() == [res.full_sample_value] * 2
 

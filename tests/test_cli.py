@@ -389,6 +389,30 @@ def test_bootstrap_json(graph_path, capsys):
     assert obj["manifest"]["parameters"]["key"] == "2,1"
 
 
+# ids over (command, parameters, seed, version): paths and --threads stay out
+@pytest.mark.parametrize("argv, manifest_id", [
+    (["moments", "--pattern", "wheel:k=2,l=1", "--pattern", "wheel:k=1,l=2"], "e8a2797a8741b6c7"),
+    (["fit", "--K", "2", "--seed", "1", "--on-stage-error", "fallback"], "fda07b057a058d77"),
+    (["bootstrap", "--key", "2,1", "--B", "24", "--seed", "4"], "491427a7307609f9"),
+    (["sweep", "--seed", "7", "--threads", "2"], "220f1c098b421f1b"),
+], ids=["moments", "fit", "bootstrap", "sweep"])
+def test_manifest_ids_do_not_move(tmp_path, graph_path, argv, manifest_id):
+    command, *options = argv
+    out = tmp_path / "out"
+    if command == "sweep":
+        cfg = {"models": [{"name": "ref", "model": REF.to_json()}], "n": [60],
+               "replicates": 2, "lambda": {"kind": "fixed", "value": 4.0},
+               "metrics": ["rho_hat"]}
+        source = tmp_path / "sweep.json"
+        source.write_text(json.dumps(cfg))
+        assert main([command, str(source), *options, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    else:
+        assert main([command, graph_path, *options, "--out", str(out)]) == 0
+        manifest = json.loads(out.read_text())["manifest"]
+    assert manifest["manifest_id"] == manifest_id
+
+
 def test_missing_graph_file_is_input_error(tmp_path, capsys):
     rc = main(["moments", str(tmp_path / "nope.edges"), "--pattern", "wheel:k=2,l=1"])
     assert rc == 2
