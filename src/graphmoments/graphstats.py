@@ -31,25 +31,24 @@ Each block's product is one call of scipy's compiled kernel
 pass of its own that only counts the entries.  The output is sized by a
 bound instead (Gustavson, ACM TOMS 1978; Nagasaka et al., Parallel
 Comput. 2019): per row, the lengths of the right factor's rows at the
-row's entries, capped at n, taken from the two factors, so no caller can
-make the kernel write past it.  The product is a view of the entries
-written, and the unwritten tail costs address space, not RSS.
+row's entries, capped at the factor's columns (n, or n - c0 for a band
+from c0 on), taken from the two factors, so no caller can make the kernel
+write past it.  The product is a view of the entries written, and the
+unwritten tail costs address space, not RSS.
 
-The row blocks of a pass run on one thread per 4 BLOCK_BYTES of its
-products, at most one per usable CPU (the affinity mask, else the CPU
-count, split evenly between the worker processes of a sweep), the caller
-among them.  The kernel releases the GIL, each block writes only its own
-rows, and the column sums are exact integers added under a lock, so every
-output is the same under any schedule.  A smaller pass, tens of
-milliseconds, runs on the caller alone: on more threads its time would
-depend on a second CPU being free, and its smaller blocks would cost more
-page faults than the threads save.
+The row blocks of a pass run on one thread per usable CPU (the affinity
+mask, else the CPU count, split evenly between the worker processes of a
+sweep), the caller among them, and on no more threads than blocks.  The
+kernel releases the GIL, each block writes only its own rows, and the
+column sums are exact integers added under a lock, so every output is the
+same under any schedule.  Even a K = 2 fit's pass, tens of milliseconds,
+gains from the threads, unless another process keeps a CPU busy (README).
 
 BLOCK_BYTES caps the temporaries of each chunk of wedges or K4 candidates,
 and of all the row blocks of A^2 or (A ∘ X) A in flight (with any dense row
-buffer): on w > 1 threads each block gets BLOCK_BYTES / (2 w), and on the
-caller alone BLOCK_BYTES.  Chunks are sized by measured bytes per item; a
-chunk holds at least one item, and no kernel holds A^2.  The cap does not
+buffer): on w > 1 usable CPUs each block gets BLOCK_BYTES / (2 w), and on
+one CPU BLOCK_BYTES.  Chunks are sized by measured bytes per item; a chunk
+holds at least one item, and no kernel holds A^2.  The cap does not
 cover the O(n + E) arrays a kernel keeps, returns or builds once, such as a
 band's right factor, one at a time per running thread.
 """
@@ -157,15 +156,15 @@ def _sparse(shape, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, fo
     return m
 
 
-def _product(left, right):
-    """left @ right of CSR matrices by one call of scipy's kernel into arrays sized
-    by each row's bound: right's row lengths at its entries, summed, at most cols."""
+def _product(left, right, first: int = 0):
+    """left @ right of CSR matrices by one call of scipy's kernel into arrays sized by each
+    row's bound: right's row lengths at its entries, summed, at most its columns from first."""
     from scipy.sparse import _sparsetools, _sputils
 
     (rows, _), (_, cols) = left.shape, right.shape
     j = left.indices
     walks = right.indptr[j + 1] - right.indptr[j].astype(np.int64)
-    total = int(np.minimum(row_sums(left.indptr, walks), cols).sum())
+    total = int(np.minimum(row_sums(left.indptr, walks), cols - first).sum())
     factors = (left.indptr, j, right.indptr, right.indices)
     idx = _sputils.get_index_dtype(factors, maxval=total)  # theirs, unless total passes int32
     lp, lj, rp, rj = (np.asarray(x, dtype=idx) for x in factors)
@@ -375,21 +374,23 @@ class GraphStats:
     def a2_map(self, fn, entry_bytes: int, row_bytes: int = 0, left=None, bands=None) -> None:
         """Call fn(r0, r1, L R) once for each consecutive row block, sized for
         entry_bytes per entry of its 2-walk bound plus row_bytes per row.  L =
-        left(r0, r1), a matrix with the pattern of A[r0:r1], or those rows of
-        A (the blocks of A^2) if left is None.  R is A, unless bands = (edges,
-        right): then the blocks also end at the edges, and R = right(r0),
-        called under the pass's lock in row order and dropped once L R is
-        formed by ``_product``, whose own bound is at most the 2-walks.
+        left(r0, r1), a matrix with the pattern of A[r0:r1], or those rows of A
+        (the blocks of A^2) if left is None.  R is A, unless bands = (edges,
+        right): then the blocks also end at the edges, and R, c0 = right(r0), R
+        with no column left of c0, called under the pass's lock in row order and
+        dropped once ``_product`` forms L R.
 
-        The blocks run on the threads and in the sizes the module describes,
-        each thread taking the next block from one shared iterator.  fn must
-        write only rows r0..r1-1 of its outputs.  The first exception stops the
-        remaining blocks and is raised here, after every helper has returned.
+        The blocks, sized as the module describes, run on min(usable CPUs,
+        blocks before the band edges) threads, each taking the next from one
+        shared iterator.  fn must write only rows r0..r1-1 of its outputs.  The
+        first exception stops the remaining blocks and is raised here, after
+        every helper has returned.
         """
         a = self.adjacency
+        workers = _workers()
         weights = self._walks * entry_bytes + row_bytes
-        workers = max(1, min(_workers(), int(weights.sum()) // (4 * BLOCK_BYTES)))
         spans = list(_chunks(weights, BLOCK_BYTES // (2 * workers) if workers > 1 else None))
+        helpers = min(workers, len(spans)) - 1  # band edges add none: small passes run inline
         if bands is not None:
             bounds = np.union1d([lo for lo, _ in spans] + [self.n], bands[0]).tolist()
             spans = list(zip(bounds[:-1], bounds[1:]))
@@ -403,11 +404,11 @@ class GraphStats:
                         if span is None:
                             return
                         lo, hi = span
-                        r = a if bands is None else bands[1](lo)
+                        r, c0 = (a, 0) if bands is None else bands[1](lo)
                     # p lives on until the next product is formed: freed first, the
                     # heap shrank and faulted back in for every block (a K = 2 fit
                     # at n = 4000, lambda = 20 took 6.0K page faults, 4.3K held)
-                    p = _product(self._rows(lo, hi) if left is None else left(lo, hi), r)
+                    p = _product(self._rows(lo, hi) if left is None else left(lo, hi), r, c0)
                     del r
                     fn(lo, hi, p)
             except BaseException:
@@ -415,7 +416,6 @@ class GraphStats:
                     spans.clear()  # the shared iterator stops at the list's new end
                 raise
 
-        helpers = min(workers, len(spans)) - 1
         if helpers <= 0:
             return work()
         from concurrent.futures import ThreadPoolExecutor
@@ -478,7 +478,7 @@ class GraphStats:
                 np.cumsum(np.bincount(a.indices[: a.indptr[c0]], minlength=n), out=left[1:])
                 cols = a.indices[a.indices >= c0]
                 held[c0] = _sparse((n, n), a.data[: cols.size], cols, a.indptr - left)
-            return held[c0] if c0 else a
+            return (held[c0] if c0 else a), c0
 
         def block(lo, hi, p):
             c1 = int(edges[band(lo) + 1])

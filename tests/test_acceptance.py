@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven numbered criteria, one pass/fail line each.
+"""Acceptance suite: twelve numbered criteria, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summary lines.  Criterion 9 was first stated with the gap of the
@@ -438,3 +438,38 @@ def test_criterion_11_end_to_end_fit():
                   f"median pi err {med_pi[-1]:.4f} (<=0.05), median S err "
                   f"{med_S[-1]:.4f} (<=0.15) at n=4000; medians over n=1000,2000,4000 "
                   f"pi {med_pi} S {med_S} decreasing")
+
+
+@pytest.mark.slow
+def test_criterion_12_bounded_degree_fit_consistency():
+    # The paper's consistency covers average degree Omega(1).  At fixed lambda
+    # the moment estimates are asymptotically normal with sd ~ n^(-1/2) and the
+    # fit is a smooth map of them, so the median pi error falls like n^(-1/2):
+    # its log-log slope is held to criterion 5's band, -0.5 +- 0.15.
+    lam = 5.0
+    order = [1, 0]  # canonical: ascending expected block intensity
+    pi_c = REF_PI[order]
+    S_c = REF_S[np.ix_(order, order)]
+    cfg = FitConfig(K=2, on_stage_error="fallback")
+    ns = [2000, 8000, 32000, 128000]
+    med_pi, med_S = [], []
+    for n in ns:
+        pe, se_ = [], []
+        for r in range(50):
+            g = sample_block_model(ref_model(lam, n), n, seed=seed_of(12, n, r)).graph
+            res = fit_block_model(g, cfg)
+            pe.append(float(np.max(np.abs(res.pi - pi_c))))
+            se_.append(float(np.max(np.abs(res.S - S_c))))
+        med_pi.append(float(np.median(pe)))
+        med_S.append(float(np.median(se_)))
+    slope = float(np.polyfit(np.log(ns), np.log(med_pi), 1)[0])
+    ok = (
+        all(a > b for a, b in zip(med_pi, med_pi[1:]))
+        and all(a > b for a, b in zip(med_S, med_S[1:]))
+        and -0.65 <= slope <= -0.35
+    )
+    assert report(12, "bounded-degree fit consistency", ok,
+                  f"lambda={lam:g}, 50 graphs per n in {ns}: median pi err "
+                  f"{[round(x, 4) for x in med_pi]}, median S err "
+                  f"{[round(x, 4) for x in med_S]} decreasing; log-log pi slope "
+                  f"{slope:.3f} in [-0.65,-0.35]")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -649,15 +650,31 @@ def test_sweep_byte_identity_and_error_capture(tmp_path, model_path):
     assert all("rho_hat" in r["metrics"] for r in recs)
 
 
-def test_sweep_with_a2_helpers_in_its_workers_is_byte_identical(tmp_path, model_path):
-    # each cell's (2,2) pass holds over 8 BLOCK_BYTES of products, so under
-    # --threads 2 the sweep's worker processes start A^2 helper threads of
-    # their own on a machine with two CPUs or more
+def test_sweep_with_a2_helpers_in_its_workers_is_byte_identical(tmp_path, model_path,
+                                                                 monkeypatch):
+    # 8 usable CPUs, which the forked workers of --threads 2 inherit, 4 each: each
+    # cell's (2,2) pass, 50 MiB of products or more, runs on threads in its worker
+    monkeypatch.setattr(graphstats.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    passes, a2_map = tmp_path / "passes.txt", graphstats.GraphStats.a2_map
+
+    def counting_map(self, fn, *args, **kwargs):
+        threads = set()
+
+        def counted(r0, r1, p):
+            threads.add(threading.get_ident())
+            fn(r0, r1, p)
+
+        a2_map(self, counted, *args, **kwargs)
+        with open(passes, "a") as fh:  # one line per pass: process, threads
+            fh.write(f"{os.getpid()} {len(threads)}\n")
+
+    monkeypatch.setattr(graphstats.GraphStats, "a2_map", counting_map)
     cfg = {
         "models": [{"name": "ref", "path": model_path}],
-        "n": [3000, 3500],
+        "n": [1000, 1500],
         "replicates": 1,
-        "lambda": {"kind": "fixed", "value": 90.0},
+        "lambda": {"kind": "fixed", "value": 40.0},
         "metrics": ["tau_check:k=2,l=2"],
     }
     cfg_path = tmp_path / "sweep.json"
@@ -669,6 +686,9 @@ def test_sweep_with_a2_helpers_in_its_workers_is_byte_identical(tmp_path, model_
     assert outs[0].read_bytes() == outs[1].read_bytes()
     recs = [json.loads(line) for line in outs[0].read_text().splitlines()]
     assert len(recs) == 2 and all(r["error"] is None for r in recs)
+    in_workers = [int(t) for pid, t in map(str.split, passes.read_text().splitlines())
+                  if int(pid) != os.getpid()]
+    assert in_workers and max(in_workers) > 1, in_workers
 
 
 def test_sweep_workers_split_the_cpus_between_them(tmp_path, model_path, monkeypatch):

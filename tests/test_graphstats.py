@@ -506,8 +506,8 @@ def test_the_passes_form_what_scipys_product_forms(monkeypatch):
     # (fewer entries than A), and the packed rows of A ∘ X (entries past 1) by A
     product, kinds, entries = graphstats._product, set(), [0]
 
-    def checked(left, right):
-        got = product(left, right)
+    def checked(left, right, first=0):
+        got = product(left, right, first)
         _same_product(got, left, right)
         kinds.add((bool(left.data.max(initial=1) > 1), right.nnz < entries[0]))
         return got
@@ -567,24 +567,62 @@ def test_a_helpers_exception_reaches_the_caller_after_every_helper_ends(monkeypa
     assert threading.active_count() == before
 
 
-def test_a_pass_takes_one_thread_per_four_block_bytes_of_products(monkeypatch):
-    monkeypatch.setattr(graphstats, "_workers", lambda: 4)
+def test_a_pass_runs_on_every_cpu_up_to_one_thread_per_block(monkeypatch):
     g = Graph.from_edges(list(combinations(range(20), 2)))
-    # K20: every row's 2-walk bound is n, so the pass holds 400 one-byte entries
-    for block_bytes, most in ((101, 1), (100, 1), (50, 2), (1, 4)):
+    # K20: every row's 2-walk bound is n, so each row holds 20 one-byte entries;
+    # on w > 1 CPUs a block gets BLOCK_BYTES / (2 w).  Band edges every 5 rows cut
+    # a pass of one block into 4, which still runs on the caller alone.
+    a, edges = g.stats.adjacency, np.arange(0, 21, 5)
+    for cpus, block_bytes, rows, want, bands in (
+        (4, 1 << 20, 20, 1, None), (4, 8 * 200, 10, 2, None), (4, 8 * 20, 1, 4, None),
+        (1, 200, 10, 1, None), (4, 1 << 20, 5, 1, (edges, lambda r0: (a, 0))),
+    ):
+        monkeypatch.setattr(graphstats, "_workers", lambda: cpus)
         monkeypatch.setattr(graphstats, "BLOCK_BYTES", block_bytes)
         spans, threads = [], set()
+        # each block waits for blocks on want - 1 other threads: fewer threads time out
+        together = threading.Barrier(want, timeout=10)
 
         def fn(r0, r1, p):
             spans.append((r0, r1))
             threads.add(threading.get_ident())
+            together.wait()
 
-        g.stats.a2_map(fn, 1)
-        assert len(threads) <= most, block_bytes
-        if most == 1:  # the caller alone, in blocks of BLOCK_BYTES
+        g.stats.a2_map(fn, 1, bands=bands)
+        assert sorted(spans) == [(r, r + rows) for r in range(0, 20, rows)], block_bytes
+        assert len(threads) == want, block_bytes
+        if want == 1:
             assert threads == {threading.get_ident()}
-            rows = block_bytes // 20
-            assert spans == [(r, min(r + rows, 20)) for r in range(0, 20, rows)]
+
+
+def test_a_k2_fit_is_the_same_on_one_two_and_four_cpus(monkeypatch):
+    # fit-k2's size at the default BLOCK_BYTES: the fit's (A ∘ X) A pass holds
+    # about 55 MiB of products, several blocks on two CPUs or more
+    model = BlockModel(pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                       rho=20 / 3999)
+    g = sample_block_model(model, 4000, seed=24).graph
+    product, threads, second = graphstats._product, set(), threading.Event()
+
+    def traced(*args):  # on more CPUs, the first block waits for a second thread's
+        threads.add(threading.get_ident())
+        if len(threads) > 1:
+            second.set()
+        elif cpus > 1:
+            second.wait(10)
+        return product(*args)
+
+    monkeypatch.setattr(graphstats, "_product", traced)
+    fits = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(graphstats, "_workers", lambda: cpus)
+        threads.clear()
+        second.clear()
+        h = _fresh(g)
+        res = fit_block_model(h, FitConfig(K=2, on_stage_error="fallback"))
+        fits.append((res.pi.tobytes(), res.S.tobytes(), res.residual,
+                     wheel_counts_per_hub(h, K23).tobytes()))
+        assert len(threads) > 1 if cpus > 1 else threads == {threading.get_ident()}, cpus
+    assert fits[1] == fits[0] and fits[2] == fits[0]
 
 
 def test_passes_stay_within_a_sweep_workers_share_of_the_cpus(monkeypatch):
