@@ -13,9 +13,9 @@ proceeds in stages:
      on the wheels (k,1) and ((1,l),(k,1)),
   3. recover_S: M = V2 V1^{-1} with V1 = [1, v^(1), .., v^(K-1)],
      V2 = [v^(1), .., v^(K)], then S = M diag(pi)^{-1} symmetrized,
-  4. nls_refine: one Levenberg-Marquardt least-squares run (MINPACK) with
-     the closed-form Jacobian of tau, projecting the full moment vector onto
-     the model manifold, started at the direct estimate.
+  4. nls_refine: one unweighted Levenberg-Marquardt least-squares run
+     (MINPACK) with the closed-form Jacobian of tau, projecting the full
+     moment vector onto the model manifold, started at the direct estimate.
 
 Outputs are in canonical block order (ascending v^(1), ``models.canonical_order``).
 
@@ -70,15 +70,14 @@ class FitConfig:
     1 <= l <= K-1, feed the direct estimate's solve for v^(k); for K = 3
     they are among the fit's keys as well.
 
-    weights, when given, maps keys (WheelSpec, (k,l) tuple, or name) to
-    residual weights w_kl > 0, e.g. 1/sigma^2 from the bootstrap.  budget is
-    the enumeration budget of the exact counts; None means no budget.  The
+    budget is the enumeration budget of the exact counts; None means no
+    budget.  on_stage_error is "raise" (a stage error propagates) or
+    "fallback" (the refinement starts from a neutral point instead).  The
     stage and solver thresholds are module constants (see the module
     docstring), not fields.
     """
 
     K: int
-    weights: dict | None = None
     budget: int | None = DEFAULT_BUDGET
     on_stage_error: str = "raise"
 
@@ -87,9 +86,6 @@ class FitConfig:
             raise DomainError("K must be >= 1")
         if self.on_stage_error not in ("raise", "fallback"):
             raise DomainError(f"bad on_stage_error {self.on_stage_error!r}")
-        for key, w in (self.weights or {}).items():
-            if not (math.isfinite(float(w)) and float(w) > 0):
-                raise DomainError(f"weight {w!r} of {key!r} must be positive and finite")
 
     def keys(self) -> list[WheelSpec]:
         if self.K == 3:
@@ -113,7 +109,7 @@ class FitResult:
     pi/S are the refined (least-squares projected) estimate in canonical
     order; pi_direct/S_direct the staged construction that initialized it;
     atoms the iterate matrix in stage 1's block order (column k-1 = v^(k));
-    residual the weighted squared moment mismatch at the refined estimate.
+    residual the sum of squared moment mismatches at the refined estimate.
     """
 
     K: int
@@ -329,7 +325,7 @@ class _Parameterization:
 def nls_refine(tau_hat, init, cfg: FitConfig) -> FitResult:
     """Project the estimated moments onto the block-model manifold.
 
-    Minimizes sum_keys w_kl (tau_hat_kl - tau_kl(pi, S))^2 over the
+    Minimizes sum_keys (tau_hat_kl - tau_kl(pi, S))^2 over the
     constraint set via an unconstrained reparameterization, in one run of
     MINPACK's Levenberg-Marquardt solver started at `init` and fed the
     closed-form Jacobian of tau in those coordinates.  Needs at least as
@@ -354,11 +350,6 @@ def nls_refine(tau_hat, init, cfg: FitConfig) -> FitResult:
             f"coordinates of a K={K} fit"
         )
     target = np.array([taus[k] for k in keys])
-    if cfg.weights:
-        wmap = {WheelSpec.coerce(k): float(v) for k, v in cfg.weights.items()}
-        sqrtw = np.sqrt(np.array([wmap.get(k, 1.0) for k in keys]))
-    else:
-        sqrtw = np.ones(len(keys))
 
     pi0, s0 = init
     pi0 = np.asarray(pi0, dtype=float)
@@ -383,7 +374,7 @@ def nls_refine(tau_hat, init, cfg: FitConfig) -> FitResult:
             if np.all(np.isfinite(s)):
                 values, dvalues = block_iterates(pi, s, exps.shape[1], (dpi, ds))
                 tau, dtau = wheel_moments(values, pi, exps, (dpi, dvalues))
-                r[:-1], jac[:-1] = sqrtw * (tau - target), sqrtw[:, None] * dtau
+                r[:-1], jac[:-1] = tau - target, dtau
             r[-1], jac[-1, K - 1 :] = u @ u - gauge, 2.0 * u
             last.update(key=key, r=r, J=jac)
         return last["r"], last["J"]
@@ -446,8 +437,9 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
 
     Wheel moments are the noninduced Q_check estimates of cfg.keys() and,
     for the direct estimate, cfg.mixed_keys(), counted exactly in one call;
-    the refinement fits cfg.keys() only.  A key whose count exceeds
-    cfg.budget raises the search's BudgetExceededError, which names it.
+    the refinement fits cfg.keys() only, all with one weight.  A key whose
+    count exceeds cfg.budget raises the search's BudgetExceededError, which
+    names it.
     K = 1 has nothing to estimate (tau_(1,1) = 1 on every graph) and
     returns pi = [1], S = [[1]] at once.  Stage errors (ill-posed Hankel or
     atoms, unidentifiable iterates) propagate unless cfg.on_stage_error ==

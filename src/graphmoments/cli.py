@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -177,26 +176,10 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def _bootstrap_weights(g: Graph, cfg: FitConfig, seed: int) -> dict:
-    """1/sigma^2 of each key of the fit, key i from seed + i, all from one
-    cache of per-hub counts."""
-    keys = cfg.keys()
-    cache = HubCountCache.build(g, keys, cfg.budget)
-    weights = {}
-    for i, key in enumerate(keys):
-        res = bootstrap_variance(g, cache, key, seed=seed + i)
-        weights[key] = 1.0 / max(res.sigma2_hat, 1e-300)
-    return weights
-
-
 def cmd_fit(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
     manifest = _manifest("fit", args, [args.graph], [args.out] if args.out else [])
-    cfg = FitConfig(K=args.K, budget=_budget(args), on_stage_error=args.on_stage_error)
-    if args.weights == "bootstrap":
-        weights = _bootstrap_weights(g, cfg, args.seed)
-        cfg = replace(cfg, weights=weights)
-    result = fit_block_model(g, cfg)
+    result = fit_block_model(g, FitConfig(K=args.K, budget=_budget(args)))
     payload = result.to_json()
     if not args.report_stages:
         payload["diagnostics"].pop("stages", None)
@@ -348,8 +331,7 @@ def _sweep_cell(task: dict) -> dict:
                 theta = theta_profile(model, sample.xi, depth)
                 metrics[spec] = joint_coupling_error(profile, theta)
             elif name == "fit":
-                cfg = FitConfig(K=params["K"], budget=budget, **task["fit_options"])
-                res = fit_block_model(g, cfg)
+                res = fit_block_model(g, FitConfig(K=params["K"], budget=budget))
                 metrics[f"{spec}.residual"] = res.residual
                 metrics[f"{spec}.converged"] = res.converged
                 if isinstance(model, BlockModel) and model.K == params["K"]:
@@ -361,12 +343,6 @@ def _sweep_cell(task: dict) -> dict:
     except Exception as exc:  # per-line failure; sweep continues
         record["error"] = f"{type(exc).__name__}: {exc}"
     return record
-
-
-# the FitConfig fields a sweep's "fit" section may set; the sweep sets the others itself
-_SWEEP_FIT_KEYS = tuple(
-    f.name for f in fields(FitConfig) if f.name not in ("K", "budget")
-)
 
 
 def _is_int(value) -> bool:
@@ -410,17 +386,9 @@ def cmd_sweep(args) -> int:
     budget = args.budget if args.budget is not None else config.get("budget", DEFAULT_BUDGET)
     if budget is not None and not _is_int(budget):
         raise InputError(f"sweep config 'budget' must be an integer or null, got {budget!r}")
-    fit_options = config.get("fit", {})
-    if not isinstance(fit_options, dict):
-        raise InputError("sweep config 'fit' must be an object")
-    unknown = sorted(set(fit_options) - set(_SWEEP_FIT_KEYS))
-    if unknown:
-        raise InputError(
-            f"sweep config 'fit' has unknown keys {unknown}; "
-            f"accepted keys: {', '.join(_SWEEP_FIT_KEYS)}"
-        )
-    # a bad value in the section fails here, not in every cell
-    FitConfig(K=1, budget=budget, **fit_options)
+    if "fit" in config:
+        raise InputError(f"sweep config has a 'fit' section, {config['fit']!r}; "
+                         "fit:K=.. metrics take no settings, so remove it")
     rule = config.get("lambda")
 
     models = []
@@ -444,7 +412,6 @@ def cmd_sweep(args) -> int:
         "metrics": config["metrics"],
         "estimator": estimator,
         "budget": budget,
-        "fit_options": fit_options,
     }
 
     tasks = []
@@ -542,20 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[counting], help="fit a K-block model")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--K", type=int, required=True, help="block count")
-    p.add_argument(
-        "--weights",
-        choices=("bootstrap",),
-        default=None,
-        help="bootstrap: weighted least squares with 1/sigma^2 from subsampling",
-    )
     p.add_argument("--report-stages", action="store_true",
                    help="keep stage 1's and the iterate solve's diagnostics in output")
-    p.add_argument(
-        "--on-stage-error",
-        choices=("raise", "fallback"),
-        default=FitConfig.on_stage_error,
-        help="fallback: refine from a neutral start when stage recovery fails",
-    )
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_fit)
 

@@ -417,7 +417,7 @@ def test_criterion_11_end_to_end_fit():
     order = [1, 0]  # canonical: ascending expected block intensity
     pi_c = REF_PI[order]
     S_c = REF_S[np.ix_(order, order)]
-    cfg = FitConfig(K=2, on_stage_error="fallback")
+    cfg = FitConfig(K=2)
     med_pi, med_S = [], []
     for n in (1000, 2000, 4000):
         pe, se_ = [], []
@@ -450,7 +450,7 @@ def test_criterion_12_bounded_degree_fit_consistency():
     order = [1, 0]  # canonical: ascending expected block intensity
     pi_c = REF_PI[order]
     S_c = REF_S[np.ix_(order, order)]
-    cfg = FitConfig(K=2, on_stage_error="fallback")
+    cfg = FitConfig(K=2)
     ns = [2000, 8000, 32000, 128000]
     med_pi, med_S = [], []
     for n in ns:

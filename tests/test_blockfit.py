@@ -417,7 +417,7 @@ def test_fit_over_budget_fails_fast_and_names_the_key():
     g = sample_block_model(BlockModel(pi=REF.pi, S=REF.S, rho=0.05), 60, seed=2).graph
     with pytest.raises(BudgetExceededError,
                        match="counting wheel:k=2,l=4 exceeded the budget of 10 search nodes"):
-        fit_block_model(g, FitConfig(K=4, budget=10, on_stage_error="fallback"))
+        fit_block_model(g, FitConfig(K=4, budget=10))
 
 
 def test_k3_fits_read_only_closed_form_keys():
@@ -450,7 +450,7 @@ def test_fit_empty_graph_raises():
 
 def test_fit_result_json_shape():
     g = sample_block_model(REF, 900, seed=4).graph
-    res = fit_block_model(g, FitConfig(K=2, on_stage_error="fallback"))
+    res = fit_block_model(g, FitConfig(K=2))
     obj = res.to_json()
     assert set(obj) >= {"K", "pi", "S", "rho_hat", "residual", "converged", "diagnostics"}
     assert len(obj["pi"]) == 2
@@ -466,17 +466,10 @@ def test_fit_config_validation():
     assert WheelSpec.simple(2, 3) in keys
 
 
-def test_fit_config_rejects_nonpositive_or_nonfinite_weights():
-    for bad in (-1.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(DomainError, match="positive and finite"):
-            FitConfig(K=2, weights={(2, 1): 1.0, (2, 2): bad})
-    assert FitConfig(K=2, weights={(2, 1): 1e-3, "wheel:k=2,l=2": 4.0}).weights
-
-
 def test_fit_settings_are_the_ones_callers_set():
     # stage and solver thresholds are module constants, not settings
     assert [f.name for f in dataclasses.fields(FitConfig)] == [
-        "K", "weights", "budget", "on_stage_error",
+        "K", "budget", "on_stage_error",
     ]
     assert FitConfig(K=2).budget == DEFAULT_BUDGET
     assert list(inspect.signature(atoms_from_moments).parameters) == ["moments", "K"]

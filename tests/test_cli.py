@@ -17,10 +17,8 @@ from graphmoments import (
     BlockModel,
     FitConfig,
     Graphon,
-    HubCountCache,
     WheelSpec,
     blockmodel_to_graphon,
-    bootstrap_variance,
     erdos_renyi_model,
     fit_block_model,
     load_edge_list,
@@ -123,10 +121,7 @@ def test_moments_out_file_gets_sidecar(tmp_path, graph_path):
 
 
 def test_fit_runs_and_reports(graph_path, capsys):
-    rc = main(
-        ["fit", graph_path, "--K", "2", "--seed", "1", "--on-stage-error", "fallback"]
-    )
-    assert rc == 0
+    assert main(["fit", graph_path, "--K", "2", "--seed", "1"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert len(obj["pi"]) == 2
     assert len(obj["S"]) == 2 and len(obj["S"][0]) == 2
@@ -154,27 +149,49 @@ def test_default_fit_exits_0_on_a_graph_whose_stages_once_disagreed(tmp_path, ca
 
 
 def test_fit_has_no_stage_tolerance(graph_path, capsys):
-    # nor a count of refinement starts: a fit runs its solver once
-    for flag, value in (("--stage-tol", "0.1"), ("--multistart", "1")):
+    # nor a count of refinement starts, residual weights or a stage fallback:
+    # a fit runs its solver once, unweighted, from the staged estimate
+    for flag, value in (("--stage-tol", "0.1"), ("--multistart", "1"),
+                        ("--weights", "bootstrap"), ("--on-stage-error", "fallback")):
         with pytest.raises(SystemExit) as exc:
             main(["fit", graph_path, "--K", "2", flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
 
-def test_sweep_rejects_a_stage_tolerance_before_any_cell(tmp_path, model_path, capsys):
-    cfg = {
-        "models": [{"name": "ref", "path": model_path}],
-        "n": [200],
-        "replicates": 1,
-        "metrics": ["fit:K=2"],
-        "fit": {"stage_weight_tol": 0.01},
-    }
+def _assert_fit_section_rejected(tmp_path, model_path, capsys, section, named):
+    # a fit:K=.. cell fits K blocks within the budget and takes no other
+    # setting: a 'fit' section exits 2 before any cell runs and names what it held
+    cfg = {"models": [{"name": "ref", "path": model_path}], "n": [200], "replicates": 1,
+           "metrics": ["fit:K=2"], "fit": section}
     cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
-    assert "stage_weight_tol" in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists()  # no cell ran
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sweep config has a 'fit' section")
+    assert all(word in err[0] for word in named), err
+
+
+def test_sweep_rejects_a_stage_tolerance_before_any_cell(tmp_path, model_path, capsys):
+    _assert_fit_section_rejected(tmp_path, model_path, capsys,
+                                 {"stage_weight_tol": 0.01}, ["stage_weight_tol"])
+
+
+def test_sweep_rejects_a_bad_fit_value_before_any_cell(tmp_path, model_path, capsys):
+    _assert_fit_section_rejected(tmp_path, model_path, capsys,
+                                 {"on_stage_error": "retry"}, ["on_stage_error", "retry"])
+
+
+def test_sweep_rejects_a_fit_section_before_any_cell(tmp_path, model_path, capsys):
+    # the section's former fields, the estimator and malformed sections alike
+    for section, named in (({"estimator": "pcheck"}, ["estimator"]),
+                           ({"on_stage_error": "fallback", "weights": {"2,1": 1.0}},
+                            ["on_stage_error", "weights"]),
+                           ({"xtol": 1e-10}, ["xtol"]),
+                           ({}, ["{}"]),
+                           (5, ["5"])):
+        _assert_fit_section_rejected(tmp_path, model_path, capsys, section, named)
 
 
 def test_fit_has_no_estimator_option(graph_path, capsys):
@@ -184,18 +201,14 @@ def test_fit_has_no_estimator_option(graph_path, capsys):
     assert "--estimator" in capsys.readouterr().err
 
 
-def test_sweep_estimator_is_checked_before_any_cell_and_fit_takes_none(
-    tmp_path, model_path, capsys
-):
+def test_sweep_estimator_is_checked_before_any_cell(tmp_path, model_path, capsys):
     cfg = {"models": [{"name": "ref", "path": model_path}], "n": [200], "replicates": 1,
-           "metrics": ["fit:K=2"]}
+           "metrics": ["fit:K=2"], "estimator": "nope"}
     cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
-    for extra, message in (({"fit": {"estimator": "pcheck"}}, "estimator"),
-                           ({"estimator": "nope"}, "bad estimator 'nope'")):
-        cfg_path.write_text(json.dumps({**cfg, **extra}))
-        assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
+    assert "bad estimator 'nope'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_k1_prints_the_one_block_model(graph_path, capsys):
@@ -206,12 +219,20 @@ def test_fit_k1_prints_the_one_block_model(graph_path, capsys):
 
 
 def test_fits_write_nothing_to_stderr(graph_path, capsys):
-    for K in ("2", "3"):
-        argv = ["fit", graph_path, "--K", K, "--on-stage-error", "fallback"]
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert json.loads(captured.out)["K"] == int(K)
-        assert captured.err == ""
+    assert main(["fit", graph_path, "--K", "2"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["K"] == 2
+    assert captured.err == ""
+
+
+def test_fit_stage_error_exits_3(graph_path, capsys):
+    # the graph has two blocks and n = 300: stage 1 finds no three real
+    # atoms, and the error reaches the user as the one line of a failed fit
+    assert main(["fit", graph_path, "--K", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: complex atom estimates"), err
 
 
 def test_fit_over_budget_exits_4_and_names_the_key(graph_path, capsys):
@@ -221,22 +242,6 @@ def test_fit_over_budget_exits_4_and_names_the_key(graph_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: counting wheel:k=2,l=4 exceeded the budget of 10 search nodes\n")
-
-
-def test_bootstrap_weights_give_key_i_the_weight_of_seed_plus_i(graph_path, capsys):
-    argv = ["fit", graph_path, "--K", "3", "--on-stage-error", "fallback", "--budget", "10",
-            "--seed", "3"]
-    assert main(argv + ["--weights", "bootstrap"]) == 0
-    assert capsys.readouterr().err == ""
-    # every K = 3 key has a closed form, so each gets the weight of its own
-    # seed, seed + its index among the fit's keys, whatever the budget
-    g = load_edge_list(graph_path)
-    cfg = FitConfig(K=3, budget=10)
-    weights = cli._bootstrap_weights(g, cfg, 3)
-    assert list(weights) == cfg.keys() and len(weights) == 17
-    for i, key in enumerate(cfg.keys()):
-        res = bootstrap_variance(g, HubCountCache.build(g, [key], None), key, seed=3 + i)
-        assert weights[key] == 1.0 / res.sigma2_hat
 
 
 def test_malformed_model_json_is_input_error(tmp_path, capsys):
@@ -393,7 +398,7 @@ def test_bootstrap_json(graph_path, capsys):
 # ids over (command, parameters, seed, version): paths and --threads stay out
 @pytest.mark.parametrize("argv, manifest_id", [
     (["moments", "--pattern", "wheel:k=2,l=1", "--pattern", "wheel:k=1,l=2"], "e8a2797a8741b6c7"),
-    (["fit", "--K", "2", "--seed", "1", "--on-stage-error", "fallback"], "fda07b057a058d77"),
+    (["fit", "--K", "2", "--seed", "1"], "ccd729e1d067ad91"),
     (["bootstrap", "--key", "2,1", "--B", "24", "--seed", "4"], "491427a7307609f9"),
     (["sweep", "--seed", "7", "--threads", "2"], "220f1c098b421f1b"),
 ], ids=["moments", "fit", "bootstrap", "sweep"])
@@ -514,7 +519,6 @@ def test_sweep_rejects_malformed_config_shapes_before_any_cell(tmp_path, capsys)
                            ({"metrics": ["rho_hat:k=1"]}, "must read rho_hat"),
                            ({"metrics": ["nonsense"]}, "unknown metric 'nonsense'"),
                            ({"budget": "many"}, "'budget' must be an integer or null"),
-                           ({"fit": 5}, "'fit' must be an object"),
                            ({**er, "lambda": {"kind": "fixed", "value": 100.0}}, "outside (0, 1]"),
                            ({"lambda": {"kind": "fixed", "value": 30.0}}, "rho * max(S) = 1.22"),
                            ({**flat, "lambda": {"kind": "fixed", "value": 0.0}}, "rho=0.0 outside")):
@@ -525,14 +529,13 @@ def test_sweep_rejects_malformed_config_shapes_before_any_cell(tmp_path, capsys)
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
 
 
-def test_sweep_fit_section_takes_fit_config_fields_only(tmp_path, model_path, capsys):
+def test_sweep_fit_cells_are_library_fits(tmp_path, model_path):
     cfg = {
         "models": [{"name": "ref", "path": model_path}],
         "n": [200],
         "replicates": 2,
         "lambda": {"kind": "fixed", "value": 8.0},
         "metrics": ["fit:K=2"],
-        "fit": {"on_stage_error": "fallback"},
     }
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -541,43 +544,14 @@ def test_sweep_fit_section_takes_fit_config_fields_only(tmp_path, model_path, ca
     assert main(["sweep", str(cfg_path), "--out", str(out1), "--threads", "1"]) == 0
     assert main(["sweep", str(cfg_path), "--out", str(out2), "--threads", "2"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    # each record is the library fit of its cell's graph under the section's settings
-    fit_cfg = FitConfig(K=2, on_stage_error="fallback")
+    # each record is the library fit of its cell's graph
+    fit_cfg = FitConfig(K=2)
     for rec in map(json.loads, out1.read_text().splitlines()):
         assert rec["error"] is None
         g = sample_block_model(REF.with_rho(rec["rho"]), rec["n"], rec["seed"]).graph
         res = fit_block_model(g, fit_cfg)
         assert rec["metrics"]["fit:K=2.residual"] == res.residual
         assert rec["metrics"]["fit:K=2.converged"] == res.converged
-
-    # a removed threshold, or any other key outside the settable fields, is an
-    # input error before any cell runs
-    cfg["fit"] = {"xtol": 1e-10}
-    cfg_path.write_text(json.dumps(cfg))
-    out3 = tmp_path / "s3.jsonl"
-    capsys.readouterr()
-    assert main(["sweep", str(cfg_path), "--out", str(out3), "--threads", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "xtol" in err
-    assert "accepted keys: weights, on_stage_error" in err
-    assert not out3.exists()
-
-
-def test_sweep_rejects_a_bad_fit_value_before_any_cell(tmp_path, model_path, capsys):
-    cfg = {
-        "models": [{"name": "ref", "path": model_path}],
-        "n": [200],
-        "replicates": 1,
-        "lambda": {"kind": "fixed", "value": 8.0},
-        "metrics": ["fit:K=2"],
-        "fit": {"on_stage_error": "retry"},
-    }
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "s.jsonl"
-    assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
-    assert "bad on_stage_error 'retry'" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_sweep_cell_counts_its_wheel_metrics_in_one_pass(tmp_path, model_path, monkeypatch):

@@ -325,7 +325,7 @@ def test_k22_first_forms_each_a2_block_once_and_lists_no_triangles(monkeypatch):
 
 def test_k2_fit_forms_each_a2_block_once_and_lists_only_triangle_edges(monkeypatch):
     blocks, crosses, listings = _record_a2_blocks_and_listings(monkeypatch)
-    cfg = FitConfig(K=2, on_stage_error="fallback")
+    cfg = FitConfig(K=2)
     # each order of asking, with, at lambda = 6 (forward wedges 0.09 of the
     # 2-walk bound) and at lambda = 90 (3.6): whether it forms the banded A^2
     # blocks, and the wedge listings it runs.  A full listing pairs every
@@ -343,7 +343,7 @@ def test_k2_fit_forms_each_a2_block_once_and_lists_only_triangle_edges(monkeypat
                              one_pass, one_pass),
         "fit": (lambda h: fit_block_model(h, cfg), one_pass, banded),
         "cache": (lambda h: HubCountCache.build(h, cfg.keys()), one_pass, banded),
-        # fit --weights bootstrap: the cache, then the fit on the same graph
+        # a bootstrap and a fit on one Graph share its counts: the cache, then the fit
         "cache, fit": (lambda h: (HubCountCache.build(h, cfg.keys()), fit_block_model(h, cfg)),
                        one_pass, banded),
     }
@@ -542,8 +542,7 @@ def test_no_pass_counts_a_products_entries_first(monkeypatch):
         stats.a2_sums, stats.a2_cross
     model = BlockModel(pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]),
                        rho=10 / 999)
-    fit_block_model(sample_block_model(model, 1000, seed=7).graph,
-                    FitConfig(K=2, on_stage_error="fallback"))
+    fit_block_model(sample_block_model(model, 1000, seed=7).graph, FitConfig(K=2))
     with pytest.raises(AssertionError, match="maxnnz ran"):  # as it does in @
         stats.adjacency @ stats.adjacency
 
@@ -618,7 +617,7 @@ def test_a_k2_fit_is_the_same_on_one_two_and_four_cpus(monkeypatch):
         threads.clear()
         second.clear()
         h = _fresh(g)
-        res = fit_block_model(h, FitConfig(K=2, on_stage_error="fallback"))
+        res = fit_block_model(h, FitConfig(K=2))
         fits.append((res.pi.tobytes(), res.S.tobytes(), res.residual,
                      wheel_counts_per_hub(h, K23).tobytes()))
         assert len(threads) > 1 if cpus > 1 else threads == {threading.get_ident()}, cpus
@@ -798,7 +797,7 @@ def test_closed_form_keys_are_counted_once_per_graph(monkeypatch):
     monkeypatch.setattr(hubs, "_closed_form", counting)
     model = BlockModel(pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]), rho=0.02)
     g = sample_block_model(model, 600, seed=4).graph
-    cfg = FitConfig(K=2, on_stage_error="fallback")
+    cfg = FitConfig(K=2)
     cache = HubCountCache.build(g, cfg.keys())
     fit_block_model(g, cfg)
     assert calls == Counter({(k, l): 1 for k in (1, 2) for l in (1, 2, 3)})

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphmoments import (
     BlockModel,
@@ -111,6 +113,24 @@ def test_estimates_helper_matches_table():
     for key, entry in zip(keys, table.entries):
         assert est_q[key] == entry.q_check
         assert est_p[key] == entry.p_check
+
+
+# wheel keys that are one path rooted at different vertices: P3, P4 and P5
+_PATH_CLASSES = [
+    [WheelSpec.simple(1, 2), WheelSpec.simple(2, 1)],
+    [WheelSpec.simple(3, 1), WheelSpec((1, 2), (1, 1))],
+    [WheelSpec.simple(2, 2), WheelSpec((1, 3), (1, 1)), WheelSpec.simple(4, 1)],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 59), st.floats(0.05, 0.5, exclude_max=True), st.integers(0, 2**32 - 1))
+def test_keys_of_one_path_have_bit_identical_estimates(n, p, seed):
+    _, g = small_graph(seed=seed, n=n, p=p)
+    assume(g.edge_count > 0)
+    est = wheel_moment_estimates(g, [key for keys in _PATH_CLASSES for key in keys], budget=None)
+    for keys in _PATH_CLASSES:
+        assert len({est[key] for key in keys}) == 1, {key.name(): est[key] for key in keys}
 
 
 def test_empty_graph_rejected():

@@ -67,8 +67,7 @@ def test_degree_approx_table_validates(graph_path, capsys):
 
 def test_fit_result_validates(graph_path, capsys):
     gp, _, _ = graph_path
-    rc = main(["fit", gp, "--K", "2", "--on-stage-error", "fallback",
-               "--report-stages", "--seed", "0"])
+    rc = main(["fit", gp, "--K", "2", "--report-stages", "--seed", "0"])
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
     check(obj, "fit_result")
