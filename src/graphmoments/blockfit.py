@@ -46,7 +46,7 @@ from .graph import Graph, rho_hat
 from .hubs import DEFAULT_BUDGET
 from .models import canonical_order
 from .moments import SCHEMA_VERSION, wheel_moment_estimates
-from .patterns import WheelSpec
+from .patterns import WheelSpec, wheel_class
 from .theory import block_iterates, wheel_exponents, wheel_moments
 
 _HANKEL_COND_MAX = 1e12
@@ -61,20 +61,18 @@ _NLS_TOL = 1e-14  # xtol, ftol and gtol: the run stops at _NLS_MAX_NFEV or at ma
 class FitConfig:
     """Configuration for the moment-based fit.
 
-    The moment keys are derived from K.  For K != 3 they are all (k, l)
-    with 1 <= k <= K and 1 <= l <= 2K-1 (the k >= 2 rows are the
-    (K-1)(2K-1) identifying keys; the k=1 row feeds the first-stage moment
-    problem).  For K = 3 they are the keys with a closed form: (1,1)..(1,5),
-    (2,1), (2,2), (2,3) and (3,1), then the mixed ((1,l),(k,1)) for
-    k in {2, 3} and l = 1..4.  The mixed keys ((1,l),(k,1)), 2 <= k <= K and
-    1 <= l <= K-1, feed the direct estimate's solve for v^(k); for K = 3
-    they are among the fit's keys as well.
+    keys() are the refined moments, one key per class of wheels
+    (``patterns.wheel_class``) but (1,1), whose estimate is 1 on every graph.
+    For K != 3 they are the classes of all (k, l) with k <= K and l <= 2K-1,
+    for K = 2 (1,2), (1,3), (2,2), (2,3).  For K = 3 they are the 13 classes
+    with a closed form: (1,2)..(1,5), (2,2), (2,3) and the mixed
+    ((1,l),(k,1)), k in {2, 3}, l = 1..4, of which ((1,1),(3,1)) is (2,2).
+    The fit counts stage_keys() too, the moments its stages read.
 
-    budget is the enumeration budget of the exact counts; None means no
-    budget.  on_stage_error is "raise" (a stage error propagates) or
-    "fallback" (the refinement starts from a neutral point instead).  The
-    stage and solver thresholds are module constants (see the module
-    docstring), not fields.
+    budget is the enumeration budget of the exact counts, None for none.
+    on_stage_error is "raise" (a stage error propagates) or "fallback" (the
+    refinement starts from a neutral point instead).  The stage and solver
+    thresholds are module constants (see the module docstring), not fields.
     """
 
     K: int
@@ -89,17 +87,19 @@ class FitConfig:
 
     def keys(self) -> list[WheelSpec]:
         if self.K == 3:
-            simple = [(1, l) for l in range(1, 6)] + [(2, 1), (2, 2), (2, 3), (3, 1)]
-            return ([WheelSpec.simple(k, l) for k, l in simple]
+            simple = [(1, l) for l in range(2, 6)] + [(2, 2), (2, 3)]
+            keys = ([WheelSpec.simple(k, l) for k, l in simple]
                     + [WheelSpec((1, k), (l, 1)) for k in (2, 3) for l in range(1, 5)])
-        return [
-            WheelSpec.simple(k, l)
-            for k in range(1, self.K + 1)
-            for l in range(1, 2 * self.K)
-        ]
+        else:
+            keys = [WheelSpec.simple(k, l) for k in range(1, self.K + 1) for l in range(1, 2 * self.K)]
+        return [key for key in dict.fromkeys(map(wheel_class, keys)) if key.q > 1]
 
-    def mixed_keys(self) -> list[WheelSpec]:
-        return [WheelSpec((1, k), (l, 1)) for k in range(2, self.K + 1) for l in range(1, self.K)]
+    def stage_keys(self) -> list[WheelSpec]:
+        """The keys the stages read: (1,l) for l = 1..2K-1, then (k,1) and
+        ((1,l),(k,1)) for 2 <= k <= K and l = 1..K-1."""
+        return [WheelSpec.simple(1, l) for l in range(1, 2 * self.K)] + [
+            WheelSpec((1, k), (l, 1)) if l else WheelSpec.simple(k, 1)
+            for k in range(2, self.K + 1) for l in range(self.K)]
 
 
 @dataclass
@@ -436,7 +436,7 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
     """Full pipeline: wheel moments -> stage recovery -> NLS projection.
 
     Wheel moments are the noninduced Q_check estimates of cfg.keys() and,
-    for the direct estimate, cfg.mixed_keys(), counted exactly in one call;
+    for the direct estimate, cfg.stage_keys(), counted exactly in one call;
     the refinement fits cfg.keys() only, all with one weight.  A key whose
     count exceeds cfg.budget raises the search's BudgetExceededError, which
     names it.
@@ -457,13 +457,13 @@ def fit_block_model(g: Graph, cfg: FitConfig) -> FitResult:
         )
 
     keys = cfg.keys()
-    found = wheel_moment_estimates(g, dict.fromkeys(keys + cfg.mixed_keys()), budget=cfg.budget)
+    found = wheel_moment_estimates(g, dict.fromkeys(keys + cfg.stage_keys()), budget=cfg.budget)
     taus = {k: found[k] for k in keys}
     diagnostics: dict = {"stages": []}
 
     atoms_matrix = None
     try:
-        mom = [taus[WheelSpec.simple(1, l)] for l in range(1, 2 * cfg.K)]
+        mom = [found[WheelSpec.simple(1, l)] for l in range(1, 2 * cfg.K)]
         atoms, pi0, stage_diag = atoms_from_moments(mom, cfg.K)
         diagnostics["stages"].append(stage_diag)
         atoms_matrix, solve_diag = align_stages(pi0, atoms, found)

@@ -7,10 +7,12 @@ the hub-count moment estimate from the full-graph per-vertex statistics:
     P-hat* = (n/m) sum_j n_{i_j} / (C(n,p) p!/prod(ls!))
     P-check* = P-hat* rho*^{-q}
 
-with rho* = D-bar*/(n-1) by default (this reproduces the full-sample
-estimator at m = n; the literal D-bar*/m normalization is available for
-comparison).  The variance estimate sigma2 = (m/n) (1/B) sum_b (P-check*_b
+with rho* = D-bar*/(n-1), which reproduces the full-sample estimator at
+m = n.  The variance estimate sigma2 = (m/n) (1/B) sum_b (P-check*_b
 - mean)^2 targets the sampling variance of the full-sample estimator.
+
+Per-hub counts credit each copy to its hub, so the variance depends on the
+key's rooting: (1,2) and (2,1), one path, got variances 5.2x apart.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .graph import Graph
 from .hubs import DEFAULT_BUDGET, wheel_counts, wheel_total
 from .moments import SCHEMA_VERSION
 from .patterns import WheelSpec
-
-_NORMALIZATIONS = ("rho_star", "literal")
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class BootstrapResult:
     m: int
     B: int
     seed: int
-    normalization: str
     sigma2_hat: float
     replicates: np.ndarray
     full_sample_value: float
@@ -77,7 +76,6 @@ class BootstrapResult:
             "m": self.m,
             "B": self.B,
             "seed": self.seed,
-            "normalization": self.normalization,
             "sigma2_hat": float(self.sigma2_hat),
             "full_sample_value": float(self.full_sample_value),
             "replicates_summary": {
@@ -132,7 +130,6 @@ def bootstrap_variance(
     m: int | None = None,
     B: int = 500,
     seed: int = 0,
-    normalization: str = "rho_star",
 ) -> BootstrapResult:
     """Subsampling variance estimate for the hub-count moment estimator.
 
@@ -147,8 +144,6 @@ def bootstrap_variance(
         raise DomainError(f"subsample size {m} outside 1..{n}")
     if B < 2:
         raise DomainError(f"need B >= 2 replicates, got {B}")
-    if normalization not in _NORMALIZATIONS:
-        raise DomainError(f"normalization must be one of {_NORMALIZATIONS}")
 
     counts = np.asarray(cache.get(spec))
     degrees = cache.degrees
@@ -180,8 +175,7 @@ def bootstrap_variance(
             )
         # one correctly rounded division of exact integers, as in full_value
         p_hat = (n * int(csum)) / (m * denom)
-        rho_star = dbar / (n - 1) if normalization == "rho_star" else dbar / m
-        reps[b] = p_hat * rho_star**-spec.q
+        reps[b] = p_hat * (dbar / (n - 1)) ** -spec.q
 
     sigma2 = (m / n) * float(np.mean((reps - reps.mean()) ** 2))
     return BootstrapResult(
@@ -189,7 +183,6 @@ def bootstrap_variance(
         m=m,
         B=B,
         seed=seed,
-        normalization=normalization,
         sigma2_hat=sigma2,
         replicates=reps,
         full_sample_value=full_value,

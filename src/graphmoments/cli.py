@@ -233,8 +233,7 @@ def cmd_bootstrap(args) -> int:
     key = WheelSpec.coerce(args.key)
     manifest = _manifest("bootstrap", args, [args.graph], [args.out] if args.out else [])
     cache = HubCountCache.build(g, [key], _budget(args))
-    result = bootstrap_variance(g, cache, key, m=args.m, B=args.B, seed=args.seed,
-                                normalization=args.normalization)
+    result = bootstrap_variance(g, cache, key, m=args.m, B=args.B, seed=args.seed)
     _emit_json(result.to_json(), manifest, args.out)
     return 0
 
@@ -384,8 +383,8 @@ def cmd_sweep(args) -> int:
     if estimator not in ("qcheck", "pcheck"):
         raise InputError(f"bad estimator {estimator!r}")
     budget = args.budget if args.budget is not None else config.get("budget", DEFAULT_BUDGET)
-    if budget is not None and not _is_int(budget):
-        raise InputError(f"sweep config 'budget' must be an integer or null, got {budget!r}")
+    if budget is not None and not (_is_int(budget) and budget >= 0):
+        raise InputError(f"sweep config 'budget' must be an integer >= 0 or null, got {budget!r}")
     if "fit" in config:
         raise InputError(f"sweep config has a 'fit' section, {config['fit']!r}; "
                          "fit:K=.. metrics take no settings, so remove it")
@@ -526,12 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="wheel key: 'k,l' or wheel:k=..,l=..")
     p.add_argument("--m", type=int, default=None, help="subsample size (default ceil(n^0.7))")
     p.add_argument("--B", type=int, default=500, help="replicate count")
-    p.add_argument(
-        "--normalization",
-        choices=("rho_star", "literal"),
-        default="rho_star",
-        help="rho_star: D-bar*/(n-1); literal: the as-written D-bar*/m",
-    )
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_bootstrap)
 
@@ -553,6 +546,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if (getattr(args, "budget", None) or 0) < 0:  # 0 allows the closed forms only
+            raise InputError(f"--budget must be an integer >= 0, got {args.budget}")
         return args.func(args)
     except (BudgetExceededError, NumericalError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,11 +11,11 @@ pattern; P_check carries an O(lambda/n) truncation bias downward (extra
 edges excluded), Q_check does not, so fitting code uses Q_check while
 reporting defaults to P_check.
 
-Wheel noninduced counts come from per-hub counting; the per-hub sums are
-normalized by the hub-rooted labeling count p!/prod(ls!), which absorbs
-the hub multiplicity of single-spoke wheels.  ``moment_table`` is the one
-place these normalizations are computed; ``wheel_moment_estimates`` reads
-its Q_check or P_check entries.
+Wheel keys of one path, such as (2,1) and (1,2), are one pattern: each
+class (``patterns.wheel_class``) is counted once, its noninduced copies from
+the per-hub counts of its own key.  ``moment_table`` is the one place these
+normalizations are computed; ``wheel_moment_estimates`` reads its Q_check
+or P_check entries.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .patterns import (
     WheelSpec,
     hub_multiplicity,
     parse_pattern_name,
+    wheel_class,
     wheel_isomorphism_count,
     wheel_to_pattern,
 )
@@ -131,6 +132,8 @@ def moment_table(
             the budget; request only what you need.
         budget: enumeration budget passed to the counting kernels.
 
+    A class is counted once for all its keys, so (4,1) reads (2,2)'s closed form.
+
     On an empty graph the *_check fields are None (no density to
     normalize by).
 
@@ -150,54 +153,42 @@ def moment_table(
             f"induced counting unavailable for {', '.join(too_large)} (order > "
             f"{MAX_PATTERN_ORDER}); the noninduced estimator (qcheck) has no such limit"
         )
-    wheels = [item for item in items if isinstance(item, WheelSpec)]
+    classes = {item: wheel_class(item) if isinstance(item, WheelSpec) else item for item in items}
+    wheels = dict.fromkeys(c for c in classes.values() if isinstance(c, WheelSpec))
     counts = wheel_counts(g, wheels, budget) if mode != "induced" else {}
+    found = {}
+    for item, rep in classes.items():  # a pattern's class is itself
+        if rep in found:
+            continue
+        noninduced = induced = None
+        if mode != "induced":
+            noninduced = (wheel_total(counts[rep], rep, g.n)[0] // hub_multiplicity(rep)
+                          if rep in wheels else count_noninduced(g, rep, budget))
+        if mode != "noninduced":
+            try:
+                induced = count_induced(g, wheel_to_pattern(rep) if rep in wheels else rep, budget)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(
+                    f"induced count for {item.name()}: {exc}; "
+                    "the noninduced estimator (qcheck) is far cheaper for wheels"
+                ) from exc
+        found[rep] = noninduced, induced
 
     def checked(value, q):  # the density-free moment, when there is a density
         return value * rho**-q if value is not None and rho > 0 else None
 
     entries = []
     for item in items:
-        name, p, q = item.name(), item.p, item.q
-        if isinstance(item, WheelSpec):
-            n_iso = wheel_isomorphism_count(item)
-            pattern = wheel_to_pattern(item) if mode != "noninduced" else None
-        else:
-            n_iso, pattern = count_isomorphism_classes(item), item
-        denom = math.comb(g.n, p) * n_iso
-
-        noninduced = induced = q_hat = p_hat = None
-        if mode != "induced":
-            if isinstance(item, WheelSpec):
-                total, rooted = wheel_total(counts[item], item, g.n)
-                q_hat = total / rooted if rooted else 0.0
-                noninduced = total // hub_multiplicity(item)
-            else:
-                noninduced = count_noninduced(g, pattern, budget)
-                q_hat = noninduced / denom if denom else 0.0
-        if mode != "noninduced":
-            try:
-                induced = count_induced(g, pattern, budget)
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(
-                    f"induced count for {name}: {exc}; "
-                    "the noninduced estimator (qcheck) is far cheaper for wheels"
-                ) from exc
-            p_hat = induced / denom if denom else 0.0
-        entries.append(
-            MomentEntry(
-                name=name,
-                p=p,
-                q=q,
-                n_isoclasses=n_iso,
-                induced_count=induced,
-                noninduced_count=noninduced,
-                p_hat=p_hat,
-                q_hat=q_hat,
-                p_check=checked(p_hat, q),
-                q_check=checked(q_hat, q),
-            )
-        )
+        n_iso = (wheel_isomorphism_count(item) if isinstance(item, WheelSpec)
+                 else count_isomorphism_classes(item))
+        denom = math.comb(g.n, item.p) * n_iso
+        noninduced, induced = found[classes[item]]
+        q_hat, p_hat = (None if c is None else c / denom if denom else 0.0
+                        for c in (noninduced, induced))
+        entries.append(MomentEntry(
+            name=item.name(), p=item.p, q=item.q, n_isoclasses=n_iso, induced_count=induced,
+            noninduced_count=noninduced, p_hat=p_hat, q_hat=q_hat,
+            p_check=checked(p_hat, item.q), q_check=checked(q_hat, item.q)))
     return MomentTable(n=g.n, edge_count=g.edge_count, rho=rho, entries=tuple(entries))
 
 

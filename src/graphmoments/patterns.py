@@ -234,6 +234,20 @@ def hub_multiplicity(spec: WheelSpec) -> int:
     return 2 if _offcenter_path(spec) else 1
 
 
+def wheel_class(spec: WheelSpec) -> WheelSpec:
+    """The key that stands for spec's isomorphism class of wheels.
+
+    A wheel with at most two spokes is the path with q edges, read rooted
+    at its middle vertex with spokes floor(q/2) and ceil(q/2): (2,1) ->
+    (1,2), (3,1) -> ((1,1),(2,1)), and (4,1) and ((1,1),(3,1)) -> (2,2).
+    A wheel with three spokes or more has one hub, so it is its own class.
+    """
+    if spec.total_spokes > 2 or spec.q == 1:  # (1,1) is the one wheel with one edge
+        return spec
+    short, long = spec.q // 2, spec.q - spec.q // 2
+    return WheelSpec.simple(long, 2) if short == long else WheelSpec((short, long), (1, 1))
+
+
 def parse_pattern_name(name: str) -> PatternGraph | WheelSpec:
     """Inverse of PatternGraph.name()/WheelSpec.name().
 

@@ -220,7 +220,7 @@ def partial_fisher_yates(n: int, m: int, rng: np.random.Generator) -> np.ndarray
     return arr[:m]
 
 
-def oracle_bootstrap_replicates(cache, key, m: int, B: int, seed: int, normalization="rho_star"):
+def oracle_bootstrap_replicates(cache, key, m: int, B: int, seed: int):
     """Replicate values of bootstrap_variance, each from its own child
     generator of `seed` and its own subsample."""
     spec = WheelSpec.coerce(key)
@@ -231,8 +231,7 @@ def oracle_bootstrap_replicates(cache, key, m: int, B: int, seed: int, normaliza
         idx = partial_fisher_yates(n, m, np.random.default_rng(child))
         dbar = int(degrees[idx].sum()) / m
         p_hat = (n * int(counts[idx].sum())) / (m * denom)
-        rho = dbar / (n - 1) if normalization == "rho_star" else dbar / m
-        reps.append(p_hat * rho**-spec.q)
+        reps.append(p_hat * (dbar / (n - 1)) ** -spec.q)
     return reps
 
 

@@ -196,7 +196,7 @@ def test_criterion_04_population_round_trip():
             order = m.canonical_order()
             pi_c, S_c = m.pi[order], m.S[np.ix_(order, order)]
             cfg = FitConfig(K=K)
-            taus = {key: tau(m, key) for key in cfg.keys() + cfg.mixed_keys()}
+            taus = {key: tau(m, key) for key in cfg.stage_keys()}
             mom = [taus[WheelSpec.simple(1, l)] for l in range(1, 2 * K)]
             atoms, pi_hat, _ = atoms_from_moments(mom, K)
             iterates, _ = align_stages(pi_hat, atoms, taus)

@@ -29,6 +29,7 @@ from graphmoments import (
 )
 from graphmoments.hubs import DEFAULT_BUDGET
 from graphmoments.models import canonical_order
+from graphmoments.patterns import wheel_class
 from graphmoments.theory import block_iterates, wheel_exponents, wheel_moments
 
 REF = BlockModel(
@@ -107,7 +108,7 @@ def test_align_stages_reference():
     # REF's v^(1) is (0.75, 1.25) ascending; each v^(k) solves one linear
     # system in that order, with no matching across stages
     cfg = FitConfig(K=2)
-    keys = cfg.keys() + cfg.mixed_keys()
+    keys = cfg.stage_keys()
     taus = dict(zip(keys, tau_forward(REF.pi, REF.S, keys)))
     iterates, diag = align_stages(np.array([0.5, 0.5]), np.array([0.75, 1.25]), taus)
     assert np.allclose(iterates[:, 0], [0.75, 1.25])
@@ -121,11 +122,12 @@ def test_align_stages_reference():
         align_stages(REF.pi, [0.75, 1.25], by_name)
 
 
-def test_mixed_keys_are_one_long_spoke_and_short_ones():
-    assert FitConfig(K=1).mixed_keys() == []
-    assert FitConfig(K=2).mixed_keys() == [WheelSpec((1, 2), (1, 1))]
-    assert FitConfig(K=3).mixed_keys() == [
-        WheelSpec((1, k), (l, 1)) for k in (2, 3) for l in (1, 2)
+def test_stage_keys_are_the_moments_the_stages_read():
+    w = WheelSpec.simple
+    assert FitConfig(K=1).stage_keys() == [w(1, 1)]
+    assert FitConfig(K=2).stage_keys() == [w(1, 1), w(1, 2), w(1, 3), w(2, 1), WheelSpec((1, 2), (1, 1))]
+    assert FitConfig(K=3).stage_keys() == [w(1, l) for l in range(1, 6)] + [
+        WheelSpec((1, k), (l, 1)) if l else w(k, 1) for k in (2, 3) for l in (0, 1, 2)
     ]
 
 
@@ -222,7 +224,8 @@ def test_nls_keeps_x0_and_its_own_status_when_no_start_improves(monkeypatch):
     init = (np.array([0.7, 0.3]), np.array([[1.5, 0.4], [0.4, 2.0]]))
     par = blockfit._Parameterization(2)
     pi_x0, s_x0 = par.unpack(par.pack(*init))[:2]
-    tau_hat = dict(zip(cfg.keys(), tau_forward(pi_x0, s_x0, cfg.keys())))
+    keys = [WheelSpec.simple(1, 1), *cfg.keys()]  # the fit's keys leave (1,1) out
+    tau_hat = dict(zip(keys, tau_forward(pi_x0, s_x0, keys)))
     tau_hat[WheelSpec.simple(1, 1)] += 0.5
     res = nls_refine(tau_hat, init, cfg)
     assert res.residual == res.residual_init == 0.25
@@ -349,7 +352,7 @@ def test_population_pipeline_round_trip():
             if np.min(np.diff(np.sort(iterate_operator(model, 1).values[:, 0]))) < 0.04:
                 continue
             cfg = FitConfig(K=K)
-            keys = cfg.keys() + cfg.mixed_keys()
+            keys = cfg.stage_keys()
             taus = dict(zip(keys, tau_forward(model.pi, model.S, keys)))
             mom = [taus[WheelSpec.simple(1, l)] for l in range(1, 2 * K)]
             atoms, pi0, _ = atoms_from_moments(mom, K)
@@ -426,8 +429,7 @@ def test_k3_fits_read_only_closed_form_keys():
 
     cfg = FitConfig(K=3, budget=0)  # nothing may enumerate
     keys = cfg.keys()
-    assert len(keys) == 17 and all(has_closed_form(k) for k in keys)
-    assert set(cfg.mixed_keys()) <= set(keys)
+    assert len(keys) == 13 and all(has_closed_form(k) for k in keys + cfg.stage_keys())
     pi = np.array([0.25, 0.35, 0.4])
     s = np.array([[6.0, 1.0, 0.5], [1.0, 2.5, 0.5], [0.5, 0.5, 0.8]])
     model = BlockModel(pi=pi, S=s / (pi @ s @ pi), rho=30 / 4999)
@@ -461,9 +463,17 @@ def test_fit_result_json_shape():
 def test_fit_config_validation():
     with pytest.raises(DomainError):
         FitConfig(K=0)
-    keys = FitConfig(K=2).keys()
-    assert len(keys) == 2 * 3
-    assert WheelSpec.simple(2, 3) in keys
+
+def test_fit_keys_are_one_per_class_without_the_edge():
+    # (2,1) is the path (1,2) and (3,1) the path ((1,1),(2,1)); (1,1) is 1
+    w = WheelSpec.simple
+    assert FitConfig(K=1).keys() == []
+    assert FitConfig(K=2).keys() == [w(1, 2), w(1, 3), w(2, 2), w(2, 3)]
+    for K, count in ((2, 4), (3, 13), (4, 25)):
+        keys = FitConfig(K=K).keys()
+        assert len(keys) == count
+        assert [wheel_class(k) for k in keys] == keys and w(1, 1) not in keys
+        assert len(set(keys)) == count
 
 
 def test_fit_settings_are_the_ones_callers_set():

@@ -82,21 +82,6 @@ def test_sigma_positive_and_scales_roughly_with_n():
     assert res2.sigma2_hat < res.sigma2_hat
 
 
-def test_normalizations_differ():
-    g, cache = make(n=300, seed=4)
-    a = bootstrap_variance(g, cache, KEY, B=40, seed=7, normalization="rho_star")
-    b = bootstrap_variance(g, cache, KEY, B=40, seed=7, normalization="literal")
-    # same subsample draws, different density scaling
-    assert not np.allclose(a.replicates, b.replicates)
-    # the literal D-bar*/m density is (n-1)/m times rho_star's, so each
-    # replicate scales by (m/(n-1))^q
-    q = KEY.q
-    factor = (a.m / (g.n - 1)) ** q
-    assert np.allclose(b.replicates, a.replicates * (1 / factor), rtol=1e-12) or np.allclose(
-        b.replicates, a.replicates * factor, rtol=1e-12
-    )
-
-
 def test_missing_key_raises():
     g, cache = make()
     with pytest.raises(DomainError):
@@ -137,10 +122,9 @@ def test_replicates_match_sequential_oracle_bit_for_bit(monkeypatch, block_bytes
     monkeypatch.setattr(graphstats, "BLOCK_BYTES", block_bytes)
     g, cache = make(n=300, seed=6)
     key2 = WheelSpec.simple(1, 2)
-    cases = [(KEY, 1, 5, "rho_star"), (KEY, g.n, 3, "rho_star"), (key2, 40, 37, "literal")]
-    for key, m, B, norm in cases:
-        res = bootstrap_variance(g, cache, key, m=m, B=B, seed=m + B, normalization=norm)
-        assert res.replicates.tolist() == oracle_bootstrap_replicates(cache, key, m, B, m + B, norm)
+    for key, m, B in [(KEY, 1, 5), (KEY, g.n, 3), (key2, 40, 37)]:
+        res = bootstrap_variance(g, cache, key, m=m, B=B, seed=m + B)
+        assert res.replicates.tolist() == oracle_bootstrap_replicates(cache, key, m, B, m + B)
 
 
 def test_replicates_match_oracle_across_block_boundaries(monkeypatch):
@@ -158,7 +142,7 @@ def test_result_json_summary():
     obj = res.to_json()
     assert obj["key"] == KEY.name()
     assert obj["B"] == 64
-    assert obj["normalization"] == "rho_star"
+    assert "normalization" not in obj
     summ = obj["replicates_summary"]
     assert summ["mean"] == pytest.approx(float(np.mean(res.replicates)))
     assert set(summ["quantiles"]) == {"p05", "p25", "p50", "p75", "p95"}

@@ -399,7 +399,7 @@ def test_bootstrap_json(graph_path, capsys):
 @pytest.mark.parametrize("argv, manifest_id", [
     (["moments", "--pattern", "wheel:k=2,l=1", "--pattern", "wheel:k=1,l=2"], "e8a2797a8741b6c7"),
     (["fit", "--K", "2", "--seed", "1"], "ccd729e1d067ad91"),
-    (["bootstrap", "--key", "2,1", "--B", "24", "--seed", "4"], "491427a7307609f9"),
+    (["bootstrap", "--key", "2,1", "--B", "24", "--seed", "4"], "dcffe410c027fa09"),
     (["sweep", "--seed", "7", "--threads", "2"], "220f1c098b421f1b"),
 ], ids=["moments", "fit", "bootstrap", "sweep"])
 def test_manifest_ids_do_not_move(tmp_path, graph_path, argv, manifest_id):
@@ -472,6 +472,24 @@ def test_budget_exceeded_exit_code(graph_path, capsys):
     assert "qcheck" in capsys.readouterr().err
 
 
+def test_a_negative_budget_is_an_input_error(tmp_path, graph_path, model_path, capsys):
+    # 0 allows the closed forms only; a negative count of search nodes is
+    # refused before anything is read or counted
+    cfg, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
+    cfg.write_text(json.dumps({"models": [{"name": "ref", "path": model_path}], "n": [60],
+                               "replicates": 2, "metrics": ["rho_hat"]}))
+    for argv in (["moments", graph_path, "--pattern", "wheel:k=2,l=4"],
+                 ["fit", graph_path, "--K", "2"],
+                 ["degrees", graph_path, "--m", "3"],
+                 ["bootstrap", graph_path, "--key", "2,1", "--B", "5"],
+                 ["sweep", str(cfg), "--out", str(out)]):
+        assert main([*argv, "--budget", "-1"]) == 2, argv
+        assert capsys.readouterr().err == "error: --budget must be an integer >= 0, got -1\n"
+    assert not out.exists()
+    argv = ["moments", graph_path, "--pattern", "wheel:k=4,l=1", "--estimator", "qcheck"]
+    assert main([*argv, "--budget", "0"]) == 0
+
+
 def test_moments_without_budget_stops_at_the_default_budget(graph_path, monkeypatch, capsys):
     monkeypatch.setattr(graphmoments.cli, "DEFAULT_BUDGET", 10)
     assert main(["moments", graph_path, "--pattern", "edges:0-1,1-2,2-3,3-0"]) == 4
@@ -518,7 +536,8 @@ def test_sweep_rejects_malformed_config_shapes_before_any_cell(tmp_path, capsys)
                            ({"metrics": ["fit:K=0"]}, "must read fit:K=.."),
                            ({"metrics": ["rho_hat:k=1"]}, "must read rho_hat"),
                            ({"metrics": ["nonsense"]}, "unknown metric 'nonsense'"),
-                           ({"budget": "many"}, "'budget' must be an integer or null"),
+                           ({"budget": "many"}, "'budget' must be an integer >= 0 or null"),
+                           ({"budget": -3}, "'budget' must be an integer >= 0 or null, got -3"),
                            ({**er, "lambda": {"kind": "fixed", "value": 100.0}}, "outside (0, 1]"),
                            ({"lambda": {"kind": "fixed", "value": 30.0}}, "rho * max(S) = 1.22"),
                            ({**flat, "lambda": {"kind": "fixed", "value": 0.0}}, "rho=0.0 outside")):

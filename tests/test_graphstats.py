@@ -758,6 +758,20 @@ def test_k2_l3_python_int_path_matches_int64(monkeypatch):
     assert [int(c) for c in got] == want.tolist()
 
 
+def test_k2_closed_forms_switch_to_python_ints_on_their_own():
+    # K_{a,a} with a = 1301: D^(2) = a(a - 1) = 1691300 at every hub, whose
+    # cube passes 2^62, so the k = 2 forms combine in Python ints unasked
+    a = 1301
+    side = np.arange(a)
+    g = Graph.from_edges(np.column_stack([np.repeat(side, a), np.tile(side + a, a)]), 2 * a)
+    assert hubs._k2_dtype(g.stats.d, g.stats.d2) is object
+    want = {K22: a * (a - 1) ** 2 * (a - 2) // 2,
+            K23: a * (a - 1) ** 2 * (a - 2) ** 2 * (a - 3) // 6}
+    for spec, count in want.items():
+        assert set(wheel_counts_per_hub(g, spec).tolist()) == {count}, spec.name()
+    assert wheel_counts_per_hub(g, K23).dtype == object
+
+
 def test_mixed_int64_guard_decision():
     # terms are at most M C(D - 1, l); C(2^20, 2) = 2^39 - 2^19, so the boundary
     # M is the least with M C(2^20, 2) >= 2^62
@@ -800,7 +814,8 @@ def test_closed_form_keys_are_counted_once_per_graph(monkeypatch):
     cfg = FitConfig(K=2)
     cache = HubCountCache.build(g, cfg.keys())
     fit_block_model(g, cfg)
-    assert calls == Counter({(k, l): 1 for k in (1, 2) for l in (1, 2, 3)})
+    # the fit reads (2,1) through its class, the closed form of (1,2)
+    assert calls == Counter({(1, 1): 1, (1, 2): 1, (1, 3): 1, (2, 2): 1, (2, 3): 1})
     # memoised columns come back as copies
     cache.get((2, 3))[:] = -1
     assert wheel_counts_per_hub(g, K23).min() >= 0

@@ -89,3 +89,18 @@ def test_every_traced_name_exists():
         )
     ]
     assert tracing.FUNCTIONS and tracing.CLASSMETHODS and missing == []
+
+
+def test_the_benchmark_workloads_set_up(monkeypatch):
+    # the workloads pass package fields and options by name (FitConfig's
+    # on_stage_error among them); one deleted here should fail the suite,
+    # not only a benchmark run
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(root))  # workloads imports its sibling reference.py
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    fit, dense = workloads.FitK2(1), workloads.DenseCounts(1)
+    fit.setup()
+    dense.setup()
+    assert len(fit.graphs) == fit.SEEDED + fit.FIXED and dense.g.edge_count > 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from graphmoments import (
     wheel_to_pattern,
 )
 from graphmoments import hubs
+from graphmoments.patterns import wheel_class
 from oracles import (
     TupleHistogram,
     connected_pattern_classes,
@@ -126,11 +128,29 @@ _PATH_CLASSES = [
 @settings(max_examples=40, deadline=None)
 @given(st.integers(8, 59), st.floats(0.05, 0.5, exclude_max=True), st.integers(0, 2**32 - 1))
 def test_keys_of_one_path_have_bit_identical_estimates(n, p, seed):
+    # moment_table counts a class once; each key's own per-hub kernel,
+    # rooted where the key roots the path, must give the same copies
     _, g = small_graph(seed=seed, n=n, p=p)
     assume(g.edge_count > 0)
-    est = wheel_moment_estimates(g, [key for keys in _PATH_CLASSES for key in keys], budget=None)
+    every = [key for keys in _PATH_CLASSES for key in keys]
+    est = wheel_moment_estimates(g, every, budget=None)
+    table = moment_table(g, every, mode="noninduced", budget=None)
     for keys in _PATH_CLASSES:
+        assert len({wheel_class(key) for key in keys}) == 1
+        assert len({wheel_noninduced_count(g, key, budget=None) for key in keys}) == 1
+        assert len({replace(table.get(key.name()), name="") for key in keys}) == 1
         assert len({est[key] for key in keys}) == 1, {key.name(): est[key] for key in keys}
+
+
+def test_a_path_key_reads_its_class_in_closed_form():
+    # (4,1) alone would enumerate; its class (2,2) has a closed form
+    _, g = small_graph(seed=43, n=40, p=0.3)
+    four, two = (moment_table(g, [WheelSpec.simple(k, l)], mode="noninduced", budget=0).entries[0]
+                 for k, l in ((4, 1), (2, 2)))
+    assert replace(four, name="") == replace(two, name="")
+    assert four.noninduced_count == wheel_noninduced_count(g, WheelSpec.simple(4, 1), budget=None)
+    with pytest.raises(BudgetExceededError):
+        wheel_noninduced_count(g, WheelSpec.simple(4, 1), budget=0)
 
 
 def test_empty_graph_rejected():
@@ -202,11 +222,12 @@ def test_rooted_count_is_the_per_hub_normalizer():
 
 
 def test_per_hub_total_must_divide_by_hub_multiplicity(monkeypatch):
-    # (2,1) counts each 2-path from both ends, so its per-hub total is even;
-    # every path from per-hub counts to copies or moments checks that
+    # (3,1) is counted as ((1,1),(2,1)), which counts each 3-path from both
+    # of its inner vertices, so its per-hub total is even; every path from
+    # per-hub counts to copies or moments checks that
     _, g = small_graph()
-    key = WheelSpec.simple(2, 1)
-    assert hub_multiplicity(key) == 2
+    key = WheelSpec.simple(3, 1)
+    assert hub_multiplicity(key) == hub_multiplicity(wheel_class(key)) == 2
 
     def odd_total(graph, spec, budget=None):
         counts = np.zeros(graph.n, dtype=np.int64)

@@ -5,10 +5,12 @@ import pytest
 
 from graphmoments import (
     DomainError,
+    Graph,
     PatternGraph,
     WheelSpec,
     automorphism_count,
     count_isomorphism_classes,
+    count_noninduced,
     hub_multiplicity,
     parse_pattern_name,
     wheel_automorphism_count,
@@ -16,6 +18,7 @@ from graphmoments import (
     wheel_rooted_count,
     wheel_to_pattern,
 )
+from graphmoments.patterns import wheel_class
 from oracles import connected_pattern_classes, tuple_automorphisms
 
 
@@ -116,6 +119,24 @@ def test_rooted_count_and_multiplicity_identity():
         assert wheel_automorphism_count(spec) == laut * hub_multiplicity(spec)
         # hence rooted = classes * hub multiplicity
         assert wheel_rooted_count(spec) == wheel_isomorphism_count(spec) * hub_multiplicity(spec)
+
+
+def test_wheel_class_is_the_isomorphism_class():
+    # two wheels with as many vertices are isomorphic exactly when one
+    # embeds in the other, as both have p - 1 edges
+    def embeds(a, b):
+        host = Graph.from_edges(wheel_to_pattern(b).edges, b.p)
+        return count_noninduced(host, wheel_to_pattern(a)) > 0
+
+    specs = all_wheel_specs(8)
+    for a in specs:
+        assert wheel_class(a).p == a.p and wheel_class(wheel_class(a)) == wheel_class(a)
+        for b in specs:
+            if a.p == b.p:
+                assert embeds(a, b) == (wheel_class(a) == wheel_class(b)), (a.name(), b.name())
+    # paths are read from their middle vertex, so the class key is balanced
+    assert wheel_class(WheelSpec.simple(5, 1)) == WheelSpec((2, 3), (1, 1))
+    assert wheel_class(WheelSpec((1, 5), (1, 1))) == WheelSpec.simple(3, 2)
 
 
 def test_single_spoke_rooted_vs_classes():
