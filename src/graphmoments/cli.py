@@ -15,7 +15,6 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
-import os
 import sys
 import time
 from datetime import datetime, timedelta, timezone
@@ -28,7 +27,7 @@ from .bootstrap import HubCountCache, bootstrap_variance
 from .degrees import degree_moment_approx, joint_coupling_error, m_degrees, theta_profile
 from .errors import BudgetExceededError, DomainError, InputError, NumericalError
 from .graph import Graph, lambda_hat, load_edge_list, rho_hat, write_edge_list
-from .graphstats import share_cpus
+from .graphstats import share_cpus, usable_cpus
 from .hubs import DEFAULT_BUDGET
 from .models import (
     BlockModel,
@@ -316,8 +315,7 @@ def _sweep_cell(task: dict) -> dict:
                 metrics[spec] = g.edge_count
             elif name in _WHEEL_METRICS:
                 if wheel is None:
-                    wheel = wheel_moment_estimates(g, wheel_keys, estimator=task["estimator"],
-                                                   budget=budget)
+                    wheel = wheel_moment_estimates(g, wheel_keys, budget=budget)
                 key = WheelSpec.simple(params["k"], params["l"])
                 val = wheel[key]
                 if name == "approx_gap":
@@ -348,6 +346,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_keys(obj: dict, known: tuple, what: str) -> None:
+    """InputError naming the first key of obj that is not known, and its value."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise InputError(f"{what} has an unknown key {unknown[0]!r}: {obj[unknown[0]]!r}; "
+                         f"its keys are {', '.join(known)}")
+
+
 def cmd_sweep(args) -> int:
     try:
         with open(args.config) as fh:
@@ -359,6 +365,8 @@ def cmd_sweep(args) -> int:
 
     if not isinstance(config, dict):
         raise InputError("sweep config must be a JSON object")
+    _check_keys(config, ("models", "n", "replicates", "metrics", "lambda", "seed", "budget"),
+                "sweep config")
     for field in ("models", "n", "replicates", "metrics"):
         if field not in config:
             raise InputError(f"sweep config missing {field!r}")
@@ -379,15 +387,9 @@ def cmd_sweep(args) -> int:
     base_seed = config.get("seed", args.seed)
     if not _is_int(base_seed) or base_seed < 0:
         raise InputError(f"the sweep seed must be a non-negative integer, got {base_seed!r}")
-    estimator = config.get("estimator", "qcheck")
-    if estimator not in ("qcheck", "pcheck"):
-        raise InputError(f"bad estimator {estimator!r}")
     budget = args.budget if args.budget is not None else config.get("budget", DEFAULT_BUDGET)
     if budget is not None and not (_is_int(budget) and budget >= 0):
         raise InputError(f"sweep config 'budget' must be an integer >= 0 or null, got {budget!r}")
-    if "fit" in config:
-        raise InputError(f"sweep config has a 'fit' section, {config['fit']!r}; "
-                         "fit:K=.. metrics take no settings, so remove it")
     rule = config.get("lambda")
 
     models = []
@@ -395,6 +397,9 @@ def cmd_sweep(args) -> int:
         name = entry.get("name")
         if not name:
             raise InputError("each sweep model needs a name")
+        _check_keys(entry, ("name", "model", "path"), f"sweep model {name!r}")
+        if "model" in entry and "path" in entry:
+            raise InputError(f"sweep model {name!r} has both 'model' and 'path'; give one")
         if "model" in entry:
             model = model_from_json(entry["model"])  # a bad model fails here, not in every cell
             obj = entry["model"]
@@ -409,7 +414,6 @@ def cmd_sweep(args) -> int:
     shared = {
         "manifest_id": manifest["manifest_id"],
         "metrics": config["metrics"],
-        "estimator": estimator,
         "budget": budget,
     }
 
@@ -456,10 +460,11 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    # the commands that draw random numbers: gen, bootstrap and sweep
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     # every command but gen, which enumerates nothing
-    counting = argparse.ArgumentParser(add_help=False, parents=[common])
+    counting = argparse.ArgumentParser(add_help=False)
     counting.add_argument(
         "--budget",
         type=int,
@@ -474,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="sample a graph from a model file")
+    p = sub.add_parser("gen", parents=[seeded], help="sample a graph from a model file")
     p.add_argument("model", help="model JSON (block model or gridded graphon)")
     p.add_argument("--n", type=int, required=True, help="number of vertices")
     p.add_argument("--rho", type=float, default=None, help="edge density (required for graphons)")
@@ -520,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
     p.set_defaults(func=cmd_degrees)
 
-    p = sub.add_parser("bootstrap", parents=[counting], help="subsampling variance estimate")
+    p = sub.add_parser("bootstrap", parents=[counting, seeded], help="subsampling variance estimate")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--key", required=True, help="wheel key: 'k,l' or wheel:k=..,l=..")
     p.add_argument("--m", type=int, default=None, help="subsample size (default ceil(n^0.7))")
@@ -528,14 +533,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_bootstrap)
 
-    p = sub.add_parser("sweep", parents=[counting], help="simulation sweep to JSONL")
+    p = sub.add_parser("sweep", parents=[counting, seeded], help="simulation sweep to JSONL")
     p.add_argument("config", help="sweep config JSON")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker count (default: CPU count)",
+        default=usable_cpus(),
+        help="worker processes (default: the CPUs this process may use)",
     )
     p.set_defaults(func=cmd_sweep)
 

@@ -138,12 +138,12 @@ def _read_text(source) -> str:
     return "".join(line if line.endswith("\n") else line + "\n" for line in source)
 
 
-def _parse_pairs(text: str, dtype) -> np.ndarray | None:
-    """The (E, 2) token table of an edge list, or None if numpy's reader rejects it."""
+def _parse_pairs(text: str) -> np.ndarray | None:
+    """The (E, 2) id table of an edge list, or None if numpy's reader rejects it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # empty input, blank lines
         try:
-            rows = np.loadtxt(io.StringIO(text), dtype=dtype, comments="#", ndmin=2)
+            rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
         except ValueError:
             return None
     if rows.size == 0:
@@ -151,7 +151,7 @@ def _parse_pairs(text: str, dtype) -> np.ndarray | None:
     return rows if rows.shape[1] == 2 else None
 
 
-def _raise_first_fault(text: str, integer_labels: bool, n_fixed: int | None):
+def _raise_first_fault(text: str, n_fixed: int | None):
     """Re-read a rejected edge list line by line; raise its first fault."""
     over = None
     for ln, raw in enumerate(text.split("\n"), start=1):
@@ -160,15 +160,13 @@ def _raise_first_fault(text: str, integer_labels: bool, n_fixed: int | None):
             continue
         if len(toks) != 2:
             raise GraphFormatError(f"line {ln}: expected two vertex ids, got {len(toks)}")
-        a, b = toks
-        if integer_labels:
-            if not all(re.fullmatch(r"[+-]?[0-9]+", t) for t in toks):  # as numpy reads ints
-                raise GraphFormatError(f"line {ln}: non-integer vertex id")
-            a, b = int(a), int(b)
-            if a < 0 or b < 0:
-                raise GraphFormatError(f"line {ln}: negative vertex id")
-            if max(a, b) >= 2**63:
-                raise GraphFormatError(f"line {ln}: vertex id {max(a, b)} exceeds int64")
+        if not all(re.fullmatch(r"[+-]?[0-9]+", t) for t in toks):  # as numpy reads ints
+            raise GraphFormatError(f"line {ln}: non-integer vertex id")
+        a, b = map(int, toks)
+        if a < 0 or b < 0:
+            raise GraphFormatError(f"line {ln}: negative vertex id")
+        if max(a, b) >= 2**63:
+            raise GraphFormatError(f"line {ln}: vertex id {max(a, b)} exceeds int64")
         if a == b:
             raise GraphFormatError(f"line {ln}: self-loop at {a!r}")
         if over is None and n_fixed is not None and max(a, b) >= n_fixed:
@@ -178,20 +176,15 @@ def _raise_first_fault(text: str, integer_labels: bool, n_fixed: int | None):
     raise GraphFormatError("edge list rejected by numpy's reader but by no line check")
 
 
-def load_edge_list(
-    source,
-    num_vertices: int | None = None,
-    integer_labels: bool = True,
-) -> Graph:
-    """Parse whitespace-separated vertex pairs into a Graph.
+def load_edge_list(source, num_vertices: int | None = None) -> Graph:
+    """Parse whitespace-separated pairs of integer vertex ids into a Graph.
 
     Lines are ``u v`` pairs; ``#`` starts a comment (whole line or trailing);
-    blank lines are skipped.  With integer_labels, ids are interned by
-    ascending numeric value; a ``# n=<count>`` header (or the num_vertices
+    blank lines are skipped.  A ``# n=<count>`` header (or the num_vertices
     argument, which wins) fixes the vertex count so ids are taken literally
-    and isolated vertices are representable.  With integer_labels=False,
-    tokens are kept as opaque labels interned in first-seen order and the
-    mapping is retained on the graph.
+    and isolated vertices are representable.  Without one, ids are interned
+    by ascending value and kept as the graph's labels unless they are
+    already 0..n-1.
 
     The text is parsed by numpy's C reader, so an integer id is an optional
     sign and ASCII digits that fit int64.  Only a rejected input is re-read
@@ -199,8 +192,7 @@ def load_edge_list(
 
     Args:
         source: path, file object, or iterable of lines.
-        num_vertices: explicit vertex count (integer mode only).
-        integer_labels: treat tokens as integer ids (default) or labels.
+        num_vertices: explicit vertex count.
 
     Raises:
         GraphFormatError: malformed line, self-loop, or out-of-range id,
@@ -213,29 +205,20 @@ def load_edge_list(
         header = _N_HEADER.match(text, text.rfind("\n", 0, pos) + 1, end)
         n_fixed = int(header.group(1)) if header else n_fixed
         pos = text.find("#", end)
-    if not integer_labels:
-        n_fixed = None
-    e = _parse_pairs(text, np.int64 if integer_labels else str)
+    e = _parse_pairs(text)
     if (
         e is None
         or np.any(e[:, 0] == e[:, 1])
-        or (integer_labels and e.size and e.min() < 0)
+        or (e.size and e.min() < 0)
         or (n_fixed is not None and e.size and e.max() >= n_fixed)
     ):
-        _raise_first_fault(text, integer_labels, n_fixed)
+        _raise_first_fault(text, n_fixed)
 
     if n_fixed is not None:
         return Graph.from_edges(e, n_fixed)
-    if integer_labels:
-        ids, inverse = np.unique(e, return_inverse=True)
-        labels = None if ids.size == 0 or ids[-1] == ids.size - 1 else tuple(ids.tolist())
-        return Graph.from_edges(inverse.reshape(-1, 2), ids.size, labels=labels)
-    tokens, first, inverse = np.unique(e, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # first-seen order of the labels
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    e = rank[inverse].reshape(-1, 2)
-    return Graph.from_edges(e, tokens.size, labels=tuple(tokens[order].tolist()))
+    ids, inverse = np.unique(e, return_inverse=True)
+    labels = None if ids.size == 0 or ids[-1] == ids.size - 1 else tuple(ids.tolist())
+    return Graph.from_edges(inverse.reshape(-1, 2), ids.size, labels=labels)
 
 
 def write_edge_list(g: Graph, sink) -> None:

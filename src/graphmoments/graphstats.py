@@ -13,18 +13,18 @@ forward edges at its lowest vertex.  A hashed bitmap of the edge keys
 (``_edge_filter``; Bloom, CACM 1970) rejects most open wedges, and only
 the rest are looked up by ``searchsorted`` in the sorted CSR keys i*n + j;
 the bitmap has no false negatives, so the listing is exact.  Each count is
-added to the reverse entry.  Triangle counts and D^(3) list only when no
-k = 2 wheel came first.
+added to the reverse entry.  B is listed unless (2,2)'s A^2 pass came
+first and read it.
 
 The k = 2 sums s2, s3 over (A^2)_ik^2, (A^2)_ik^3 come from one of two
 passes.  (2,2) asked first runs ``a2_sums``, which forms each pair {i, k}
 of two row bands of A^2 once and reads B too if nothing cached it.  (2,3)
 asked first (fits and caches ask it first, ``hubs.wheel_counts``) lists
-B on sparse graphs and forms only the packed (A ∘ X) A, whose low bits
-are A^2: one pass gives its cross sum pq, s2 and s3 (``a2_cross``).  So
-in any key order each row block of each product is formed at most once.
-(2,3)'s clique terms list again, but pair only triangle edges (B >= 1)
-and extend a triangle to K4s only along edges in two triangles or more.
+B and forms only the packed (A ∘ X) A, whose low bits are A^2: one pass
+gives its cross sum pq, s2 and s3 (``a2_cross``).  So in any key order
+each row block of each product is formed at most once.  (2,3)'s clique
+terms list again, but pair only triangle edges (B >= 1) and extend a
+triangle to K4s only along edges in two triangles or more.
 
 Each block's product is one call of scipy's compiled kernel
 ``_sparsetools.csr_matmat`` (``_product``), the one ``@`` calls after a
@@ -76,9 +76,6 @@ _BANDS = 8  # row bands of the A^2 pass; a band's rows form only the columns fro
 _FILTER_BITS = 16  # bits of the edge filter per CSR entry, before rounding up to a power of two
 _HASH = 0x9E3779B97F4A7C15  # the filter's multiplier, odd: 2^64 over the golden ratio
 _BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))  # bit r of a byte
-# forward wedges per 2-walk bound up to which (2,3) lists B: on Erdos-Renyi graphs
-# listing won by 12-29 % from 0.13 to 0.27, and the two tied within 6 % from 0.24 to 0.76
-_LIST_SHARE = 0.3
 
 
 def _k2_dtype(d: np.ndarray, d2: np.ndarray):
@@ -128,14 +125,18 @@ def share_cpus(processes: int) -> None:
     _share = max(1, processes)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def _workers() -> int:
     """Threads for the A^2 row-block passes: this process's share of the CPUs
     it may run on, at least one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // _share)
+    return max(1, usable_cpus() // _share)
 
 
 def row_sums(indptr: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -448,8 +449,8 @@ class GraphStats:
         block's elementwise product with A.  An entry left of its band takes
         B from its reverse entry after the pass.
 
-        When (2,3) comes first on a sparse graph, ``a2_cross`` caches s2 and
-        s3 from its own pass instead, and this one never runs.
+        When (2,3) comes first, ``a2_cross`` caches s2 and s3 from its own
+        pass instead, and this one never runs.
         """
         _k2_dtype(self.d, self.d2)  # raises before the first block if a sum could wrap
         n, d, a, walks = self.n, self.d, self.adjacency, self._walks
@@ -525,19 +526,12 @@ class GraphStats:
 
         Each entry packs (A^2)_ik into its low bits, below 2^shift as (A^2)_ik
         <= max degree, and Q_ik above them; no entry is dropped, as it is zero
-        only where (A^2)_ik is.  If ``a2_sums`` is not cached and either B is
-        or the forward wedges, sum C(out, 2), are at most _LIST_SHARE of the
-        2-walk bound, B is listed if need be and the pass also reads s2 and
-        s3 off the low bits and caches them as ``a2_sums``: no A^2 block is
-        formed.  Otherwise ``a2_sums`` gives B first, banded as for (2,2).
+        only where (A^2)_ik is.  B is listed unless cached; if ``a2_sums`` is
+        not cached, the pass also reads s2 and s3 off the low bits and caches
+        them as ``a2_sums``, so no A^2 block is formed.
         """
         _k2_dtype(self.d, self.d2)  # raises before any listing or block
         sums = "a2_sums" not in self.__dict__
-        if sums and "edge_triangles" not in self.__dict__:
-            out = np.bincount(self.src[self._forward[1]], minlength=self.n)  # forward degrees
-            sums = int((out * (out - 1) // 2).sum()) <= _LIST_SHARE * int(self._walks.sum())
-        if not sums:
-            self.a2_sums  # B with s2 and s3, through the banded pass
         d, b, shift = self.d, self.edge_triangles, int(self.d.max(initial=0)).bit_length()
 
         def packed(lo, hi):  # rows lo..hi-1 of A ∘ X, shifted, plus 1 at each entry

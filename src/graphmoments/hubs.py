@@ -23,8 +23,8 @@ and one budget bounds the key's search nodes over all hubs.
 The k = 2 closed forms read ``Graph.stats`` (see ``graphstats``): B, the
 sums of (A^2)_ik^2 and (A^2)_ik^3, and for (2,3) the cross sum over
 (A∘X)·A and the triangles and K4s over triangle edges.  ``wheel_counts``
-asks (2,3) first, so that on sparse graphs one pass over (A∘X)·A gives
-all three sums.  Closed-form columns are memoised per graph.
+asks (2,3) first, so that one pass over (A∘X)·A gives all three sums.
+Closed-form columns are memoised per graph.
 """
 
 from __future__ import annotations

@@ -8,14 +8,14 @@ For a pattern R on p vertices with q edges and N(R) isomorphism classes:
 
 P_check and Q_check both estimate the density-free moment of an acyclic
 pattern; P_check carries an O(lambda/n) truncation bias downward (extra
-edges excluded), Q_check does not, so fitting code uses Q_check while
-reporting defaults to P_check.
+edges excluded), Q_check does not, so fits and sweeps read Q_check only,
+while ``moment_table`` reports both.
 
 Wheel keys of one path, such as (2,1) and (1,2), are one pattern: each
 class (``patterns.wheel_class``) is counted once, its noninduced copies from
 the per-hub counts of its own key.  ``moment_table`` is the one place these
 normalizations are computed; ``wheel_moment_estimates`` reads its Q_check
-or P_check entries.
+entries.
 """
 
 from __future__ import annotations
@@ -192,31 +192,18 @@ def moment_table(
     return MomentTable(n=g.n, edge_count=g.edge_count, rho=rho, entries=tuple(entries))
 
 
-# estimator -> (moment_table mode, entry field)
-_ESTIMATORS = {"qcheck": ("noninduced", "q_check"), "pcheck": ("induced", "p_check")}
-
-
 def wheel_moment_estimates(
     g: Graph,
     keys,
-    estimator: str = "qcheck",
     budget: int | None = DEFAULT_BUDGET,
 ) -> dict[WheelSpec, float]:
-    """Density-free moment estimates tau_check for a set of wheel keys.
-
-    The q_check ("qcheck") or p_check ("pcheck") entries of
-    ``moment_table``: qcheck uses noninduced per-hub counts (exact at any
-    scale for the supported keys); pcheck uses induced counts and is only
-    feasible when the pattern is small enough to count induced copies.
-    """
-    if estimator not in _ESTIMATORS:
-        raise DomainError(f"bad estimator {estimator!r}")
+    """Density-free moment estimates tau_check for a set of wheel keys: the
+    Q_check entries of ``moment_table``, from noninduced per-hub counts."""
     if rho_hat(g) == 0:
         raise NormalizationError("moment estimates need at least one edge")
-    mode, field = _ESTIMATORS[estimator]
     specs = [WheelSpec.coerce(key) for key in keys]
-    table = moment_table(g, specs, mode=mode, budget=budget)
-    return {spec: getattr(entry, field) for spec, entry in zip(specs, table.entries)}
+    table = moment_table(g, specs, mode="noninduced", budget=budget)
+    return {spec: entry.q_check for spec, entry in zip(specs, table.entries)}
 
 
 def theory_table(model, keys) -> MomentTable:

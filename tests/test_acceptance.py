@@ -219,7 +219,7 @@ def test_criterion_05_estimator_consistency_rate():
         errs = np.empty(R)
         for r in range(R):
             g = sample_block_model(ref_model(lam, n), n, seed=seed_of(5, n, r)).graph
-            errs[r] = wheel_moment_estimates(g, [key], estimator="qcheck")[key] - TAU_21
+            errs[r] = wheel_moment_estimates(g, [key])[key] - TAU_21
         rmse.append(float(np.sqrt(np.mean(errs**2))))
         means.append(float(np.mean(errs)))
         sds.append(float(np.std(errs, ddof=1)))
@@ -297,7 +297,7 @@ def test_criterion_09_degree_approximation_gap_direction():
         arr = np.empty(reps)
         for r in range(reps):
             g = sample_block_model(er_model(lam, n), n, seed=seed_of(9, int(lam), r)).graph
-            exact = wheel_moment_estimates(g, [key], estimator="qcheck")[key]
+            exact = wheel_moment_estimates(g, [key])[key]
             arr[r] = abs(degree_moment_approx(m_degrees(g, 2), key) - exact)
         gaps[lam] = arr
     frac = float(np.mean(gaps[30.0] < gaps[3.0]))

@@ -32,7 +32,7 @@ def test_full_sample_m_equals_n_has_zero_variance():
     res = bootstrap_variance(g, cache, KEY, m=g.n, B=16, seed=3)
     assert res.sigma2_hat == 0.0
     # every replicate equals the plug-in estimate on the full sample
-    full = wheel_moment_estimates(g, [KEY], estimator="qcheck")[KEY]
+    full = wheel_moment_estimates(g, [KEY])[KEY]
     assert np.allclose(res.replicates, full)
     assert res.full_sample_value == pytest.approx(full)
 

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -97,7 +99,7 @@ def test_gen_sidecar_manifest_and_latents(tmp_path, model_path):
 
 
 def test_moments_stdout_json_and_stable_manifest(graph_path, capsys):
-    argv = ["moments", graph_path, "--pattern", "wheel:k=2,l=1", "--pattern", "wheel:k=1,l=2", "--seed", "0"]
+    argv = ["moments", graph_path, "--pattern", "wheel:k=2,l=1", "--pattern", "wheel:k=1,l=2"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
@@ -121,7 +123,7 @@ def test_moments_out_file_gets_sidecar(tmp_path, graph_path):
 
 
 def test_fit_runs_and_reports(graph_path, capsys):
-    assert main(["fit", graph_path, "--K", "2", "--seed", "1"]) == 0
+    assert main(["fit", graph_path, "--K", "2"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert len(obj["pi"]) == 2
     assert len(obj["S"]) == 2 and len(obj["S"][0]) == 2
@@ -161,7 +163,7 @@ def test_fit_has_no_stage_tolerance(graph_path, capsys):
 
 def _assert_fit_section_rejected(tmp_path, model_path, capsys, section, named):
     # a fit:K=.. cell fits K blocks within the budget and takes no other
-    # setting: a 'fit' section exits 2 before any cell runs and names what it held
+    # setting: a 'fit' key, unknown, exits 2 before any cell runs and names what it held
     cfg = {"models": [{"name": "ref", "path": model_path}], "n": [200], "replicates": 1,
            "metrics": ["fit:K=2"], "fit": section}
     cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
@@ -169,7 +171,7 @@ def _assert_fit_section_rejected(tmp_path, model_path, capsys, section, named):
     assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
     assert not out.exists()  # no cell ran
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: sweep config has a 'fit' section")
+    assert len(err) == 1 and err[0].startswith("error: sweep config has an unknown key 'fit'")
     assert all(word in err[0] for word in named), err
 
 
@@ -202,13 +204,38 @@ def test_fit_has_no_estimator_option(graph_path, capsys):
 
 
 def test_sweep_estimator_is_checked_before_any_cell(tmp_path, model_path, capsys):
-    cfg = {"models": [{"name": "ref", "path": model_path}], "n": [200], "replicates": 1,
-           "metrics": ["fit:K=2"], "estimator": "nope"}
+    # sweeps read Q-check only: an "estimator" key, of any value, is unknown
+    for estimator in ("nope", "pcheck", "qcheck"):
+        cfg = {"models": [{"name": "ref", "path": model_path}], "n": [200], "replicates": 1,
+               "metrics": ["tau_check:k=2,l=1"], "estimator": estimator}
+        cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key 'estimator': '{estimator}'" in err, err
+        assert not out.exists()
+
+
+def test_sweep_rejects_unknown_keys_before_any_cell(tmp_path, model_path, capsys):
+    # a misspelt "lambda" once ran at the model's own rho and exited 0
+    good = {"models": [{"name": "ref", "path": model_path}], "n": [200], "replicates": 1,
+            "metrics": ["lambda_hat"]}
     cfg_path, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2
-    assert "bad estimator 'nope'" in capsys.readouterr().err
-    assert not out.exists()
+    for cfg, message in (
+            ({**good, "lamda": {"kind": "fixed", "value": 40}},
+             "sweep config has an unknown key 'lamda': {'kind': 'fixed', 'value': 40}"),
+            ({**good, "models": [{"name": "ref", "path": model_path, "rho": 0.1}]},
+             "sweep model 'ref' has an unknown key 'rho': 0.1"),
+            ({**good, "models": [{"name": "ref", "path": model_path, "model": REF.to_json()}]},
+             "sweep model 'ref' has both 'model' and 'path'")):
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 2, cfg
+        assert not out.exists()  # no cell ran
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+    cfg_path.write_text(json.dumps({**good, "lambda": {"kind": "fixed", "value": 40}}))
+    assert main(["sweep", str(cfg_path), "--out", str(out), "--threads", "1"]) == 0
+    assert json.loads(out.read_text())["lambda"] == 40
 
 
 def test_fit_k1_prints_the_one_block_model(graph_path, capsys):
@@ -297,6 +324,39 @@ def test_threads_is_a_sweep_option_only(graph_path, capsys):
         main(["moments", graph_path, "--pattern", "wheel:k=2,l=1", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_sweep_threads_default_to_the_usable_cpus(monkeypatch):
+    # one CPU in the affinity mask of a machine with more: one worker process
+    monkeypatch.setattr(graphstats.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(graphstats.os, "cpu_count", lambda: 2)
+    assert cli.build_parser().parse_args(["sweep", "c.json", "--out", "o"]).threads == 1
+
+
+def test_seed_is_an_option_of_the_commands_that_draw(graph_path, capsys):
+    # moments, fit and degrees draw nothing random, so they take no --seed
+    for argv in (["moments", graph_path, "--pattern", "wheel:k=2,l=1"],
+                 ["fit", graph_path, "--K", "2"], ["degrees", graph_path, "--m", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "0"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # every graphmoments command line in README's code blocks names live options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("graphmoments ")]
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line.split("#", 1)[0])[1:]
+        try:
+            assert parser.parse_args(argv).command == argv[0], line
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def _fresh_python(code: str, *args: str) -> str:
@@ -397,11 +457,12 @@ def test_bootstrap_json(graph_path, capsys):
 
 # ids over (command, parameters, seed, version): paths and --threads stay out
 @pytest.mark.parametrize("argv, manifest_id", [
-    (["moments", "--pattern", "wheel:k=2,l=1", "--pattern", "wheel:k=1,l=2"], "e8a2797a8741b6c7"),
-    (["fit", "--K", "2", "--seed", "1"], "ccd729e1d067ad91"),
+    (["moments", "--pattern", "wheel:k=2,l=1", "--pattern", "wheel:k=1,l=2"], "ec9b83e2a5492265"),
+    (["fit", "--K", "2"], "7e18b63b9cb8bf50"),
+    (["degrees", "--m", "3"], "f4f674ce549cf01f"),
     (["bootstrap", "--key", "2,1", "--B", "24", "--seed", "4"], "dcffe410c027fa09"),
     (["sweep", "--seed", "7", "--threads", "2"], "220f1c098b421f1b"),
-], ids=["moments", "fit", "bootstrap", "sweep"])
+], ids=["moments", "fit", "degrees", "bootstrap", "sweep"])
 def test_manifest_ids_do_not_move(tmp_path, graph_path, argv, manifest_id):
     command, *options = argv
     out = tmp_path / "out"
@@ -413,8 +474,9 @@ def test_manifest_ids_do_not_move(tmp_path, graph_path, argv, manifest_id):
         source.write_text(json.dumps(cfg))
         assert main([command, str(source), *options, "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "out.manifest.json").read_text())
-    else:
-        assert main([command, graph_path, *options, "--out", str(out)]) == 0
+    else:  # degrees writes its JSON to --summary
+        flag = "--summary" if command == "degrees" else "--out"
+        assert main([command, graph_path, *options, flag, str(out)]) == 0
         manifest = json.loads(out.read_text())["manifest"]
     assert manifest["manifest_id"] == manifest_id
 

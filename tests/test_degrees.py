@@ -206,8 +206,6 @@ def test_falling_factorial_and_degree_approx():
     n = g.n
     for l in (2, 3):
         approx = degree_moment_approx(prof, WheelSpec.simple(1, l))
-        exact = wheel_moment_estimates(
-            g, [WheelSpec.simple(1, l)], estimator="qcheck"
-        )[WheelSpec.simple(1, l)]
+        exact = wheel_moment_estimates(g, [WheelSpec.simple(1, l)])[WheelSpec.simple(1, l)]
         ratio = math.prod((n - 1 - j) / (n - 1) for j in range(1, l))
         assert approx == pytest.approx(exact * ratio, rel=1e-12), l

@@ -140,18 +140,8 @@ def test_edge_list_accepted_forms():
     h = load_edge_list(["5 3", "3 10"])
     assert h.labels == (3, 5, 10)
     assert h.edges().tolist() == [[0, 1], [0, 2]]
-    # opaque labels are interned in first-seen order
-    h = load_edge_list(["b a", "c b", "a d  # x"], integer_labels=False)
-    assert h.labels == ("b", "a", "c", "d")
-    assert h.edges().tolist() == [[0, 1], [0, 2], [1, 3]]
-    with pytest.raises(GraphFormatError, match="^line 2: self-loop"):
-        load_edge_list(["b a", "c c"], integer_labels=False)
     empty = load_edge_list([])
     assert empty.n == 0 and empty.edge_count == 0
-
-
-def _labelled_edges(g):
-    return {frozenset((g.labels[i], g.labels[j])) for i, j in g.edges().tolist()}
 
 
 def test_labelled_write_load_round_trip(tmp_path):
@@ -170,12 +160,6 @@ def test_labelled_write_load_round_trip(tmp_path):
     g = load_edge_list(["0 1", "1 4"])
     write_edge_list(g, first)
     assert load_edge_list(first) == g
-    # opaque labels are interned in first-seen order, which the sorted lines
-    # of a write need not keep; the labelled edges survive
-    g = load_edge_list(["x b", "q7 b", "a m", "x m"], integer_labels=False)
-    write_edge_list(g, first)
-    assert first.read_text() == "x b\nx m\nb q7\na m\n"
-    assert _labelled_edges(load_edge_list(first, integer_labels=False)) == _labelled_edges(g)
 
 
 @st.composite

@@ -233,19 +233,39 @@ def _dense_sums(a: np.ndarray) -> list:
 @given(graphs())
 @example(Graph.from_edges(np.zeros((0, 2), np.int64), 0))
 @example(Graph.from_edges([(0, 1)]))
+@example(_K5)
 @example(_spread(_K5, 20, 3))
-def test_a2_sums_and_cross_match_on_both_sides_of_the_list_share(g):
-    # (2,3) first: share 0 takes B and s2, s3 from the banded A^2 pass (unless
-    # there is no wedge), share inf lists B and reads s2, s3 off the packed pass
+def test_a2_sums_and_cross_match_whichever_is_asked_first(g):
+    # (2,2) first takes B, s2 and s3 from the banded A^2 pass; (2,3) first, or
+    # after a triangle count, lists B and reads s2 and s3 off its packed pass,
+    # at any density, and forms no banded block
     want = [x.tolist() for x in _dense_sums(dense_adj(g))]
+    a2_map, listing = graphstats.GraphStats.a2_map, graphstats.GraphStats._triangles
+    passes, listed = [], []
+
+    def recording_map(self, fn, entry_bytes, row_bytes=0, left=None, bands=None):
+        passes.append("banded" if bands is not None else "packed")
+        a2_map(self, fn, entry_bytes, row_bytes, left, bands)
+
+    def recording_listing(self, fwd, cap):
+        listed.append(True)
+        return listing(self, fwd, cap)
+
     routes = set()
-    for share in (0.0, np.inf):
+    for first, route, lists in (("a2_sums", ["banded", "packed"], False),
+                                ("a2_cross", ["packed"], True),
+                                ("edge_triangles", ["packed"], True)):
+        passes.clear()
+        listed.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphstats, "_LIST_SHARE", share)
+            mp.setattr(graphstats.GraphStats, "a2_map", recording_map)
+            mp.setattr(graphstats.GraphStats, "_triangles", recording_listing)
             st_ = _fresh(g).stats
-            pq = st_.a2_cross
+            getattr(st_, first)
+            pq = st_.a2_cross  # (2,3) next, as hubs.wheel_counts asks it
             got = [*st_.a2_sums, st_.edge_triangles, pq]
-        assert [x.tolist() for x in got] == want, share
+        assert [x.tolist() for x in got] == want, first
+        assert passes == route and bool(listed) == lists, first
         routes.add(tuple(x.dtype.str + x.tobytes().hex() for x in got))
     assert len(routes) == 1  # bit-identical
 
@@ -330,30 +350,27 @@ def test_k2_fit_forms_each_a2_block_once_and_lists_only_triangle_edges(monkeypat
     # 2-walk bound) and at lambda = 90 (3.6): whether it forms the banded A^2
     # blocks, and the wedge listings it runs.  A full listing pairs every
     # forward edge, a clique-term listing only triangle edges.  (2,3) lists B
-    # at lambda = 6 and reads the A^2 pass at lambda = 90, unless (2,2) ran
-    # that pass first or a triangle count listed B
+    # at both densities and forms no banded block, unless (2,2) ran that pass
+    # first and read B
     full, terms = False, True
     one_pass, banded = (False, [full, terms]), (True, [terms])
     orders = {
-        "(2,2), (2,3)": (lambda h: [wheel_counts_per_hub(h, k) for k in (K22, K23)],
-                         banded, banded),
-        "(2,3), (2,2)": (lambda h: [wheel_counts_per_hub(h, k) for k in (K23, K22)],
-                         one_pass, banded),
+        "(2,2), (2,3)": (lambda h: [wheel_counts_per_hub(h, k) for k in (K22, K23)], banded),
+        "(2,3), (2,2)": (lambda h: [wheel_counts_per_hub(h, k) for k in (K23, K22)], one_pass),
         "triangles, (2,3)": (lambda h: (triangle_count(h), wheel_counts_per_hub(h, K23)),
-                             one_pass, one_pass),
-        "fit": (lambda h: fit_block_model(h, cfg), one_pass, banded),
-        "cache": (lambda h: HubCountCache.build(h, cfg.keys()), one_pass, banded),
+                             one_pass),
+        "fit": (lambda h: fit_block_model(h, cfg), one_pass),
+        "cache": (lambda h: HubCountCache.build(h, cfg.keys()), one_pass),
         # a bootstrap and a fit on one Graph share its counts: the cache, then the fit
         "cache, fit": (lambda h: (HubCountCache.build(h, cfg.keys()), fit_block_model(h, cfg)),
-                       one_pass, banded),
+                       one_pass),
     }
     for n, lam in ((2000, 6.0), (300, 90.0)):  # product with A, dense row buffer
         model = BlockModel(pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]),
                            rho=lam / (n - 1))
         g = sample_block_model(model, n, seed=5).graph
         columns: dict = {}  # the distinct per-hub columns of each key over the orders
-        for name, (run, *routes) in orders.items():
-            forms_a2, listed = routes[lam > 10]
+        for name, (run, (forms_a2, listed)) in orders.items():
             blocks.clear()
             crosses.clear()
             listings.clear()
@@ -400,8 +417,7 @@ def test_the_edge_filter_leaves_few_wedges_to_the_search(monkeypatch):
 
 def _a2_outputs(g: Graph) -> list:
     """s2, s3, B and pq of fresh copies of g, as bytes, with the sums asked
-    first (the banded pass) and with pq asked first (on a sparse graph, the
-    packed pass alone)."""
+    first (the banded pass) and with pq asked first (the packed pass alone)."""
     out = []
     for first in ("a2_sums", "a2_cross"):
         st_ = _fresh(g).stats

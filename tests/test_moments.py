@@ -109,12 +109,10 @@ def test_inversion_identity_in_estimator_space():
 def test_estimates_helper_matches_table():
     _, g = small_graph(seed=37)
     keys = [WheelSpec.simple(1, 2), WheelSpec.simple(2, 2)]
-    est_q = wheel_moment_estimates(g, keys, estimator="qcheck")
-    est_p = wheel_moment_estimates(g, keys, estimator="pcheck")
+    est = wheel_moment_estimates(g, keys)
     table = moment_table(g, keys, mode="both")
     for key, entry in zip(keys, table.entries):
-        assert est_q[key] == entry.q_check
-        assert est_p[key] == entry.p_check
+        assert est[key] == entry.q_check
 
 
 # wheel keys that are one path rooted at different vertices: P3, P4 and P5
@@ -183,7 +181,6 @@ def test_check_estimators_concentrate_on_reference_model():
     est = wheel_moment_estimates(
         g,
         [WheelSpec.simple(1, 2), WheelSpec.simple(2, 1), WheelSpec.simple(2, 2)],
-        estimator="qcheck",
     )
     assert est[WheelSpec.simple(1, 2)] == pytest.approx(1.0625, abs=0.03)
     assert est[WheelSpec.simple(2, 1)] == pytest.approx(1.0625, abs=0.03)
@@ -205,8 +202,6 @@ def test_induced_counts_past_order_10_are_a_capability_error():
     for mode in ("induced", "both"):
         with pytest.raises(CapabilityError, match="qcheck"):
             moment_table(g, [big], mode=mode, budget=10)
-    with pytest.raises(CapabilityError):
-        wheel_moment_estimates(g, [big], estimator="pcheck")
     assert moment_table(g, [big], mode="noninduced", budget=None).entries[0].p_check is None
 
 
