@@ -135,8 +135,7 @@ class FitResult:
         diag["atoms"] = None if self.atoms is None else [
             list(map(float, row)) for row in np.asarray(self.atoms)
         ]
-        diag["tau_hat"] = {k.name() if isinstance(k, WheelSpec) else str(k): float(v)
-                           for k, v in self.tau_hat.items()}
+        diag["tau_hat"] = {k.name(): float(v) for k, v in self.tau_hat.items()}
         diag["projection_distance"] = math.sqrt(max(self.residual, 0.0))
         return {
             "schema_version": SCHEMA_VERSION,
@@ -148,14 +147,6 @@ class FitResult:
             "converged": bool(self.converged),
             "diagnostics": diag,
         }
-
-
-def power_moments(atoms, weights, count: int) -> np.ndarray:
-    """Forward map of the 1-d moment problem: m_l = sum_a w_a atoms_a^l,
-    l = 1..count."""
-    a = np.asarray(atoms, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    return np.array([float(w @ a**l) for l in range(1, count + 1)])
 
 
 def atoms_from_moments(moments, K: int) -> tuple[np.ndarray, np.ndarray, dict]:

@@ -206,7 +206,8 @@ def cmd_degrees(args) -> int:
         profile = m_degrees(g, args.m, budget=args.budget)
     if args.out:
         header = ",".join(["vertex"] + [f"D{j}" for j in range(1, args.m + 1)])
-        columns = [map(str, range(g.n))] + [map(str, col) for col in profile.counts.T.tolist()]
+        ids = g.labels or range(g.n)  # a graph read without a header keeps its own ids
+        columns = [map(str, ids)] + [map(str, col) for col in profile.counts.T.tolist()]
         with open(args.out, "w", newline="") as fh:  # csv's dialect: "\r\n" ends each row
             fh.write("\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n")
         _emit_sidecar(manifest, args.out, t0)
@@ -384,9 +385,11 @@ def cmd_sweep(args) -> int:
         raise InputError("sweep config 'metrics' must be a list of strings")
     for spec in config["metrics"]:
         _metric_params(spec)
-    base_seed = config.get("seed", args.seed)
-    if not _is_int(base_seed) or base_seed < 0:
-        raise InputError(f"the sweep seed must be a non-negative integer, got {base_seed!r}")
+    for seed in (config.get("seed"), args.seed):
+        if seed is not None and not (_is_int(seed) and seed >= 0):
+            raise InputError(f"the sweep seed must be a non-negative integer, got {seed!r}")
+    if args.seed is None:  # --seed wins, as --budget does; the manifest records the seed used
+        args.seed = config.get("seed", 0)
     budget = args.budget if args.budget is not None else config.get("budget", DEFAULT_BUDGET)
     if budget is not None and not (_is_int(budget) and budget >= 0):
         raise InputError(f"sweep config 'budget' must be an integer >= 0 or null, got {budget!r}")
@@ -430,7 +433,7 @@ def cmd_sweep(args) -> int:
             cell_id = f"{name}/n={n}/lambda={lam:g}"
             for rep in range(config["replicates"]):
                 seed = int(
-                    np.random.SeedSequence([base_seed, mi, ni, rep]).generate_state(1)[0]
+                    np.random.SeedSequence([args.seed, mi, ni, rep]).generate_state(1)[0]
                 )
                 tasks.append({**shared, "cell_id": cell_id, "model": name, "model_obj": obj,
                               "n": n, "lambda": lam, "rho": rho, "rep": rep, "seed": seed})
@@ -460,7 +463,8 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the commands that draw random numbers: gen, bootstrap and sweep
+    # gen and bootstrap draw random numbers from --seed; sweep has its own,
+    # which falls back to its config's
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     # every command but gen, which enumerates nothing
@@ -533,8 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_bootstrap)
 
-    p = sub.add_parser("sweep", parents=[counting, seeded], help="simulation sweep to JSONL")
+    p = sub.add_parser("sweep", parents=[counting], help="simulation sweep to JSONL")
     p.add_argument("config", help="sweep config JSON")
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed (default: the config's \"seed\", else 0)")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument(
         "--threads",

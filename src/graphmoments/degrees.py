@@ -53,18 +53,6 @@ class DegreeProfile:
         return self.counts.astype(float) / powers
 
 
-@dataclass(frozen=True)
-class ThetaProfile:
-    """Population counterpart of DegreeProfile: operator iterates at each
-    vertex's latent position, shape (n, m)."""
-
-    values: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-
 def _paths_order3(g: Graph) -> np.ndarray:
     """D^(3) closed form: summing d_l choices over i~j~k and excluding the
     revisits l in {j, i} gives A^2 (d-1) - d(d-1) - 2 * triangles, with
@@ -104,8 +92,9 @@ def m_degrees(g: Graph, m: int, budget: int | None = 50_000_000) -> DegreeProfil
     return DegreeProfile(counts=counts, mean_degree=average_degree(g) if g.n else 0.0)
 
 
-def theta_profile(model, xi: np.ndarray, m: int) -> ThetaProfile:
-    """Operator iterates (T1, T^2 1, ..., T^m 1) at each latent position.
+def theta_profile(model, xi: np.ndarray, m: int) -> np.ndarray:
+    """Operator iterates (T1, T^2 1, ..., T^m 1) at each latent position:
+    the (n, m) population counterpart of ``DegreeProfile.counts``.
 
     Accepts a BlockModel or Graphon: each position reads the iterate row of
     its kernel row (``model.locate``).  For the canonical parameterization
@@ -114,15 +103,15 @@ def theta_profile(model, xi: np.ndarray, m: int) -> ThetaProfile:
     xi = np.asarray(xi, dtype=float)
     if np.any(xi < 0) or np.any(xi > 1):
         raise DomainError("latent positions must lie in [0, 1]")
-    return ThetaProfile(values=iterate_operator(model, m).values[model.locate(xi)])
+    return iterate_operator(model, m)[model.locate(xi)]
 
 
-def joint_coupling_error(profile: DegreeProfile, theta: ThetaProfile) -> float:
+def joint_coupling_error(profile: DegreeProfile, theta: np.ndarray) -> float:
     """Mean squared distance between the normalized degree profile and the
-    latent iterate profile: (1/n) sum_i ||D~_i - theta(xi_i)||^2."""
-    if profile.counts.shape != theta.values.shape:
+    latent iterate profile ``theta_profile``: (1/n) sum_i ||D~_i - theta(xi_i)||^2."""
+    if profile.counts.shape != theta.shape:
         raise DomainError("profile and theta shapes differ")
-    diff = profile.normalized() - theta.values
+    diff = profile.normalized() - theta
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
@@ -161,13 +150,7 @@ def falling_factorial_column(x: np.ndarray, l: int) -> np.ndarray:
             out *= x - j
         return out
     vals, inv = np.unique(x, return_inverse=True)
-    ff = np.array([falling_factorial(int(v), l) for v in vals], dtype=object)
-    return ff[inv]
-
-
-def falling_factorial(x: int, l: int) -> int:
-    """Scalar (x)_l = x (x-1) ... (x-l+1)."""
-    return math.prod(x - j for j in range(l))
+    return np.array([math.perm(int(v), l) for v in vals], dtype=object)[inv]
 
 
 def degree_moment_approx(profile: DegreeProfile, key: WheelSpec | tuple) -> float:

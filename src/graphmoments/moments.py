@@ -11,11 +11,11 @@ pattern; P_check carries an O(lambda/n) truncation bias downward (extra
 edges excluded), Q_check does not, so fits and sweeps read Q_check only,
 while ``moment_table`` reports both.
 
-Wheel keys of one path, such as (2,1) and (1,2), are one pattern: each
-class (``patterns.wheel_class``) is counted once, its noninduced copies from
-the per-hub counts of its own key.  ``moment_table`` is the one place these
-normalizations are computed; ``wheel_moment_estimates`` reads its Q_check
-entries.
+Wheel keys of one path, such as (2,1) and (1,2), are one pattern, and so is
+that path given by its edges: each class (``patterns.wheel_class``) is
+counted once, its noninduced copies from the per-hub counts of its own key.
+``moment_table`` is the one place these normalizations are computed;
+``wheel_moment_estimates`` reads its Q_check entries.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .patterns import (
     wheel_isomorphism_count,
     wheel_to_pattern,
 )
-from .theory import tau
 
 #: The schema version of every JSON document the package writes.
 SCHEMA_VERSION = "1"
@@ -90,12 +89,6 @@ class MomentTable:
     rho: float
     entries: tuple[MomentEntry, ...]
     kind: str = "empirical"
-
-    def get(self, name: str) -> MomentEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
 
     def to_json(self) -> dict:
         return {
@@ -153,11 +146,11 @@ def moment_table(
             f"induced counting unavailable for {', '.join(too_large)} (order > "
             f"{MAX_PATTERN_ORDER}); the noninduced estimator (qcheck) has no such limit"
         )
-    classes = {item: wheel_class(item) if isinstance(item, WheelSpec) else item for item in items}
+    classes = {item: wheel_class(item) for item in items}  # a path pattern reads its wheel key
     wheels = dict.fromkeys(c for c in classes.values() if isinstance(c, WheelSpec))
     counts = wheel_counts(g, wheels, budget) if mode != "induced" else {}
     found = {}
-    for item, rep in classes.items():  # a pattern's class is itself
+    for item, rep in classes.items():
         if rep in found:
             continue
         noninduced = induced = None
@@ -204,20 +197,3 @@ def wheel_moment_estimates(
     specs = [WheelSpec.coerce(key) for key in keys]
     table = moment_table(g, specs, mode="noninduced", budget=budget)
     return {spec: entry.q_check for spec, entry in zip(specs, table.entries)}
-
-
-def theory_table(model, keys) -> MomentTable:
-    """Population tau values in the same table shape (kind="theory")."""
-    entries = []
-    for key in keys:
-        spec = WheelSpec.coerce(key)
-        entries.append(
-            MomentEntry(
-                name=spec.name(),
-                p=spec.p,
-                q=spec.q,
-                n_isoclasses=wheel_isomorphism_count(spec),
-                tau=tau(model, spec),
-            )
-        )
-    return MomentTable(n=0, edge_count=0, rho=0.0, entries=tuple(entries), kind="theory")

@@ -234,14 +234,29 @@ def hub_multiplicity(spec: WheelSpec) -> int:
     return 2 if _offcenter_path(spec) else 1
 
 
-def wheel_class(spec: WheelSpec) -> WheelSpec:
-    """The key that stands for spec's isomorphism class of wheels.
+def wheel_class(spec: WheelSpec | PatternGraph) -> WheelSpec | PatternGraph:
+    """The key that stands for spec's isomorphism class.
 
     A wheel with at most two spokes is the path with q edges, read rooted
     at its middle vertex with spokes floor(q/2) and ceil(q/2): (2,1) ->
     (1,2), (3,1) -> ((1,1),(2,1)), and (4,1) and ((1,1),(3,1)) -> (2,2).
     A wheel with three spokes or more has one hub, so it is its own class.
+    A pattern that is a path, connected with q = p - 1 and no degree past
+    2, reads as the wheel (q,1); any other pattern is its own class (a
+    triangle plus a disjoint edge also has q = p - 1 and degrees <= 2).
     """
+    if isinstance(spec, PatternGraph):
+        adj = spec.adjacency
+        if spec.q != spec.p - 1 or max(map(len, adj)) > 2:
+            return spec
+        reached, frontier = {0}, [0]
+        while frontier:
+            new = adj[frontier.pop()] - reached
+            reached |= new
+            frontier.extend(new)
+        if len(reached) < spec.p:
+            return spec
+        spec = WheelSpec.simple(spec.q, 1)
     if spec.total_spokes > 2 or spec.q == 1:  # (1,1) is the one wheel with one edge
         return spec
     short, long = spec.q // 2, spec.q - spec.q // 2

@@ -17,7 +17,6 @@ kernel only through these quantities.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,17 +25,10 @@ from .models import BlockModel, Graphon
 from .patterns import WheelSpec
 
 
-@dataclass(frozen=True)
-class OperatorIterates:
-    """Iterate table: values[x, j-1] = [T^j 1] on kernel row x, in the
-    model's own row order; weights the corresponding probability masses."""
-
-    values: np.ndarray
-    weights: np.ndarray
-
-
-def iterate_operator(model, depth: int, truncate_rho: float | None = None) -> OperatorIterates:
-    """Row coordinates of T^j 1 for j = 1..depth on a BlockModel or Graphon.
+def iterate_operator(model, depth: int, truncate_rho: float | None = None) -> np.ndarray:
+    """Row coordinates of T^j 1 for j = 1..depth on a BlockModel or Graphon:
+    the (rows, depth) array whose [x, j-1] entry is [T^j 1] on kernel row x,
+    with the model's ``weights`` as the rows' probability masses.
 
     With truncate_rho the kernel is first truncated to min(w, 1/rho), the
     finite-density version of the operator.  Moment sums are row-order
@@ -51,8 +43,7 @@ def iterate_operator(model, depth: int, truncate_rho: float | None = None) -> Op
         if not (0 < truncate_rho <= 1):
             raise DomainError(f"truncation density {truncate_rho} outside (0, 1]")
         kernel = np.minimum(kernel, 1.0 / truncate_rho)
-    weights = model.weights
-    return OperatorIterates(values=block_iterates(weights, kernel, depth), weights=weights)
+    return block_iterates(model.weights, kernel, depth)
 
 
 def block_iterates(pi: np.ndarray, s: np.ndarray, depth: int, tangents=None):
@@ -120,8 +111,8 @@ def tau(model, key, truncate_rho: float | None = None) -> float:
     grid; exact for an underlying block model when the grid aligns with
     block boundaries)."""
     spec = WheelSpec.coerce(key)
-    it = iterate_operator(model, max(spec.ks), truncate_rho)
-    return float(wheel_moments(it.values, it.weights, wheel_exponents([spec]))[0])
+    values = iterate_operator(model, max(spec.ks), truncate_rho)
+    return float(wheel_moments(values, model.weights, wheel_exponents([spec]))[0])
 
 
 def tau_triangle(model) -> float:

@@ -42,7 +42,6 @@ from graphmoments import (  # noqa: E402
     count_induced,
     count_noninduced,
     degree_moment_approx,
-    falling_factorial,
     fit_block_model,
     FitConfig,
     PatternGraph,
@@ -112,7 +111,7 @@ def test_criterion_02_inversion_identity_exact():
         a = random_dense(n, float(rng.uniform(0.15, 0.8)), rng)
         g = graph_from_dense(a)
         for r in (star, tri_pat):
-            np_ = falling_factorial(n, r.p)
+            np_ = math.perm(n, r.p)
             # embedding counts: copies * |Aut|; exact rational identity
             q_hat = Fraction(count_noninduced(g, r) * automorphism_count(r), np_)
             p_sum = sum(
@@ -352,7 +351,7 @@ def test_criterion_09_tree_numerator_identity():
         for l in (2, 3):
             spec = WheelSpec.simple(1, l)
             per_hub = wheel_counts_per_hub(g, spec)
-            approx_num = int(np.sum([falling_factorial(int(x), l) for x in d]))
+            approx_num = int(np.sum([math.perm(int(x), l) for x in d]))
             exact_num = math.factorial(l) * int(np.sum(per_hub))
             assert approx_num == exact_num, (n, l)
     assert report(9, "tree numerator identity (depth-1 keys)", True,
@@ -377,10 +376,10 @@ def test_criterion_09_overlap_identity():
         d, d2 = m_degrees(g, 2).counts.T
         per_hub = wheel_counts_per_hub(g, key)
         for i in range(n):
-            gap = falling_factorial(int(d2[i]), 2) - 2 * int(per_hub[i])
+            gap = math.perm(int(d2[i]), 2) - 2 * int(per_hub[i])
             assert gap == oracle_overlapping_2path_pairs(a, i), (trial, n, i)
             if trial % 2:
-                assert gap == sum(falling_factorial(int(d[j]) - 1, 2)
+                assert gap == sum(math.perm(int(d[j]) - 1, 2)
                                   for j in g.neighbors(i)), (trial, n, i)
                 tree_overlap += gap
     assert tree_overlap > 0

@@ -422,6 +422,14 @@ def test_degrees_csv_and_summary(tmp_path, graph_path):
     assert "quantiles" in sobj["columns"][0]
 
 
+def test_degrees_csv_writes_the_graph_labels(tmp_path):
+    # an edge list without a header keeps its own vertex ids
+    path, out = tmp_path / "g.el", tmp_path / "deg.csv"
+    path.write_text("3 5\n5 10\n10 12\n")
+    assert main(["degrees", str(path), "--m", "2", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["vertex,D1,D2", "3,1,1", "5,2,1", "10,2,1", "12,1,1"]
+
+
 def test_degrees_needs_a_vertex(tmp_path, capsys):
     path = tmp_path / "empty.el"
     path.write_text("# n=0\n")
@@ -573,6 +581,28 @@ def test_budget_bounds_the_degree_profiles_of_moments_and_sweep(tmp_path, graph_
     assert len(recs) == 2
     assert all(r["error"].startswith("BudgetExceededError: ") for r in recs)
     assert all("rho_hat" in r["metrics"] for r in recs)
+
+
+def test_sweep_seed_flag_wins_over_the_config_seed(tmp_path, capsys):
+    base = {"models": [{"name": "ref", "model": REF.to_json()}], "n": [60], "replicates": 2,
+            "lambda": {"kind": "fixed", "value": 4.0}, "metrics": ["rho_hat"]}
+    cfg, out = tmp_path / "sweep.json", tmp_path / "s.jsonl"
+
+    def cell_and_manifest_seeds(config, *flag):
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", str(cfg), *flag, "--out", str(out), "--threads", "1"]) == 0
+        manifest = json.loads((tmp_path / "s.jsonl.manifest.json").read_text())
+        return [json.loads(line)["seed"] for line in out.read_text().splitlines()], manifest["seed"]
+
+    nine = cell_and_manifest_seeds(base, "--seed", "9")
+    assert nine[1] == 9 and cell_and_manifest_seeds({**base, "seed": 5}, "--seed", "9") == nine
+    five = cell_and_manifest_seeds({**base, "seed": 5})
+    assert five == cell_and_manifest_seeds(base, "--seed", "5") and five != nine
+    assert cell_and_manifest_seeds(base)[1] == 0
+    # a config seed is checked even when --seed overrides it
+    cfg.write_text(json.dumps({**base, "seed": "abc"}))
+    assert main(["sweep", str(cfg), "--seed", "9", "--out", str(out), "--threads", "1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_sweep_rejects_malformed_config_shapes_before_any_cell(tmp_path, capsys):

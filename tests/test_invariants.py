@@ -1,6 +1,9 @@
 import ast
+import contextlib
 import importlib
 import importlib.util
+import os
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -91,16 +94,57 @@ def test_every_traced_name_exists():
     assert tracing.FUNCTIONS and tracing.CLASSMETHODS and missing == []
 
 
-def test_the_benchmark_workloads_set_up(monkeypatch):
-    # the workloads pass package fields and options by name (FitConfig's
-    # on_stage_error among them); one deleted here should fail the suite,
-    # not only a benchmark run
+def _load_workloads(monkeypatch):
     root = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(root))  # workloads imports its sibling reference.py
     spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_the_benchmark_workloads_set_up(monkeypatch):
+    # the workloads pass package fields and options by name (FitConfig's
+    # on_stage_error among them); one deleted here should fail the suite,
+    # not only a benchmark run
+    workloads = _load_workloads(monkeypatch)
     fit, dense = workloads.FitK2(1), workloads.DenseCounts(1)
     fit.setup()
     dense.setup()
     assert len(fit.graphs) == fit.SEEDED + fit.FIXED and dense.g.edge_count > 0
+
+
+class _Run:
+    """The benchmark's run object, failing at the first error or check."""
+
+    tracer, failed = None, 0
+
+    def op(self, fn, *args, **kwargs):
+        t0 = time.perf_counter()
+        return fn(*args, **kwargs), time.perf_counter() - t0
+
+    def unit(self):
+        return contextlib.nullcontext()
+
+    def span(self, name):
+        return contextlib.nullcontext()
+
+    def check(self, ok, what):
+        assert ok, what
+
+
+def test_the_cli_pipeline_round_passes_its_checks(monkeypatch, tmp_path):
+    # the CLI options and sweep keys the benchmark passes, run on a small graph
+    workloads = _load_workloads(monkeypatch)
+    monkeypatch.setattr(workloads.CliPipeline, "N", 300)
+    monkeypatch.setattr(workloads, "HERE", tmp_path)
+    src = str(Path(graphmoments.__file__).resolve().parents[1])  # for the CLI subprocesses
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")])))
+    pipeline, run = workloads.CliPipeline(1), _Run()
+    pipeline.setup()
+    try:
+        pipeline.round(run)
+        pipeline.check(run)
+    finally:
+        pipeline.close()
+    assert pipeline.work_counts()["graph.edges"] > 0

@@ -18,14 +18,13 @@ from graphmoments import (
     moment_table,
     rho_hat,
     sample_block_model,
-    theory_table,
     wheel_isomorphism_count,
     wheel_moment_estimates,
     wheel_noninduced_count,
     wheel_rooted_count,
     wheel_to_pattern,
 )
-from graphmoments import hubs
+from graphmoments import hubs, moments
 from graphmoments.patterns import wheel_class
 from oracles import (
     TupleHistogram,
@@ -133,10 +132,11 @@ def test_keys_of_one_path_have_bit_identical_estimates(n, p, seed):
     every = [key for keys in _PATH_CLASSES for key in keys]
     est = wheel_moment_estimates(g, every, budget=None)
     table = moment_table(g, every, mode="noninduced", budget=None)
+    by_name = {e.name: e for e in table.entries}
     for keys in _PATH_CLASSES:
         assert len({wheel_class(key) for key in keys}) == 1
         assert len({wheel_noninduced_count(g, key, budget=None) for key in keys}) == 1
-        assert len({replace(table.get(key.name()), name="") for key in keys}) == 1
+        assert len({replace(by_name[key.name()], name="") for key in keys}) == 1
         assert len({est[key] for key in keys}) == 1, {key.name(): est[key] for key in keys}
 
 
@@ -151,6 +151,30 @@ def test_a_path_key_reads_its_class_in_closed_form():
         wheel_noninduced_count(g, WheelSpec.simple(4, 1), budget=0)
 
 
+def test_path_patterns_are_counted_as_their_wheel_class(monkeypatch):
+    # a path given by its edges reads its wheel key's per-hub counts; a
+    # triangle plus a disjoint edge also has q = p - 1 and no degree past 2,
+    # but it is not connected, so it stays a pattern and is enumerated
+    a, g = small_graph(seed=47)
+
+    def enumerate_pattern(*args):
+        raise RuntimeError("enumerated")
+
+    monkeypatch.setattr(moments, "count_noninduced", enumerate_pattern)
+    rng = np.random.default_rng(47)
+    for p in range(2, 7):
+        order = rng.permutation(p).tolist()  # the path's vertices out of order
+        path = PatternGraph(p, tuple(zip(order, order[1:])))
+        assert wheel_class(path) == wheel_class(WheelSpec.simple(p - 1, 1))
+        (entry,) = moment_table(g, [path], mode="both").entries
+        assert entry.name == path.name()
+        assert (entry.induced_count, entry.noninduced_count) == oracle_counts(a, path), p
+    tri_edge = PatternGraph(5, ((0, 1), (0, 2), (1, 2), (3, 4)))
+    assert wheel_class(tri_edge) == tri_edge
+    with pytest.raises(RuntimeError, match="enumerated"):
+        moment_table(g, [tri_edge], mode="noninduced")
+
+
 def test_empty_graph_rejected():
     from graphmoments import Graph
 
@@ -160,17 +184,6 @@ def test_empty_graph_rejected():
     table = moment_table(g, [WheelSpec.simple(1, 1)], mode="noninduced")
     assert table.entries[0].q_check is None
     assert table.entries[0].q_hat == 0.0
-
-
-def test_theory_table_taus():
-    model = BlockModel(
-        pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]), rho=0.01
-    )
-    keys = [WheelSpec.simple(1, 2), WheelSpec.simple(2, 2)]
-    t = theory_table(model, keys)
-    assert t.kind == "theory"
-    assert t.get("wheel:k=1,l=2").tau == pytest.approx(1.0625)
-    assert t.get("wheel:k=2,l=2").tau == pytest.approx(1.26953125)
 
 
 def test_check_estimators_concentrate_on_reference_model():

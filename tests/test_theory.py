@@ -9,7 +9,6 @@ from graphmoments import (
     erdos_renyi_model,
     iterate_operator,
     tau,
-    theory_table,
     theta_profile,
     tau_triangle,
     wheel_to_pattern,
@@ -33,10 +32,10 @@ def random_model(K: int, rng: np.random.Generator) -> BlockModel:
 
 
 def test_reference_iterates_keep_block_order():
-    it = iterate_operator(REF, 2)
-    assert np.allclose(it.values[:, 0], [1.25, 0.75])
-    assert np.allclose(it.values[:, 1], [1.4375, 0.6875])
-    assert np.allclose(it.weights, [0.5, 0.5])
+    values = iterate_operator(REF, 2)
+    assert np.allclose(values[:, 0], [1.25, 0.75])
+    assert np.allclose(values[:, 1], [1.4375, 0.6875])
+    assert np.allclose(REF.weights, [0.5, 0.5])
 
 
 def test_reference_tau_values():
@@ -87,9 +86,9 @@ def test_wheel_moments_match_one_key_at_a_time_bit_for_bit():
         for _ in range(4):
             ks = sorted(rng.choice(np.arange(1, depth + 1), size=min(depth, 2), replace=False))
             specs.append(WheelSpec(tuple(ks), tuple(int(l) for l in rng.integers(1, 5, size=len(ks)))))
-        it = iterate_operator(model, depth)
-        got = wheel_moments(it.values, it.weights, wheel_exponents(specs))
-        want = [oracle_wheel_tau(it.values, it.weights, spec) for spec in specs]
+        values = iterate_operator(model, depth)
+        got = wheel_moments(values, model.weights, wheel_exponents(specs))
+        want = [oracle_wheel_tau(values, model.weights, spec) for spec in specs]
         assert got.tolist() == want
 
 
@@ -192,4 +191,4 @@ def test_non_models_are_rejected_with_domain_error():
     with pytest.raises(DomainError):
         theta_profile(not_a_model, np.array([0.2, 0.7]), 2)
     with pytest.raises(DomainError):
-        theory_table(not_a_model, [(1, 1)])
+        tau(not_a_model, WheelSpec.simple(1, 1))
