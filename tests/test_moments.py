@@ -18,6 +18,7 @@ from graphmoments import (
     moment_table,
     rho_hat,
     sample_block_model,
+    tau,
     wheel_isomorphism_count,
     wheel_moment_estimates,
     wheel_noninduced_count,
@@ -184,6 +185,16 @@ def test_empty_graph_rejected():
     table = moment_table(g, [WheelSpec.simple(1, 1)], mode="noninduced")
     assert table.entries[0].q_check is None
     assert table.entries[0].q_hat == 0.0
+
+
+def test_theory_table_taus():
+    model = BlockModel(
+        pi=np.array([0.5, 0.5]), S=np.array([[2.0, 0.5], [0.5, 1.0]]), rho=0.01
+    )
+    keys = [WheelSpec.simple(1, 2), WheelSpec.simple(2, 2)]
+    t = {spec.name(): tau(model, spec) for spec in keys}
+    assert t["wheel:k=1,l=2"] == pytest.approx(1.0625)
+    assert t["wheel:k=2,l=2"] == pytest.approx(1.26953125)
 
 
 def test_check_estimators_concentrate_on_reference_model():
